@@ -1,16 +1,13 @@
 // Ablation (extension beyond the paper): incremental re-detection.
 // After a repair pass changed k rows, the next detection pass only needs
-// the violations touching those rows (RuleEngine::DetectIncremental).
+// the violations touching those rows (a DetectRequest with changed_rows).
 // The saving scales with the cost of Detect: this bench uses a similarity
 // DC (Levenshtein on name within zipcode blocks), where skipping untouched
-// blocks skips real work. The loop-level integration (CleanOptions::
-// incremental_redetection) wires this in with a final full verification
-// pass; the last table shows that end-to-end equivalence.
+// blocks skips real work.
 #include <cstdio>
 
 #include "bench_util.h"
 #include "common/random.h"
-#include "core/bigdansing.h"
 #include "core/rule_engine.h"
 #include "datagen/datagen.h"
 #include "rules/parser.h"
@@ -71,47 +68,10 @@ void RunOperation() {
   table.Print();
 }
 
-void RunLoop() {
-  // End-to-end equivalence of the loop integration on a cascading-error
-  // workload (zipcodes swapped to other providers' values force 3
-  // iterations: the first repair fixes the zipcode but mis-repairs the
-  // state, the second fixes the state).
-  const size_t rows = ScaledRows(50000);
-  auto data = GenerateHai(rows, 0.0, /*seed=*/91);
-  Table dirty = data.clean;
-  Random rng(92);
-  for (size_t i = 0; i < dirty.num_rows(); ++i) {
-    if (!rng.NextBool(0.05)) continue;
-    size_t other = rng.NextBounded(dirty.num_rows());
-    dirty.mutable_row(i).set_value(4, data.clean.row(other).value(4));
-  }
-  std::vector<RulePtr> rules = {*ParseRule("phi6: FD: zipcode -> state"),
-                                *ParseRule("phi7: FD: phone -> zipcode")};
-  ExecutionContext ctx(16);
-
-  Table plain = dirty;
-  auto plain_report = BigDansing(&ctx, CleanOptions()).Clean(&plain, rules);
-  Table inc = dirty;
-  CleanOptions inc_options;
-  inc_options.incremental_redetection = true;
-  auto inc_report = BigDansing(&ctx, inc_options).Clean(&inc, rules);
-
-  std::printf(
-      "\nLoop integration (cascading HAI, %zu rows): %zu iterations, "
-      "identical repaired instance: %s\n",
-      rows, plain_report.ok() ? plain_report->num_iterations() : 0,
-      plain == inc ? "yes" : "NO");
-  std::printf(
-      "Expected shape: incremental detection time scales with the changed "
-      "fraction, giving large factors for small deltas; the loop "
-      "integration preserves the exact repair result.\n");
-}
-
 }  // namespace
 }  // namespace bigdansing
 
 int main() {
   bigdansing::RunOperation();
-  bigdansing::RunLoop();
   return 0;
 }

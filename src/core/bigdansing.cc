@@ -1,90 +1,14 @@
 #include "core/bigdansing.h"
 
 #include <cstdio>
-#include <map>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "common/fault.h"
-#include "common/lineage.h"
-#include "common/logging.h"
 #include "common/metrics_registry.h"
-#include "common/stopwatch.h"
 #include "common/trace.h"
+#include "core/fixpoint.h"
 #include "core/stream_session.h"
-#include "data/profile.h"
-#include "obs/quality.h"
-#include "repair/strategy.h"
 
 namespace bigdansing {
-
-namespace {
-
-/// Closes the QualityRecorder run on every exit path of Clean() — normal
-/// return, early Status return, and StageError unwinding alike — so a
-/// scrape never sees a run stuck in_progress after its Clean() finished.
-struct QualityRunGuard {
-  uint64_t run_id = 0;
-  const CleanReport* report = nullptr;
-  ~QualityRunGuard() {
-    if (run_id != 0) {
-      QualityRecorder::Instance().EndRun(run_id, report->converged);
-    }
-  }
-};
-
-/// Lineage-aware twin of ApplyAssignments: applies the assignments and, for
-/// each cell actually changed, appends a ledger entry carrying the old/new
-/// value plus the provenance the repair pass attached (when `provenance` is
-/// shorter than `assignments` — lineage was toggled mid-run — missing
-/// entries fall back to empty provenance). Violations whose fixes produced
-/// at least one applied change are inserted into `resolved`.
-size_t ApplyAssignmentsWithLineage(
-    Table* table, const std::vector<CellAssignment>& assignments,
-    const std::vector<FixProvenance>& provenance,
-    const std::unordered_set<CellRef, CellRefHash>* frozen, size_t iteration,
-    std::unordered_set<uint64_t>* resolved,
-    std::map<std::string, LineageSummary>* by_rule,
-    std::map<std::string, std::map<std::string, uint64_t>>* fix_columns) {
-  LineageRecorder& lineage = LineageRecorder::Instance();
-  const Schema& schema = table->schema();
-  size_t changed = 0;
-  for (size_t i = 0; i < assignments.size(); ++i) {
-    const auto& a = assignments[i];
-    if (frozen != nullptr && frozen->count(a.cell) > 0) continue;
-    Row* row = table->FindMutableRowById(a.cell.row_id);
-    if (row == nullptr || a.cell.column >= row->size()) continue;
-    if (row->value(a.cell.column) == a.value) continue;
-    LineageEntry entry;
-    entry.row_id = a.cell.row_id;
-    entry.column = a.cell.column;
-    if (a.cell.column < schema.num_attributes()) {
-      entry.attribute = schema.attribute(a.cell.column);
-    }
-    entry.old_value = row->value(a.cell.column);
-    entry.new_value = a.value;
-    entry.iteration = iteration;
-    if (i < provenance.size()) {
-      const FixProvenance& p = provenance[i];
-      entry.rule = p.rule;
-      entry.violation_id = p.violation_id;
-      entry.strategy = p.strategy;
-      entry.component = p.component;
-      resolved->insert(p.violation_id);
-    }
-    ++(*by_rule)[entry.rule].applied_fixes;
-    if (fix_columns != nullptr) {
-      ++(*fix_columns)[entry.rule][entry.attribute];
-    }
-    row->set_value(a.cell.column, a.value);
-    ++changed;
-    lineage.RecordFix(std::move(entry));
-  }
-  return changed;
-}
-
-}  // namespace
 
 std::string CleanReport::ToString() const {
   std::string out = "CleanReport: iterations=" +
@@ -141,11 +65,6 @@ Result<std::unique_ptr<StreamSession>> BigDansing::OpenStream(
 
 Result<CleanReport> BigDansing::Clean(Table* table,
                                       const std::vector<RulePtr>& rules) const {
-  CleanReport report;
-  RuleEngine engine(ctx_, options_.planner);
-  const RepairStrategy& repair_strategy =
-      RepairStrategyFor(options_.repair_mode);
-
   // Per-run fault policy: scoped so nested detect/repair stages all see it
   // and the context is restored when Clean returns.
   std::optional<ScopedFaultPolicy> scoped_policy;
@@ -155,236 +74,41 @@ Result<CleanReport> BigDansing::Clean(Table* table,
 
   // The whole fix-point run is one job span; each iteration contributes a
   // detect and a repair phase span underneath it.
-  TraceRecorder& trace = TraceRecorder::Instance();
   std::optional<ScopedSpan> job_span;
-  if (trace.enabled()) {
+  if (TraceRecorder::Instance().enabled()) {
     job_span.emplace("clean", "job");
     job_span->Annotate("rules", static_cast<uint64_t>(rules.size()));
     job_span->Annotate("max_iterations",
                        static_cast<uint64_t>(options_.max_iterations));
   }
 
-  // Data-quality plane: open a run record, profile the dirty input, and
-  // fold every iteration's violation/fix/unresolved attribution into it.
-  // One relaxed load when the recorder is off.
-  QualityRecorder& quality = QualityRecorder::Instance();
-  const bool quality_on = quality.enabled();
-  const uint64_t quality_run =
-      quality_on ? quality.BeginRun(rules.size(), table->num_rows()) : 0;
-  QualityRunGuard quality_guard{quality_run, &report};
-  if (quality_on) {
-    quality.RecordProfile(quality_run, ProfileTable(ctx_, *table));
-  }
-  const Schema& schema = table->schema();
-  auto column_name = [&schema](size_t col) {
-    return col < schema.num_attributes() ? schema.attribute(col)
-                                         : std::string();
+  RuleEngine engine(ctx_, options_.planner);
+  DetectRequest request;
+  request.table = table;
+  request.rules = rules;
+  FixpointSpec spec;
+  spec.detect = [&](const std::unordered_set<RowId>&) {
+    return engine.Detect(request);
   };
+  spec.find_row = [table](RowId id) { return table->FindMutableRowById(id); };
+  spec.profile_input = true;
+  FreezeState freeze;
+  auto run = RunFixpoint(ctx_, options_, *table, rules.size(), spec, &freeze);
+  if (!run.ok()) return run.status();
 
-  // Cells updated often enough get frozen so oscillating repairs terminate
-  // (§2.2: "the algorithm puts a special variable on such units after a
-  // fixed number of iterations").
-  std::unordered_map<CellRef, size_t, CellRefHash> update_counts;
-  std::unordered_set<CellRef, CellRefHash> frozen;
-  // A cell repaired in more than one iteration is oscillating — the
-  // behavior freezing exists to terminate; the quality curve reports how
-  // many cells have crossed that line so far.
-  auto oscillating_cells = [&update_counts]() {
-    uint64_t n = 0;
-    for (const auto& [cell, count] : update_counts) {
-      if (count >= 2) ++n;
-    }
-    return n;
-  };
-
-  // Per-rule lineage tally for THIS run (the recorder is process-global, so
-  // its summaries may span several Clean calls; the EXPLAIN annotations must
-  // only reflect this job).
-  std::map<std::string, LineageSummary> lineage_by_rule;
-
-  std::unordered_set<RowId> last_changed_rows;
-  // Defensive boundary: the detect and repair entry points already map
-  // StageError to Status, but Clean is the outermost public API of the
-  // system — a stage failure escaping a future code path must still
-  // surface as a Status here, never as a crash.
-  try {
-  for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
-    IterationReport it;
-    QualityIterationSample sample;
-    sample.iteration = iter + 1;
-
-    Stopwatch detect_timer;
-    const bool incremental = options_.incremental_redetection && iter > 0;
-    std::optional<ScopedSpan> detect_span;
-    if (trace.enabled()) {
-      detect_span.emplace("detect:iter" + std::to_string(iter + 1), "phase");
-      if (incremental) {
-        detect_span->Annotate("mode", std::string("incremental"));
-        detect_span->Annotate(
-            "changed_rows", static_cast<uint64_t>(last_changed_rows.size()));
-      }
-    }
-    Result<std::vector<DetectionResult>> detections =
-        std::vector<DetectionResult>{};
-    DetectRequest full_request;
-    full_request.table = table;
-    full_request.rules = rules;
-    if (incremental) {
-      std::vector<DetectionResult> partial;
-      partial.reserve(rules.size());
-      bool failed = false;
-      for (const auto& rule : rules) {
-        DetectRequest request;
-        request.table = table;
-        request.rules = {rule};
-        request.changed_rows = &last_changed_rows;
-        auto d = engine.Detect(request);
-        if (!d.ok()) {
-          detections = d.status();
-          failed = true;
-          break;
-        }
-        partial.push_back(std::move(d->front()));
-      }
-      if (!failed) {
-        size_t found = 0;
-        for (const auto& d : partial) found += d.violations.size();
-        if (found == 0) {
-          // Incremental pass is clean: verify with one full detection so
-          // the converged result is identical to the non-incremental mode.
-          detections = engine.Detect(full_request);
-        } else {
-          detections = std::move(partial);
-        }
-      }
-    } else {
-      detections = engine.Detect(full_request);
-    }
-    if (!detections.ok()) return detections.status();
-    it.detect_seconds = detect_timer.ElapsedSeconds();
-    report.total_detect_seconds += it.detect_seconds;
-    detect_span.reset();
-
-    // Pool all rules' violations; drop violations whose fixes only touch
-    // frozen cells ("violations with no possible fixes" terminate the
-    // loop, §2.1).
-    std::vector<ViolationWithFixes> violations;
-    for (auto& d : *detections) {
-      for (auto& vf : d.violations) {
-        bool repairable = false;
-        for (const auto& f : vf.fixes) {
-          if (frozen.count(f.left.ref) == 0) {
-            repairable = true;
-            break;
-          }
-        }
-        if (repairable && !vf.fixes.empty()) {
-          if (quality_on) {
-            // A violation attributes to the column of its first candidate
-            // fix — deterministic, so the per-rule sums reconcile exactly
-            // with the lineage ledger and the CleanReport.
-            ++sample.violations[vf.violation.rule_name]
-                               [column_name(vf.fixes.front().left.ref.column)];
-          }
-          violations.push_back(std::move(vf));
-        }
-      }
-    }
-    it.violations = violations.size();
-
-    if (violations.empty()) {
-      report.iterations.push_back(it);
-      report.converged = true;
-      if (quality_on) {
-        sample.frozen_cells = frozen.size();
-        sample.oscillating_cells = oscillating_cells();
-        quality.RecordIteration(quality_run, sample);
-      }
-      break;
-    }
-
-    Stopwatch repair_timer;
-    std::optional<ScopedSpan> repair_span;
-    if (trace.enabled()) {
-      repair_span.emplace("repair:iter" + std::to_string(iter + 1), "phase");
-      repair_span->Annotate("violations",
-                            static_cast<uint64_t>(violations.size()));
-    }
-    const bool lineage_on = LineageRecorder::Instance().enabled();
-    auto pass = repair_strategy.Repair(ctx_, violations, options_.repair);
-    if (!pass.ok()) return pass.status();
-    std::vector<CellAssignment> assignments = std::move(pass->applied);
-    std::vector<FixProvenance> provenance = std::move(pass->provenance);
-    if (lineage_on || quality_on) {
-      std::unordered_set<uint64_t> resolved;
-      it.applied_fixes = ApplyAssignmentsWithLineage(
-          table, assignments, provenance, &frozen, iter + 1, &resolved,
-          &lineage_by_rule, quality_on ? &sample.fixes : nullptr);
-      // Every pooled violation with no applied fix this iteration survives
-      // into the next detect pass (or the end of the run) unresolved.
-      LineageRecorder& lineage = LineageRecorder::Instance();
-      for (uint64_t vid = 0; vid < violations.size(); ++vid) {
-        if (resolved.count(vid) == 0) {
-          lineage.RecordUnresolved(violations[vid].violation.rule_name, vid,
-                                   iter + 1);
-          ++lineage_by_rule[violations[vid].violation.rule_name].unresolved;
-          if (quality_on) {
-            ++sample.unresolved
-                  [violations[vid].violation.rule_name]
-                  [column_name(violations[vid].fixes.front().left.ref.column)];
-          }
-        }
-      }
-    } else {
-      it.applied_fixes = ApplyAssignments(table, assignments, &frozen);
-    }
-    it.repair_seconds = repair_timer.ElapsedSeconds();
-    report.total_repair_seconds += it.repair_seconds;
-    if (repair_span) {
-      repair_span->Annotate("applied_fixes",
-                            static_cast<uint64_t>(it.applied_fixes));
-      repair_span.reset();
-    }
-    report.iterations.push_back(it);
-
-    if (it.applied_fixes == 0) {
-      // Nothing applicable: remaining violations have no possible fixes.
-      report.converged = true;
-      if (quality_on) {
-        sample.frozen_cells = frozen.size();
-        sample.oscillating_cells = oscillating_cells();
-        quality.RecordIteration(quality_run, sample);
-      }
-      break;
-    }
-
-    last_changed_rows.clear();
-    for (const auto& a : assignments) {
-      last_changed_rows.insert(a.cell.row_id);
-      if (++update_counts[a.cell] >= options_.freeze_after_updates) {
-        frozen.insert(a.cell);
-      }
-    }
-
-    if (quality_on) {
-      // Sampled after the freeze bookkeeping so the curve point reflects
-      // the state the NEXT iteration starts from.
-      sample.frozen_cells = frozen.size();
-      sample.oscillating_cells = oscillating_cells();
-      quality.RecordIteration(quality_run, sample);
-    }
-  }
-  } catch (const StageError& e) {
-    return e.status();
-  }
+  CleanReport report;
+  report.iterations = std::move(run->iterations);
+  report.converged = run->converged;
   size_t total_fixes = 0;
   size_t total_violations = 0;
   for (const auto& i : report.iterations) {
+    report.total_detect_seconds += i.detect_seconds;
+    report.total_repair_seconds += i.repair_seconds;
     total_fixes += i.applied_fixes;
     total_violations += i.violations;
   }
   size_t total_unresolved = 0;
-  for (const auto& [rule, s] : lineage_by_rule) total_unresolved += s.unresolved;
+  for (const auto& [rule, s] : run->by_rule) total_unresolved += s.unresolved;
 
   MetricsRegistry& registry = MetricsRegistry::Instance();
   registry.GetCounter("clean.iterations")
@@ -403,7 +127,7 @@ Result<CleanReport> BigDansing::Clean(Table* table,
                        std::string(report.converged ? "true" : "false"));
     // Fold the ledger rollup of this run into the EXPLAIN tree: one pair of
     // annotations per rule with at least one applied fix or survivor.
-    for (const auto& [rule, s] : lineage_by_rule) {
+    for (const auto& [rule, s] : run->by_rule) {
       job_span->Annotate("lineage." + rule + ".fixes", s.applied_fixes);
       job_span->Annotate("lineage." + rule + ".unresolved", s.unresolved);
     }

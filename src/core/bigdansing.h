@@ -33,11 +33,6 @@ struct CleanOptions {
   /// A cell updated in more than this many iterations is frozen (made
   /// immutable) so oscillating repairs terminate.
   size_t freeze_after_updates = 3;
-  /// From the second iteration on, only re-detect violations involving
-  /// rows the previous repair changed (RuleEngine::DetectIncremental). A
-  /// full detection pass still verifies convergence before the loop ends,
-  /// so the result is identical — later iterations are just cheaper.
-  bool incremental_redetection = false;
   /// Fault-tolerance knobs (retry budgets, speculation) applied to every
   /// stage of the run — detection, repair, and shuffles alike. Unset
   /// inherits the ExecutionContext policy (itself seeded from

@@ -38,7 +38,7 @@ namespace bigdansing {
 /// pairs (single flow) or all cross-flow pairs (two flows); no Block ->
 /// one global block; no Scope -> identity. Iterate outputs cannot feed
 /// other Iterates (bushy plans over iterate outputs, Appendix E, are out
-/// of scope for the job API; use RuleEngine::DetectAcross for the
+/// of scope for the job API; use a DetectRequest with `right` set for the
 /// supported two-table case).
 class Job {
  public:

@@ -282,30 +282,26 @@ Result<std::vector<DetectionResult>> RuleEngine::Detect(
   if (request.fault_policy.has_value()) {
     scoped_policy.emplace(ctx_, *request.fault_policy);
   }
+  // The one-rule shapes return a single result.
+  auto single = [](Result<DetectionResult> result)
+      -> Result<std::vector<DetectionResult>> {
+    if (!result.ok()) return result.status();
+    std::vector<DetectionResult> out;
+    out.push_back(std::move(*result));
+    return out;
+  };
   try {
     if (storage_backed) {
-      auto result = DetectWithStorageImpl(*request.storage, request.dataset,
-                                          request.rules[0]);
-      if (!result.ok()) return result.status();
-      std::vector<DetectionResult> out;
-      out.push_back(std::move(*result));
-      return out;
+      return single(DetectWithStorageImpl(*request.storage, request.dataset,
+                                          request.rules[0]));
     }
     if (across) {
-      auto result = DetectAcrossImpl(*request.table, *request.right,
-                                     across_rule);
-      if (!result.ok()) return result.status();
-      std::vector<DetectionResult> out;
-      out.push_back(std::move(*result));
-      return out;
+      return single(
+          DetectAcrossImpl(*request.table, *request.right, across_rule));
     }
     if (incremental) {
-      auto result = DetectIncrementalImpl(*request.table, request.rules[0],
-                                          *request.changed_rows);
-      if (!result.ok()) return result.status();
-      std::vector<DetectionResult> out;
-      out.push_back(std::move(*result));
-      return out;
+      return single(DetectIncrementalImpl(*request.table, request.rules[0],
+                                          *request.changed_rows));
     }
     return DetectAllImpl(*request.table, request.rules);
   } catch (const StageError& e) {
@@ -317,50 +313,6 @@ Result<DetectionResult> RuleEngine::Detect(const Table& table,
                                            const RulePtr& rule) const {
   DetectRequest request;
   request.table = &table;
-  request.rules = {rule};
-  auto results = Detect(request);
-  if (!results.ok()) return results.status();
-  return std::move((*results)[0]);
-}
-
-Result<std::vector<DetectionResult>> RuleEngine::DetectAll(
-    const Table& table, const std::vector<RulePtr>& rules) const {
-  DetectRequest request;
-  request.table = &table;
-  request.rules = rules;
-  return Detect(request);
-}
-
-Result<DetectionResult> RuleEngine::DetectAcross(
-    const Table& left, const Table& right,
-    const std::shared_ptr<DcRule>& rule) const {
-  DetectRequest request;
-  request.table = &left;
-  request.right = &right;
-  request.rules = {rule};
-  auto results = Detect(request);
-  if (!results.ok()) return results.status();
-  return std::move((*results)[0]);
-}
-
-Result<DetectionResult> RuleEngine::DetectIncremental(
-    const Table& table, const RulePtr& rule,
-    const std::unordered_set<RowId>& changed_rows) const {
-  DetectRequest request;
-  request.table = &table;
-  request.rules = {rule};
-  request.changed_rows = &changed_rows;
-  auto results = Detect(request);
-  if (!results.ok()) return results.status();
-  return std::move((*results)[0]);
-}
-
-Result<DetectionResult> RuleEngine::DetectWithStorage(
-    const StorageManager& storage, const std::string& name,
-    const RulePtr& rule) const {
-  DetectRequest request;
-  request.storage = &storage;
-  request.dataset = name;
   request.rules = {rule};
   auto results = Detect(request);
   if (!results.ok()) return results.status();

@@ -37,11 +37,9 @@ struct DetectionResult {
   std::string plan_description;
 };
 
-/// One detection job, whatever its flavor. The unified entry point
-/// RuleEngine::Detect(const DetectRequest&) replaces the historical family
-/// of Detect/DetectAll/DetectAcross/DetectIncremental/DetectWithStorage
-/// overloads: callers describe *what* to detect and the engine picks the
-/// dispatch path from which fields are set.
+/// One detection job, whatever its flavor. Callers of the single entry
+/// point RuleEngine::Detect(const DetectRequest&) describe *what* to detect
+/// and the engine picks the dispatch path from which fields are set.
 ///
 /// Exactly one input source must be given:
 ///   - `table` alone            -> in-memory detection (all `rules`).
@@ -56,18 +54,25 @@ struct DetectRequest {
   const Table* table = nullptr;
   /// Second table for two-table rules (t2's range). When set, `rules` must
   /// hold exactly one rule and it must be a DcRule bound across both
-  /// schemas.
+  /// schemas (e.g. the paper's DC (1) joining customers and suppliers); the
+  /// CoBlock enhancer runs when the rule has equality predicates
+  /// t1.X = t2.Y.
   const Table* right = nullptr;
   /// Rules to evaluate. Multi-rule requests share scans via plan
   /// consolidation (§4.2); results align with this vector by index.
   std::vector<RulePtr> rules;
   /// Storage manager owning `dataset`; enables Block pushdown to a
-  /// partitioned replica (Appendix F).
+  /// partitioned replica (Appendix F): with a replica partitioned on the
+  /// rule's single blocking attribute, rows sharing a key are co-located
+  /// and the blocking shuffle is skipped (zero shuffled records); without
+  /// one the ordinary path runs.
   const StorageManager* storage = nullptr;
   /// Name of the stored dataset when `storage` is set.
   std::string dataset;
   /// When set, restricts detection to violations involving at least one of
-  /// these rows (incremental re-detection after a repair pass).
+  /// these rows (incremental re-detection, an extension beyond the paper):
+  /// blocked rules iterate only the blocks holding changed rows; unblocked
+  /// rules pair the changed rows against the whole dataset.
   const std::unordered_set<RowId>* changed_rows = nullptr;
   /// Fault-tolerance knobs (retry budgets, speculation) scoped to this
   /// request; unset inherits the ExecutionContext policy.
@@ -93,54 +98,9 @@ class RuleEngine {
   /// `request.rules` by index.
   Result<std::vector<DetectionResult>> Detect(const DetectRequest& request) const;
 
-  /// Detects violations of `rule` in `table`.
-  /// Deprecated convenience wrapper over Detect(DetectRequest).
+  /// Detects violations of `rule` in `table`: a one-rule
+  /// Detect(DetectRequest) over `table`.
   Result<DetectionResult> Detect(const Table& table, const RulePtr& rule) const;
-
-  /// Detects violations of several rules with shared scans: rules whose
-  /// consolidated plans read the same scoped/blocked data reuse one pass
-  /// (the plan-consolidation optimization of §4.2). Results align with
-  /// `rules` by index.
-  /// Deprecated convenience wrapper over Detect(DetectRequest).
-  [[deprecated("build a DetectRequest with table+rules and call Detect()")]]
-  Result<std::vector<DetectionResult>> DetectAll(
-      const Table& table, const std::vector<RulePtr>& rules) const;
-
-  /// Detects violations of a two-table denial constraint (t1 ranges over
-  /// `left`, t2 over `right`) using the CoBlock enhancer when the rule has
-  /// equality predicates t1.X = t2.Y. Used for rules like the paper's DC (1)
-  /// joining customers and suppliers.
-  /// Deprecated convenience wrapper over Detect(DetectRequest).
-  [[deprecated("build a DetectRequest with table+right and call Detect()")]]
-  Result<DetectionResult> DetectAcross(const Table& left, const Table& right,
-                                       const std::shared_ptr<DcRule>& rule) const;
-
-  /// Incremental re-detection: finds the violations of `rule` that involve
-  /// at least one row in `changed_rows`. After a repair pass touched only
-  /// a few rows, violations not involving them are unchanged, so the
-  /// cleanse loop's later iterations only need this restricted detection
-  /// (an extension beyond the paper; cf. its citation of incremental
-  /// detection [Fan et al., ICDE'12] as related work). For blocked rules
-  /// only the blocks containing changed rows are iterated; for unblocked
-  /// rules the changed rows are paired against the whole dataset.
-  /// Deprecated convenience wrapper over Detect(DetectRequest).
-  [[deprecated(
-      "build a DetectRequest with table+changed_rows and call Detect()")]]
-  Result<DetectionResult> DetectIncremental(
-      const Table& table, const RulePtr& rule,
-      const std::unordered_set<RowId>& changed_rows) const;
-
-  /// Detects violations of `rule` in the stored dataset `name`, pushing the
-  /// Block operator down to storage when possible (Appendix F): if a
-  /// replica exists that is partitioned on the rule's single blocking
-  /// attribute, rows sharing a blocking key are already co-located and the
-  /// blocking shuffle is skipped entirely (metrics record zero shuffled
-  /// records for the pass). Falls back to the ordinary path otherwise.
-  /// Deprecated convenience wrapper over Detect(DetectRequest).
-  [[deprecated("build a DetectRequest with storage+dataset and call Detect()")]]
-  Result<DetectionResult> DetectWithStorage(const StorageManager& storage,
-                                            const std::string& name,
-                                            const RulePtr& rule) const;
 
  private:
   /// Dispatch bodies behind the Detect boundary. These may throw StageError

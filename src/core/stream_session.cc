@@ -6,14 +6,10 @@
 #include <optional>
 
 #include "common/hash.h"
-#include "common/lineage.h"
-#include "common/logging.h"
 #include "common/metrics_registry.h"
 #include "common/stopwatch.h"
 #include "core/columnar_detect.h"
 #include "core/rule_engine.h"
-#include "obs/quality.h"
-#include "repair/strategy.h"
 
 namespace bigdansing {
 
@@ -35,18 +31,6 @@ std::atomic<uint64_t>& NameCounter() {
   static std::atomic<uint64_t> counter{0};
   return counter;
 }
-
-/// Closes the quality run of one window on every exit path (mirrors the
-/// QualityRunGuard of Clean()).
-struct WindowQualityGuard {
-  uint64_t run_id = 0;
-  const bool* converged = nullptr;
-  ~WindowQualityGuard() {
-    if (run_id != 0) {
-      QualityRecorder::Instance().EndRun(run_id, *converged);
-    }
-  }
-};
 
 }  // namespace
 
@@ -77,9 +61,6 @@ Status StreamSession::Init() {
   if (opts_.batch_rows == 0) opts_.batch_rows = StreamOptions::DefaultBatchRows();
   if (opts_.max_inflight_batches == 0) {
     opts_.max_inflight_batches = StreamOptions::DefaultMaxInflight();
-  }
-  if (opts_.max_window_iterations == 0) {
-    opts_.max_window_iterations = opts_.clean.max_iterations;
   }
   name_ = opts_.session_name.empty()
               ? "stream-" + std::to_string(NameCounter().fetch_add(1) + 1)
@@ -189,13 +170,9 @@ Status StreamSession::Init() {
     }
     next_row_id_ = std::max(next_row_id_, row.id() + 1);
     existing.push_back(&row);
+    pending_changed_.insert(row.id());
   }
-  GrowPools(existing);
-  for (const Row* row : existing) {
-    EncodeRow(*row);
-    IndexInsert(*row);
-    pending_changed_.insert(row->id());
-  }
+  IndexRows(existing);
 
   directory_id_ = StreamDirectory::Instance().Register(name_);
   stats_.id = directory_id_;
@@ -288,17 +265,6 @@ bool StreamSession::KeyOf(const RuleIndex& ri, const Row& row,
   return true;
 }
 
-void StreamSession::IndexInsert(const Row& row) {
-  for (auto& ri : indexes_) {
-    if (!ri.blocked) continue;
-    uint64_t key = 0;
-    if (!KeyOf(ri, row, &key)) continue;
-    ri.blocks[key].insert(row.id());
-    ri.row_key[row.id()] = key;
-    ri.dirty.insert(key);
-  }
-}
-
 void StreamSession::IndexRemove(RowId id) {
   for (auto& ri : indexes_) {
     if (!ri.blocked) continue;
@@ -314,27 +280,18 @@ void StreamSession::IndexRemove(RowId id) {
   }
 }
 
-void StreamSession::Rekey(const Row& row) {
-  for (auto& ri : indexes_) {
-    if (!ri.blocked) continue;
-    uint64_t new_key = 0;
-    const bool has_new = KeyOf(ri, row, &new_key);
-    auto it = ri.row_key.find(row.id());
-    const bool has_old = it != ri.row_key.end();
-    if (has_old && has_new && it->second == new_key) continue;
-    if (has_old) {
-      auto block = ri.blocks.find(it->second);
-      if (block != ri.blocks.end()) {
-        block->second.erase(row.id());
-        if (block->second.empty()) ri.blocks.erase(block);
-      }
-      ri.dirty.insert(it->second);
-      ri.row_key.erase(it);
-    }
-    if (has_new) {
-      ri.blocks[new_key].insert(row.id());
-      ri.row_key[row.id()] = new_key;
-      ri.dirty.insert(new_key);
+void StreamSession::IndexRows(const std::vector<const Row*>& rows) {
+  GrowPools(rows);
+  for (const Row* row : rows) {
+    EncodeRow(*row);
+    IndexRemove(row->id());
+    for (auto& ri : indexes_) {
+      if (!ri.blocked) continue;
+      uint64_t key = 0;
+      if (!KeyOf(ri, *row, &key)) continue;
+      ri.blocks[key].insert(row->id());
+      ri.row_key[row->id()] = key;
+      ri.dirty.insert(key);
     }
   }
 }
@@ -530,98 +487,65 @@ Table StreamSession::BuildCandidateTable(RuleIndex* ri, size_t* candidates) {
   return sub;
 }
 
-size_t StreamSession::ApplyWindowAssignments(
-    const std::vector<CellAssignment>& assignments,
-    const std::vector<FixProvenance>& provenance, size_t iteration,
-    const std::vector<ViolationWithFixes>& violations,
-    QualityIterationSample* sample) {
-  LineageRecorder& lineage = LineageRecorder::Instance();
-  const bool lineage_on = lineage.enabled();
-  const Schema& schema = table_->schema();
-  auto column_name = [&schema](size_t col) {
-    return col < schema.num_attributes() ? schema.attribute(col)
-                                         : std::string();
+Result<std::unordered_set<RowId>> StreamSession::RunWindow(
+    FixpointDetectFn detect, std::unordered_set<RowId> changed,
+    StreamWindowReport* rep) {
+  std::optional<ScopedFaultPolicy> scoped_policy;
+  if (opts_.clean.fault_policy.has_value()) {
+    scoped_policy.emplace(ctx(), *opts_.clean.fault_policy);
+  }
+  FixpointSpec spec;
+  spec.detect = std::move(detect);
+  spec.find_row = [this](RowId id) -> Row* {
+    auto pos = row_pos_.find(id);
+    return pos == row_pos_.end() ? nullptr : &table_->mutable_row(pos->second);
   };
-
-  std::unordered_set<uint64_t> resolved;
-  std::unordered_set<RowId> touched;
-  size_t changed = 0;
-  for (size_t i = 0; i < assignments.size(); ++i) {
-    const auto& a = assignments[i];
-    if (frozen_.count(a.cell) > 0) continue;
-    auto pos = row_pos_.find(a.cell.row_id);
-    if (pos == row_pos_.end()) continue;  // retracted under the repair
-    Row& row = table_->mutable_row(pos->second);
-    if (a.cell.column >= row.size()) continue;
-    if (row.value(a.cell.column) == a.value) continue;
-    if (lineage_on) {
-      LineageEntry entry;
-      entry.row_id = a.cell.row_id;
-      entry.column = a.cell.column;
-      entry.attribute = column_name(a.cell.column);
-      entry.old_value = row.value(a.cell.column);
-      entry.new_value = a.value;
-      entry.iteration = iteration;
-      if (i < provenance.size()) {
-        entry.rule = provenance[i].rule;
-        entry.violation_id = provenance[i].violation_id;
-        entry.strategy = provenance[i].strategy;
-        entry.component = provenance[i].component;
-      }
-      lineage.RecordFix(std::move(entry));
-    }
-    if (i < provenance.size()) resolved.insert(provenance[i].violation_id);
-    if (sample != nullptr) {
-      const std::string rule =
-          i < provenance.size() ? provenance[i].rule : std::string();
-      ++sample->fixes[rule][column_name(a.cell.column)];
-    }
-    row.set_value(a.cell.column, a.value);
-    ++changed;
-    if (col_slot_.count(a.cell.column) > 0) touched.insert(a.cell.row_id);
-  }
-
-  // Repaired values may be new to the pools (rule constants); grow once for
-  // the whole pass, then move the touched rows between blocks.
-  if (!touched.empty()) {
+  // Repaired rows are re-indexed (their values may be new to the pools),
+  // which re-dirties their blocks for the next iteration.
+  spec.after_apply = [this](const std::unordered_set<RowId>& changed_rows) {
     std::vector<const Row*> rows;
-    rows.reserve(touched.size());
-    for (RowId id : touched) rows.push_back(&table_->row(row_pos_.at(id)));
-    GrowPools(rows);
-    for (const Row* row : rows) {
-      EncodeRow(*row);
-      Rekey(*row);
+    rows.reserve(changed_rows.size());
+    for (RowId id : changed_rows) {
+      auto pos = row_pos_.find(id);
+      if (pos != row_pos_.end()) rows.push_back(&table_->row(pos->second));
     }
-  }
+    IndexRows(rows);
+  };
+  spec.quality_session = name_;
+  auto run = RunFixpoint(ctx(), opts_.clean, *table_, rules_.size(), spec,
+                         &freeze_, std::move(changed));
+  if (!run.ok()) return run.status();
 
-  // Unresolved survivors, attributed as Clean() attributes them.
-  const bool quality_on = sample != nullptr;
-  if (lineage_on || quality_on) {
-    for (uint64_t vid = 0; vid < violations.size(); ++vid) {
-      if (resolved.count(vid) > 0) continue;
-      if (lineage_on) {
-        lineage.RecordUnresolved(violations[vid].violation.rule_name, vid,
-                                 iteration);
-      }
-      if (quality_on) {
-        ++sample->unresolved[violations[vid].violation.rule_name][column_name(
-            violations[vid].fixes.front().left.ref.column)];
-      }
-      ++stats_.unresolved_violations;
-    }
+  rep->iterations = run->iterations.size();
+  rep->converged = run->converged;
+  for (const auto& it : run->iterations) {
+    rep->violations += it.violations;
+    rep->applied_fixes += it.applied_fixes;
+    rep->detect_seconds += it.detect_seconds;
+    rep->repair_seconds += it.repair_seconds;
   }
-  return changed;
+  for (const auto& [rule, s] : run->by_rule) {
+    stats_.unresolved_violations += s.unresolved;
+  }
+  stats_.violations_found += rep->violations;
+  stats_.fixes_applied += rep->applied_fixes;
+  stats_.total_detect_seconds += rep->detect_seconds;
+  stats_.total_repair_seconds += rep->repair_seconds;
+  if (rep->converged) ++stats_.windows_converged;
+  return std::move(run->changed);
+}
+
+void StreamSession::EndWindow(double window_seconds) {
+  stats_.last_window_seconds = window_seconds;
+  stats_.max_window_seconds = std::max(stats_.max_window_seconds,
+                                       window_seconds);
+  PushStats();
 }
 
 Result<StreamWindowReport> StreamSession::ProcessWindow() {
   StreamWindowReport rep;
   rep.window_id = ++window_seq_;
   Stopwatch window_timer;
-
-  std::optional<ScopedFaultPolicy> scoped_policy;
-  if (opts_.clean.fault_policy.has_value()) {
-    scoped_policy.emplace(ctx(), *opts_.clean.fault_policy);
-  }
 
   // Land the oldest micro-batch: append, encode against the session pools,
   // join the violation index (marking the joined blocks dirty).
@@ -633,6 +557,7 @@ Result<StreamWindowReport> StreamSession::ProcessWindow() {
     const size_t first_pos = table_->num_rows();
     for (auto& row : batch) {
       pending_ids_.erase(row.id());
+      pending_changed_.insert(row.id());
       row_pos_[row.id()] = table_->num_rows();
       table_->AppendRowWithId(std::move(row));
     }
@@ -641,183 +566,51 @@ Result<StreamWindowReport> StreamSession::ProcessWindow() {
     for (size_t pos = first_pos; pos < table_->num_rows(); ++pos) {
       fresh.push_back(&table_->row(pos));
     }
-    GrowPools(fresh);
-    for (const Row* row : fresh) {
-      EncodeRow(*row);
-      IndexInsert(*row);
-      pending_changed_.insert(row->id());
-    }
+    IndexRows(fresh);
   }
 
-  std::unordered_set<RowId> changed = std::move(pending_changed_);
-  pending_changed_.clear();
-
+  // Detect over only what this window touched: dirty blocks through the
+  // index for blocked rules, the engine's incremental changed-rows path
+  // for the rest.
   RuleEngine engine(ctx(), opts_.clean.planner);
-  const RepairStrategy& repair_strategy =
-      RepairStrategyFor(opts_.clean.repair_mode);
-  QualityRecorder& quality = QualityRecorder::Instance();
-  const bool quality_on = quality.enabled();
-  const uint64_t quality_run =
-      quality_on ? quality.BeginRun(rules_.size(), table_->num_rows(), name_)
-                 : 0;
-  WindowQualityGuard quality_guard{quality_run, &rep.converged};
-  auto oscillating_cells = [this]() {
-    uint64_t n = 0;
-    for (const auto& [cell, count] : update_counts_) {
-      if (count >= 2) ++n;
+  auto detect = [&](const std::unordered_set<RowId>& changed)
+      -> Result<std::vector<DetectionResult>> {
+    std::vector<DetectionResult> found;
+    for (size_t r = 0; r < rules_.size(); ++r) {
+      RuleIndex& ri = indexes_[r];
+      DetectRequest req;
+      req.rules = {rules_[r]};
+      Table sub;
+      if (ri.blocked) {
+        if (ri.dirty.empty()) continue;
+        rep.dirty_blocks += ri.dirty.size();
+        size_t candidates = 0;
+        sub = BuildCandidateTable(&ri, &candidates);
+        ri.dirty.clear();
+        rep.candidate_rows += candidates;
+        if (sub.num_rows() < 2) continue;
+        req.table = &sub;
+      } else {
+        if (changed.empty()) continue;
+        req.table = table_;
+        req.changed_rows = &changed;
+      }
+      auto res = engine.Detect(req);
+      if (!res.ok()) return res.status();
+      found.push_back(std::move((*res)[0]));
     }
-    return n;
+    return found;
   };
-  const Schema& schema = table_->schema();
-  auto column_name = [&schema](size_t col) {
-    return col < schema.num_attributes() ? schema.attribute(col)
-                                         : std::string();
-  };
+  auto residual = RunWindow(detect, std::move(pending_changed_), &rep);
+  pending_changed_.clear();
+  if (!residual.ok()) return residual.status();
+  // Iteration cap: carry the residual rows into the next window so the
+  // fix-point resumes instead of silently dropping them (the after-apply
+  // hook already re-dirtied their blocks).
+  if (!rep.converged) pending_changed_ = std::move(*residual);
 
-  try {
-    for (size_t iter = 0; iter < opts_.max_window_iterations; ++iter) {
-      rep.iterations = iter + 1;
-      QualityIterationSample sample;
-      sample.iteration = iter + 1;
-
-      // Detect over only what this window touched: dirty blocks through the
-      // index for blocked rules, the engine's incremental changed-rows path
-      // for the rest.
-      Stopwatch detect_timer;
-      std::vector<ViolationWithFixes> pooled;
-      for (size_t r = 0; r < rules_.size(); ++r) {
-        RuleIndex& ri = indexes_[r];
-        std::vector<ViolationWithFixes> found;
-        if (ri.blocked) {
-          if (ri.dirty.empty()) continue;
-          rep.dirty_blocks += ri.dirty.size();
-          size_t candidates = 0;
-          Table sub = BuildCandidateTable(&ri, &candidates);
-          ri.dirty.clear();
-          rep.candidate_rows += candidates;
-          if (sub.num_rows() < 2) continue;
-          DetectRequest req;
-          req.table = &sub;
-          req.rules = {rules_[r]};
-          auto res = engine.Detect(req);
-          if (!res.ok()) return res.status();
-          found = std::move((*res)[0].violations);
-        } else {
-          if (changed.empty()) continue;
-          DetectRequest req;
-          req.table = table_;
-          req.rules = {rules_[r]};
-          req.changed_rows = &changed;
-          auto res = engine.Detect(req);
-          if (!res.ok()) return res.status();
-          found = std::move((*res)[0].violations);
-        }
-        // Pool across rules, dropping violations whose fixes only touch
-        // frozen cells (same termination contract as Clean()).
-        for (auto& vf : found) {
-          bool repairable = false;
-          for (const auto& f : vf.fixes) {
-            if (frozen_.count(f.left.ref) == 0) {
-              repairable = true;
-              break;
-            }
-          }
-          if (repairable && !vf.fixes.empty()) {
-            if (quality_on) {
-              ++sample.violations[vf.violation.rule_name]
-                                 [column_name(vf.fixes.front().left.ref.column)];
-            }
-            pooled.push_back(std::move(vf));
-          }
-        }
-      }
-      rep.detect_seconds += detect_timer.ElapsedSeconds();
-      rep.violations += pooled.size();
-      stats_.violations_found += pooled.size();
-
-      if (pooled.empty()) {
-        rep.converged = true;
-        if (quality_on) {
-          sample.frozen_cells = frozen_.size();
-          sample.oscillating_cells = oscillating_cells();
-          quality.RecordIteration(quality_run, sample);
-        }
-        break;
-      }
-
-      Stopwatch repair_timer;
-      auto pass = repair_strategy.Repair(ctx(), pooled, opts_.clean.repair);
-      if (!pass.ok()) return pass.status();
-      const size_t applied = ApplyWindowAssignments(
-          pass->applied, pass->provenance, iter + 1, pooled,
-          quality_on ? &sample : nullptr);
-      rep.repair_seconds += repair_timer.ElapsedSeconds();
-      rep.applied_fixes += applied;
-      stats_.fixes_applied += applied;
-
-      if (applied == 0) {
-        // Nothing applicable: the surviving violations have no possible
-        // fixes, so re-detecting their blocks would spin forever.
-        rep.converged = true;
-        if (quality_on) {
-          sample.frozen_cells = frozen_.size();
-          sample.oscillating_cells = oscillating_cells();
-          quality.RecordIteration(quality_run, sample);
-        }
-        break;
-      }
-
-      // Next iteration re-verifies only what this repair touched: Clean()'s
-      // freeze bookkeeping over every proposed assignment, the touched
-      // rows' blocks re-marked dirty (Rekey already dirtied moved rows).
-      changed.clear();
-      for (const auto& a : pass->applied) {
-        changed.insert(a.cell.row_id);
-        if (++update_counts_[a.cell] >= opts_.clean.freeze_after_updates) {
-          frozen_.insert(a.cell);
-        }
-      }
-      for (RowId id : changed) {
-        for (auto& ri : indexes_) {
-          if (!ri.blocked) continue;
-          auto key = ri.row_key.find(id);
-          if (key != ri.row_key.end()) ri.dirty.insert(key->second);
-        }
-      }
-
-      if (quality_on) {
-        sample.frozen_cells = frozen_.size();
-        sample.oscillating_cells = oscillating_cells();
-        quality.RecordIteration(quality_run, sample);
-      }
-    }
-  } catch (const StageError& e) {
-    return e.status();
-  }
-
-  if (!rep.converged) {
-    // Iteration cap: carry the residual dirt into the next window so the
-    // fix-point resumes instead of silently dropping it.
-    for (RowId id : changed) pending_changed_.insert(id);
-    for (RowId id : changed) {
-      for (auto& ri : indexes_) {
-        if (!ri.blocked) continue;
-        auto key = ri.row_key.find(id);
-        if (key != ri.row_key.end()) ri.dirty.insert(key->second);
-      }
-    }
-  } else {
-    ++stats_.windows_converged;
-  }
-
-  const double window_seconds = window_timer.ElapsedSeconds();
-  stats_.last_window_seconds = window_seconds;
-  stats_.max_window_seconds = std::max(stats_.max_window_seconds,
-                                       window_seconds);
-  stats_.total_detect_seconds += rep.detect_seconds;
-  stats_.total_repair_seconds += rep.repair_seconds;
   MetricsRegistry::Instance().GetCounter("stream.windows_processed").Add(1);
-  PushStats();
+  EndWindow(window_timer.ElapsedSeconds());
   return rep;
 }
 
@@ -831,120 +624,29 @@ Result<StreamWindowReport> StreamSession::Poll() {
   return ProcessWindow();
 }
 
-Status StreamSession::RunVerifyWindows(StreamFlushReport* out) {
+Result<StreamWindowReport> StreamSession::VerifyWindow() {
+  StreamWindowReport rep;
+  rep.window_id = ++window_seq_;
+  Stopwatch window_timer;
+  // Full-table detection, the same pass Clean() runs, so a drained session
+  // certifies convergence against every rule at once.
   RuleEngine engine(ctx(), opts_.clean.planner);
-  const RepairStrategy& repair_strategy =
-      RepairStrategyFor(opts_.clean.repair_mode);
-  QualityRecorder& quality = QualityRecorder::Instance();
-  std::optional<ScopedFaultPolicy> scoped_policy;
-  if (opts_.clean.fault_policy.has_value()) {
-    scoped_policy.emplace(ctx(), *opts_.clean.fault_policy);
-  }
-  const Schema& schema = table_->schema();
-  auto column_name = [&schema](size_t col) {
-    return col < schema.num_attributes() ? schema.attribute(col)
-                                         : std::string();
+  DetectRequest req;
+  req.table = table_;
+  req.rules = rules_;
+  auto detect = [&](const std::unordered_set<RowId>&) {
+    rep.candidate_rows += table_->num_rows();
+    return engine.Detect(req);
   };
-
-  for (size_t iter = 0; iter < opts_.clean.max_iterations; ++iter) {
-    StreamWindowReport rep;
-    rep.window_id = ++window_seq_;
-    rep.iterations = 1;
-    Stopwatch window_timer;
-    const bool quality_on = quality.enabled();
-    const uint64_t quality_run =
-        quality_on ? quality.BeginRun(rules_.size(), table_->num_rows(), name_)
-                   : 0;
-    WindowQualityGuard quality_guard{quality_run, &rep.converged};
-    QualityIterationSample sample;
-    sample.iteration = 1;
-
-    // Full-table verification detect: the same pass Clean() ends with, so
-    // a drained session certifies convergence against every rule at once.
-    Stopwatch detect_timer;
-    DetectRequest req;
-    req.table = table_;
-    req.rules = rules_;
-    auto detections = engine.Detect(req);
-    if (!detections.ok()) return detections.status();
-    std::vector<ViolationWithFixes> pooled;
-    for (auto& d : *detections) {
-      for (auto& vf : d.violations) {
-        bool repairable = false;
-        for (const auto& f : vf.fixes) {
-          if (frozen_.count(f.left.ref) == 0) {
-            repairable = true;
-            break;
-          }
-        }
-        if (repairable && !vf.fixes.empty()) {
-          if (quality_on) {
-            ++sample.violations[vf.violation.rule_name]
-                               [column_name(vf.fixes.front().left.ref.column)];
-          }
-          pooled.push_back(std::move(vf));
-        }
-      }
-    }
-    rep.detect_seconds = detect_timer.ElapsedSeconds();
-    rep.violations = pooled.size();
-    rep.candidate_rows = table_->num_rows();
-    stats_.violations_found += pooled.size();
-
-    if (pooled.empty()) {
-      rep.converged = true;
-      out->converged = true;
-      // The whole table verified clean: no dirt can be pending.
-      for (auto& ri : indexes_) ri.dirty.clear();
-      pending_changed_.clear();
-      ++stats_.windows_converged;
-      if (quality_on) {
-        quality.RecordIteration(quality_run, sample);
-      }
-      stats_.total_detect_seconds += rep.detect_seconds;
-      stats_.last_window_seconds = window_timer.ElapsedSeconds();
-      out->windows.push_back(rep);
-      PushStats();
-      break;
-    }
-
-    Stopwatch repair_timer;
-    auto pass = repair_strategy.Repair(ctx(), pooled, opts_.clean.repair);
-    if (!pass.ok()) return pass.status();
-    const size_t applied = ApplyWindowAssignments(
-        pass->applied, pass->provenance, 1, pooled,
-        quality_on ? &sample : nullptr);
-    rep.repair_seconds = repair_timer.ElapsedSeconds();
-    rep.applied_fixes = applied;
-    stats_.fixes_applied += applied;
-    out->total_violations += pooled.size();
-    out->total_applied_fixes += applied;
-
-    for (const auto& a : pass->applied) {
-      if (++update_counts_[a.cell] >= opts_.clean.freeze_after_updates) {
-        frozen_.insert(a.cell);
-      }
-    }
-    if (quality_on) {
-      sample.frozen_cells = frozen_.size();
-      quality.RecordIteration(quality_run, sample);
-    }
-    stats_.total_detect_seconds += rep.detect_seconds;
-    stats_.total_repair_seconds += rep.repair_seconds;
-    stats_.last_window_seconds = window_timer.ElapsedSeconds();
-    out->windows.push_back(rep);
-    PushStats();
-
-    if (applied == 0) {
-      // No possible fixes: Clean() reports this state converged.
-      out->converged = true;
-      for (auto& ri : indexes_) ri.dirty.clear();
-      pending_changed_.clear();
-      ++stats_.windows_converged;
-      break;
-    }
+  auto residual = RunWindow(detect, {}, &rep);
+  if (!residual.ok()) return residual.status();
+  if (rep.converged) {
+    // The whole table verified clean: no dirt can be pending.
+    for (auto& ri : indexes_) ri.dirty.clear();
+    pending_changed_.clear();
   }
-  return Status::OK();
+  EndWindow(window_timer.ElapsedSeconds());
+  return rep;
 }
 
 Result<StreamFlushReport> StreamSession::Flush() {
@@ -956,17 +658,16 @@ Result<StreamFlushReport> StreamSession::Flush() {
   while (HasWork()) {
     auto rep = ProcessWindow();
     if (!rep.ok()) return rep.status();
-    out.total_violations += rep->violations;
-    out.total_applied_fixes += rep->applied_fixes;
-    out.converged = rep->converged;
     out.windows.push_back(std::move(*rep));
   }
-  if (opts_.verify_on_flush) {
-    out.converged = false;
-    Status st = RunVerifyWindows(&out);
-    if (!st.ok()) return st;
+  auto verify = VerifyWindow();
+  if (!verify.ok()) return verify.status();
+  out.converged = verify->converged;
+  out.windows.push_back(std::move(*verify));
+  for (const auto& w : out.windows) {
+    out.total_violations += w.violations;
+    out.total_applied_fixes += w.applied_fixes;
   }
-  PushStats();
   return out;
 }
 

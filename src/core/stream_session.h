@@ -12,6 +12,7 @@
 
 #include "common/status.h"
 #include "core/bigdansing.h"
+#include "core/fixpoint.h"
 #include "core/physical_plan.h"
 #include "data/dictionary.h"
 #include "data/table.h"
@@ -22,14 +23,12 @@
 
 namespace bigdansing {
 
-struct QualityIterationSample;
-
 /// Options for a streaming cleanse session (BigDansing::OpenStream).
 struct StreamOptions {
   /// Planner/repair/freeze knobs shared with the one-shot path. The
   /// session's windowed fix-point uses clean.max_iterations as its
-  /// per-window iteration cap unless max_window_iterations overrides it,
-  /// and clean.fault_policy scopes every window's stages.
+  /// per-window iteration cap, and clean.fault_policy scopes every
+  /// window's stages.
   CleanOptions clean;
 
   /// Rows per micro-batch; Append() splits larger row vectors. 0 inherits
@@ -47,14 +46,6 @@ struct StreamOptions {
   ///          before enqueueing anything; the caller Poll()s and retries.
   bool block_on_backpressure = true;
 
-  /// Per-window fix-point iteration cap; 0 inherits clean.max_iterations.
-  size_t max_window_iterations = 0;
-
-  /// When true (default), Flush() ends with full-table verification
-  /// windows, so a drained session converges to the same fix-point
-  /// contract as one-shot Clean(). Disable for latency-only measurements.
-  bool verify_on_flush = true;
-
   /// Observability namespace (the /streams record name, the /stages
   /// context label, the /quality run session). Empty -> "stream-<id>".
   std::string session_name;
@@ -65,12 +56,11 @@ struct StreamOptions {
   static size_t DefaultMaxInflight();
 };
 
-/// Outcome of one processed window (one Poll(), or one verification pass
-/// during Flush()).
+/// Outcome of one processed window (one Poll(), or Flush()'s full-table
+/// verification, whose `iterations` counts its rounds).
 struct StreamWindowReport {
   uint64_t window_id = 0;
   size_t appended_rows = 0;
-  size_t retracted_rows = 0;
   /// Dirty blocks this window touched (across rules) and the candidate
   /// rows the incremental index fed into detection.
   size_t dirty_blocks = 0;
@@ -83,12 +73,11 @@ struct StreamWindowReport {
   double repair_seconds = 0.0;
 };
 
-/// Outcome of Flush(): every window drained plus the verification passes.
+/// Outcome of Flush(): every window drained plus the verification window.
 struct StreamFlushReport {
   std::vector<StreamWindowReport> windows;
-  /// True when the final full-table verification found no repairable
-  /// violations (always false when verify_on_flush is off and dirt
-  /// remained untouched — which Flush() never leaves behind).
+  /// True when the full-table verification reached a fix point within
+  /// clean.max_iterations rounds.
   bool converged = false;
   size_t total_violations = 0;
   size_t total_applied_fixes = 0;
@@ -135,8 +124,8 @@ class StreamSession {
   /// when nothing is pending.
   Result<StreamWindowReport> Poll();
 
-  /// Drains every pending window, then (verify_on_flush) runs full-table
-  /// verification windows until convergence or the window iteration cap.
+  /// Drains every pending window, then runs one full-table verification
+  /// window until convergence or clean.max_iterations rounds.
   Result<StreamFlushReport> Flush();
 
   /// Current observable counters (also pushed to the StreamDirectory).
@@ -205,13 +194,12 @@ class StreamSession {
   /// component (the row joins no block).
   bool KeyOf(const RuleIndex& ri, const Row& row, uint64_t* key) const;
 
-  /// Inserts/removes one live row into/out of every rule index, marking
-  /// the touched keys dirty.
-  void IndexInsert(const Row& row);
+  /// Removes one live row from every rule index, marking its blocks dirty.
   void IndexRemove(RowId id);
-  /// Re-keys one live row after a repair changed its cells; old and new
-  /// blocks both become dirty for the current window.
-  void Rekey(const Row& row);
+  /// Grows the pools over `rows`, encodes them and (re)joins each live row
+  /// to its current block of every rule index; the blocks a row leaves and
+  /// joins become dirty.
+  void IndexRows(const std::vector<const Row*>& rows);
 
   /// True when a window has anything to do.
   bool HasWork() const;
@@ -227,22 +215,23 @@ class StreamSession {
   /// and runs the windowed detect/repair fix-point over the dirty blocks.
   Result<StreamWindowReport> ProcessWindow();
 
-  /// Runs full-table windows until convergence (Flush verification).
-  Status RunVerifyWindows(StreamFlushReport* out);
+  /// Flush()'s verification: one full-table fix-point window.
+  Result<StreamWindowReport> VerifyWindow();
+
+  /// Runs RunFixpoint over the session (row positions, freeze state; the
+  /// rows a fix touched are re-encoded, re-keyed and re-dirtied), seeded
+  /// with `changed`, and folds it into `rep` and the session stats.
+  /// Returns the rows the last iteration changed.
+  Result<std::unordered_set<RowId>> RunWindow(
+      FixpointDetectFn detect, std::unordered_set<RowId> changed,
+      StreamWindowReport* rep);
+
+  /// Records one window's latency and publishes the stats.
+  void EndWindow(double window_seconds);
 
   /// Candidate sub-table of rule `ri`'s dirty blocks (kernel-prescreened),
   /// in table row order. Returns the candidate row count via `candidates`.
   Table BuildCandidateTable(RuleIndex* ri, size_t* candidates);
-
-  /// Applies repair assignments through the session (position map, code
-  /// re-encode, block re-keying, lineage/quality attribution). Returns
-  /// cells actually changed. Freeze bookkeeping and dirty re-marking stay
-  /// with the caller, mirroring Clean()'s ordering.
-  size_t ApplyWindowAssignments(
-      const std::vector<CellAssignment>& assignments,
-      const std::vector<FixProvenance>& provenance, size_t iteration,
-      const std::vector<ViolationWithFixes>& violations,
-      QualityIterationSample* sample);
 
   void PushStats(bool closing = false);
 
@@ -285,8 +274,7 @@ class StreamSession {
 
   /// Freeze bookkeeping shared across all windows of the session (same
   /// oscillation-termination contract as Clean()).
-  std::unordered_map<CellRef, size_t, CellRefHash> update_counts_;
-  std::unordered_set<CellRef, CellRefHash> frozen_;
+  FreezeState freeze_;
 
   uint64_t window_seq_ = 0;
   StreamSessionStats stats_;

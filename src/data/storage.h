@@ -24,7 +24,7 @@ struct PartitionedReplica {
 /// 1. **Partitioning** — datasets are split by *content* (attribute value),
 ///    not by size, so the Block operator can be pushed down to storage:
 ///    units sharing a blocking key are already co-located and detection
-///    needs no shuffle (see RuleEngine::DetectWithStorage).
+///    needs no shuffle (see DetectRequest::storage).
 /// 2. **Replication** — different cleansing tasks block on different keys,
 ///    so a dataset may be stored several times, each replica partitioned
 ///    on a different attribute ("heterogeneous replication").

@@ -305,52 +305,6 @@ TEST(UnifiedDetect, RejectsMalformedRequests) {
   EXPECT_FALSE(engine.Detect(across_incremental).ok());
 }
 
-TEST(UnifiedDetect, MatchesLegacyWrappers) {
-  ExecutionContext ctx(4);
-  RuleEngine engine(&ctx);
-  auto data = GenerateTaxA(300, 0.1, /*seed=*/21);
-  auto rules = TaxRules();
-
-  DetectRequest request;
-  request.table = &data.dirty;
-  request.rules = rules;
-  auto unified = engine.Detect(request);
-  ASSERT_TRUE(unified.ok());
-  // This test exists to prove the deprecated wrappers still match the
-  // unified API bit for bit, so it calls them on purpose.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  auto legacy = engine.DetectAll(data.dirty, rules);
-#pragma GCC diagnostic pop
-  ASSERT_TRUE(legacy.ok());
-  ASSERT_EQ(unified->size(), legacy->size());
-  for (size_t r = 0; r < unified->size(); ++r) {
-    EXPECT_EQ((*unified)[r].violations.size(), (*legacy)[r].violations.size());
-    EXPECT_EQ((*unified)[r].detect_calls, (*legacy)[r].detect_calls);
-    EXPECT_EQ((*unified)[r].plan_description, (*legacy)[r].plan_description);
-  }
-
-  // Incremental shape through the unified API == the legacy wrapper.
-  std::unordered_set<RowId> changed;
-  for (const Row& row : data.dirty.rows()) {
-    if (changed.size() >= 10) break;
-    changed.insert(row.id());
-  }
-  DetectRequest inc;
-  inc.table = &data.dirty;
-  inc.rules = {rules[0]};
-  inc.changed_rows = &changed;
-  auto inc_unified = engine.Detect(inc);
-  ASSERT_TRUE(inc_unified.ok());
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  auto inc_legacy = engine.DetectIncremental(data.dirty, rules[0], changed);
-#pragma GCC diagnostic pop
-  ASSERT_TRUE(inc_legacy.ok());
-  EXPECT_EQ((*inc_unified)[0].violations.size(),
-            inc_legacy->violations.size());
-}
-
 TEST(UnifiedDetect, PerRequestFaultPolicyFailsFast) {
   InjectorGuard guard;
   FaultInjector& injector = FaultInjector::Instance();

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <set>
 
-#include "core/bigdansing.h"
 #include "core/rule_engine.h"
 #include "datagen/datagen.h"
-#include "repair/quality.h"
 #include "rules/parser.h"
 
 namespace bigdansing {
@@ -117,27 +115,6 @@ TEST(Incremental, NoDuplicateProbesWhenBothSidesChanged) {
   auto incremental = DetectIncremental(engine, t, rule, {0, 1});
   ASSERT_TRUE(incremental.ok());
   EXPECT_EQ(incremental->violations.size(), 1u);
-}
-
-TEST(Incremental, CleanLoopMatchesNonIncrementalResult) {
-  auto data = GenerateHai(4000, 0.1, 35, {3, 4});
-  std::vector<RulePtr> rules = {*ParseRule("phi6: FD: zipcode -> state"),
-                                *ParseRule("phi7: FD: phone -> zipcode")};
-  ExecutionContext ctx(4);
-
-  Table plain = data.dirty;
-  CleanOptions plain_options;
-  auto plain_report = BigDansing(&ctx, plain_options).Clean(&plain, rules);
-  ASSERT_TRUE(plain_report.ok());
-
-  Table inc = data.dirty;
-  CleanOptions inc_options;
-  inc_options.incremental_redetection = true;
-  auto inc_report = BigDansing(&ctx, inc_options).Clean(&inc, rules);
-  ASSERT_TRUE(inc_report.ok());
-
-  EXPECT_TRUE(inc_report->converged);
-  EXPECT_EQ(plain, inc);  // Identical repaired instances.
 }
 
 }  // namespace

@@ -1,20 +1,25 @@
 // Data-quality plane tests: the disabled recorder is inert; a real FD
 // cleanse reconciles bit-exactly with the lineage ledger and the
 // CleanReport (violations, fixes, unresolved, per-rule totals, per-
-// iteration curve); provenance flows with the ledger off (quality-only
-// runs); the drift report diffs two snapshots; and the JSONL export's
-// records are byte-identical to the /quality snapshot's embedded runs.
+// iteration curve), and a stream session's windows reconcile with the
+// ledger and the session stats; Flush's verification keeps the cumulative
+// curve counts; provenance flows with the ledger off (quality-only runs);
+// the drift report diffs two snapshots; and the JSONL export's records
+// are byte-identical to the /quality snapshot's embedded runs.
 #include "obs/quality.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/lineage.h"
 #include "core/bigdansing.h"
+#include "core/stream_session.h"
+#include "data/csv.h"
 #include "data/profile.h"
 #include "datagen/datagen.h"
 #include "rules/parser.h"
@@ -181,6 +186,108 @@ TEST(QualityIntegration, CleanReconcilesBitExactWithLedgerAndReport) {
   const auto& phi1_cols = rec.by_rule_column.at("phi1");
   ASSERT_EQ(phi1_cols.count("city"), 1u);
   EXPECT_EQ(phi1_cols.at("city").fixes, report_fixes);
+}
+
+TEST(QualityIntegration, StreamReconcilesWithLedgerAndSessionStats) {
+  QualityOn quality_on;
+  LineageOn lineage_on;
+  QualityRecorder& quality = QualityRecorder::Instance();
+
+  auto data = GenerateHai(6000, 0.1, /*seed=*/1);
+  std::vector<RulePtr> rules = {
+      *ParseRule("phi6: FD: zipcode -> state"),
+      *ParseRule("phi7: FD: phone -> zipcode"),
+      *ParseRule("phi8: FD: provider_id -> city, phone")};
+  ExecutionContext ctx(4);
+  BigDansing system(&ctx);
+  Table streamed(data.dirty.schema());
+  StreamOptions options;
+  options.session_name = "quality-reconcile";
+  options.batch_rows = 600;
+  auto session = system.OpenStream(&streamed, rules, options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const auto& rows = data.dirty.rows();
+  for (size_t begin = 0; begin < rows.size(); begin += 600) {
+    std::vector<Row> batch(rows.begin() + begin, rows.begin() + begin + 600);
+    ASSERT_TRUE((*session)->Append(std::move(batch)).ok());
+    auto window = (*session)->Poll();
+    ASSERT_TRUE(window.ok()) << window.status().ToString();
+  }
+  auto flush = (*session)->Flush();
+  ASSERT_TRUE(flush.ok()) << flush.status().ToString();
+  ASSERT_TRUE(flush->converged);
+
+  // Fold every window's quality run of this session, per rule.
+  std::map<std::string, QualityCounts> by_rule_quality;
+  for (const QualityRunRecord& rec : quality.Runs()) {
+    if (rec.session != options.session_name) continue;
+    EXPECT_FALSE(rec.in_progress);
+    for (const auto& [rule, columns] : rec.by_rule_column) {
+      const QualityCounts totals = rec.RuleTotals(rule);
+      by_rule_quality[rule].fixes += totals.fixes;
+      by_rule_quality[rule].unresolved += totals.unresolved;
+    }
+  }
+
+  uint64_t fixes = 0;
+  uint64_t unresolved = 0;
+  for (const auto& [rule, summary] :
+       LineageRecorder::Instance().SummaryByRule()) {
+    EXPECT_EQ(by_rule_quality[rule].fixes, summary.applied_fixes) << rule;
+    EXPECT_EQ(by_rule_quality[rule].unresolved, summary.unresolved) << rule;
+    fixes += summary.applied_fixes;
+    unresolved += summary.unresolved;
+  }
+  ASSERT_GT(fixes, 0u) << "the 10% error rate must force repairs";
+  const StreamSessionStats stats = (*session)->stats();
+  EXPECT_EQ(stats.fixes_applied, fixes);
+  EXPECT_EQ(stats.unresolved_violations, unresolved);
+}
+
+TEST(QualityIntegration, FlushVerificationKeepsCumulativeCurveCounts) {
+  QualityOn on;
+  QualityRecorder& quality = QualityRecorder::Instance();
+  // Two FDs chained through zipcode: the first iteration repairs the fourth
+  // row's zipcode and city together, which moves it into the z1 block,
+  // where the second iteration repairs its city again (one oscillation).
+  auto input = ReadCsvString(
+      "phone,zipcode,city\n"
+      "p1,z1,cA\np1,z1,cA\np1,z1,cA\n"
+      "p1,z2,cB\np2,z2,cC\np3,z2,cC\np4,z2,cC\n",
+      CsvOptions{});
+  ASSERT_TRUE(input.ok()) << input.status().ToString();
+  std::vector<RulePtr> rules = {*ParseRule("fd1: FD: phone -> zipcode"),
+                                *ParseRule("fd2: FD: zipcode -> city")};
+  ExecutionContext ctx(2);
+  BigDansing system(&ctx);
+
+  Table cleaned = *input;
+  auto report = system.Clean(&cleaned, rules);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->iterations.size(), 3u);
+  QualityRunRecord clean_run;
+  ASSERT_TRUE(quality.LatestRun(&clean_run));
+  ASSERT_FALSE(clean_run.curve.empty());
+  EXPECT_EQ(clean_run.curve.back().oscillating_cells, 1u);
+
+  // The session's last curve point is Flush's verification; its cumulative
+  // counts carry everything the session froze and saw oscillate.
+  Table streamed = *input;
+  StreamOptions options;
+  options.session_name = "quality-flush-curve";
+  auto session = system.OpenStream(&streamed, rules, options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto flush = (*session)->Flush();
+  ASSERT_TRUE(flush.ok()) << flush.status().ToString();
+  EXPECT_TRUE(flush->converged);
+  EXPECT_EQ(streamed, cleaned);
+  QualityRunRecord last;
+  ASSERT_TRUE(quality.LatestRun(&last));
+  EXPECT_EQ(last.session, options.session_name);
+  ASSERT_FALSE(last.curve.empty());
+  EXPECT_EQ(last.curve.back().oscillating_cells, 1u);
+  EXPECT_EQ(last.curve.back().frozen_cells,
+            clean_run.curve.back().frozen_cells);
 }
 
 TEST(QualityIntegration, QualityOnlyRunTracksProvenanceWithLedgerOff) {
