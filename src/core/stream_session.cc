@@ -10,6 +10,7 @@
 #include "common/stopwatch.h"
 #include "core/columnar_detect.h"
 #include "core/rule_engine.h"
+#include "repair/connected_components.h"
 
 namespace bigdansing {
 
@@ -126,14 +127,9 @@ Status StreamSession::Init() {
     }
   }
 
-  // Pool-sharing groups (union-find over slots): kernels comparing codes
-  // across two columns need those columns in one pool.
-  std::vector<size_t> parent(indexed_cols_.size());
-  for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
-  auto find = [&parent](size_t x) {
-    while (parent[x] != x) x = parent[x] = parent[parent[x]];
-    return x;
-  };
+  // Pool-sharing groups (connected components over slots): kernels
+  // comparing codes across two columns need those columns in one pool.
+  std::vector<std::pair<uint64_t, uint64_t>> shared_slots;
   for (const auto& ri : indexes_) {
     if (!ri.tmpl) continue;
     for (const auto& group : ri.tmpl->shared_groups()) {
@@ -144,18 +140,22 @@ Status StreamSession::Init() {
         const size_t b = ri.plan.scope_columns.empty()
                              ? group[i]
                              : ri.plan.scope_columns[group[i]];
-        parent[find(col_slot_.at(a))] = find(col_slot_.at(b));
+        shared_slots.emplace_back(col_slot_.at(a), col_slot_.at(b));
       }
     }
   }
+  // A component's label is its smallest slot, so the ascending sweep meets
+  // each component's label slot before its other members.
+  const ComponentLabels component =
+      UnionFindConnectedComponents(indexed_cols_.size(), shared_slots);
   col_group_.resize(indexed_cols_.size());
-  std::unordered_map<size_t, size_t> root_to_group;
   for (size_t s = 0; s < indexed_cols_.size(); ++s) {
-    const size_t root = find(s);
-    auto [it, fresh] = root_to_group.emplace(root, pools_.size());
-    if (fresh) pools_.push_back(std::make_shared<const ValuePool>(
-        std::vector<Value>()));
-    col_group_[s] = it->second;
+    if (component[s] == s) {
+      col_group_[s] = pools_.size();
+      pools_.push_back(std::make_shared<const ValuePool>(std::vector<Value>()));
+    } else {
+      col_group_[s] = col_group_[component[s]];
+    }
   }
 
   // Index the existing rows and mark their blocks dirty, so the first

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <mutex>
 #include <optional>
+#include <span>
 
 #include "common/lineage.h"
 #include "common/stopwatch.h"
@@ -69,7 +70,10 @@ void RepairSplitComponent(ExecutionContext* ctx,
   }
   std::vector<std::vector<uint64_t>> edge_nodes;
   edge_nodes.reserve(component_edges.size());
-  for (size_t e : component_edges) edge_nodes.push_back(graph.edge_nodes(e));
+  for (size_t e : component_edges) {
+    const std::span<const uint64_t> nodes = graph.edge_nodes(e);
+    edge_nodes.emplace_back(nodes.begin(), nodes.end());
+  }
   std::vector<size_t> part_of = GreedyKWayPartition(edge_nodes, options.kway_parts);
   size_t k = 1 + *std::max_element(part_of.begin(), part_of.end());
   if (span) span->Annotate("parts", static_cast<uint64_t>(k));

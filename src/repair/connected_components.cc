@@ -1,85 +1,48 @@
 #include "repair/connected_components.h"
 
 #include <algorithm>
+#include <numeric>
 
+#include "common/logging.h"
 #include "dataflow/dataset.h"
 
 namespace bigdansing {
 
-namespace {
-
-/// Union-find over arbitrary uint64 ids with path compression and union by
-/// smaller root id (so the representative is the minimum id, matching BSP).
-class UnionFind {
- public:
-  uint64_t Find(uint64_t x) {
-    auto it = parent_.find(x);
-    if (it == parent_.end()) {
-      parent_.emplace(x, x);
-      return x;
-    }
-    // Path compression (iterative to avoid deep recursion).
-    uint64_t root = x;
-    while (parent_[root] != root) root = parent_[root];
-    while (parent_[x] != root) {
-      uint64_t next = parent_[x];
-      parent_[x] = root;
-      x = next;
-    }
-    return root;
-  }
-
-  void Union(uint64_t a, uint64_t b) {
-    uint64_t ra = Find(a);
-    uint64_t rb = Find(b);
-    if (ra == rb) return;
-    // The smaller id becomes the root so component ids are minima.
-    if (ra < rb) {
-      parent_[rb] = ra;
-    } else {
-      parent_[ra] = rb;
-    }
-  }
-
-  const std::unordered_map<uint64_t, uint64_t>& nodes() const {
-    return parent_;
-  }
-
- private:
-  std::unordered_map<uint64_t, uint64_t> parent_;
-};
-
-}  // namespace
-
 ComponentLabels UnionFindConnectedComponents(
-    const std::vector<uint64_t>& nodes,
-    const std::vector<std::pair<uint64_t, uint64_t>>& edges) {
-  UnionFind uf;
-  for (uint64_t n : nodes) uf.Find(n);
-  for (const auto& [a, b] : edges) uf.Union(a, b);
-  ComponentLabels labels;
-  for (const auto& [node, _] : uf.nodes()) {
-    labels[node] = uf.Find(node);
+    size_t num_nodes, const std::vector<std::pair<uint64_t, uint64_t>>& edges) {
+  // parent[x] <= x always holds: unions point the larger root at the
+  // smaller one and path halving only moves a node closer to its root.
+  ComponentLabels parent(num_nodes);
+  std::iota(parent.begin(), parent.end(), uint64_t{0});
+  auto find = [&parent](uint64_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  for (const auto& [a, b] : edges) {
+    BD_CHECK(a < num_nodes && b < num_nodes)
+        << "edge (" << a << ", " << b << ") outside " << num_nodes << " nodes";
+    const uint64_t ra = find(a);
+    const uint64_t rb = find(b);
+    if (ra != rb) parent[std::max(ra, rb)] = std::min(ra, rb);
   }
-  return labels;
+  // Ascending sweep: parent[x] < x already holds its root, so one hop
+  // labels x with the minimum node id of its component.
+  for (uint64_t x = 0; x < num_nodes; ++x) parent[x] = parent[parent[x]];
+  return parent;
 }
 
 ComponentLabels BspConnectedComponents(
-    ExecutionContext* ctx, const std::vector<uint64_t>& nodes,
+    ExecutionContext* ctx, size_t num_nodes,
     const std::vector<std::pair<uint64_t, uint64_t>>& edges) {
   // Initial labels: every node is its own component.
+  ComponentLabels current(num_nodes);
+  std::iota(current.begin(), current.end(), uint64_t{0});
   std::vector<std::pair<uint64_t, uint64_t>> label_records;
-  label_records.reserve(nodes.size());
-  for (uint64_t n : nodes) label_records.emplace_back(n, n);
-  for (const auto& [a, b] : edges) {
-    label_records.emplace_back(a, a);
-    label_records.emplace_back(b, b);
-  }
+  label_records.reserve(num_nodes);
+  for (uint64_t n = 0; n < num_nodes; ++n) label_records.emplace_back(n, n);
   auto min_fn = [](uint64_t a, uint64_t b) { return std::min(a, b); };
-  Dataset<std::pair<uint64_t, uint64_t>> labels =
-      ReduceByKey(Dataset<std::pair<uint64_t, uint64_t>>::FromVector(
-                      ctx, std::move(label_records)),
-                  min_fn);
+  auto labels = Dataset<std::pair<uint64_t, uint64_t>>::FromVector(
+      ctx, std::move(label_records));
 
   // Edge dataset is reused every superstep.
   auto edge_ds =
@@ -103,26 +66,21 @@ ComponentLabels BspConnectedComponents(
               return std::make_pair(rec.second.first, rec.second.second);
             });
     auto combined = labels.Union(messages).Union(messages_back);
-    auto new_labels = ReduceByKey(combined, min_fn);
+    labels = ReduceByKey(combined, min_fn);
 
     // Convergence check: did any label shrink?
-    std::unordered_map<uint64_t, uint64_t> old_map;
-    for (const auto& kv : labels.Collect()) old_map.insert(kv);
     bool changed = false;
-    for (const auto& kv : new_labels.Collect()) {
-      auto it = old_map.find(kv.first);
-      if (it == old_map.end() || it->second != kv.second) {
+    for (const auto& [node, label] : labels.Collect()) {
+      BD_CHECK(node < num_nodes) << "edge endpoint " << node << " outside "
+                                 << num_nodes << " nodes";
+      if (current[node] != label) {
+        current[node] = label;
         changed = true;
-        break;
       }
     }
-    labels = new_labels;
     if (!changed) break;
   }
-
-  ComponentLabels out;
-  for (const auto& kv : labels.Collect()) out.insert(kv);
-  return out;
+  return current;
 }
 
 }  // namespace bigdansing

@@ -2,7 +2,6 @@
 #define BIGDANSING_REPAIR_CONNECTED_COMPONENTS_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -10,16 +9,16 @@
 
 namespace bigdansing {
 
-/// Node labels produced by a connected-components run: node id -> component
-/// id (the minimum node id in the component).
-using ComponentLabels = std::unordered_map<uint64_t, uint64_t>;
+/// Node labels produced by a connected-components run over dense node ids
+/// 0..n-1: `labels[node]` is the node's component id, the minimum node id
+/// in its component. A node in no edge is its own component.
+using ComponentLabels = std::vector<uint64_t>;
 
-/// Connected components via sequential union-find. Reference implementation
-/// and fast path for driver-side graphs. Isolated nodes (appearing in no
-/// edge) must be passed via `nodes` to receive a label.
+/// Connected components via sequential array union-find (union toward the
+/// smaller root, path halving). Reference implementation and fast path for
+/// driver-side graphs. Every edge endpoint must be below `num_nodes`.
 ComponentLabels UnionFindConnectedComponents(
-    const std::vector<uint64_t>& nodes,
-    const std::vector<std::pair<uint64_t, uint64_t>>& edges);
+    size_t num_nodes, const std::vector<std::pair<uint64_t, uint64_t>>& edges);
 
 /// Connected components via Bulk Synchronous Parallel min-label propagation
 /// on the dataflow engine — the GraphX substitute of §5.1. Each superstep
@@ -27,7 +26,7 @@ ComponentLabels UnionFindConnectedComponents(
 /// reduceByKey(min) shuffle; converges in O(diameter) supersteps.
 /// Produces exactly the same labels as the union-find version.
 ComponentLabels BspConnectedComponents(
-    ExecutionContext* ctx, const std::vector<uint64_t>& nodes,
+    ExecutionContext* ctx, size_t num_nodes,
     const std::vector<std::pair<uint64_t, uint64_t>>& edges);
 
 }  // namespace bigdansing

@@ -1,11 +1,9 @@
 #include "repair/equivalence_class.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/hash.h"
 #include "common/lineage.h"
@@ -32,12 +30,19 @@ Value WinningValue(const std::map<Value, size_t>& votes) {
   return best;
 }
 
+/// Reduces (cell id, constant) votes to distinct pairs, compared exactly,
+/// so a constant proposed for a cell by several fixes counts once.
+void DedupConstantVotes(std::vector<std::pair<uint64_t, Value>>* votes) {
+  std::sort(votes->begin(), votes->end());
+  votes->erase(std::unique(votes->begin(), votes->end()), votes->end());
+}
+
 }  // namespace
 
 std::vector<CellAssignment> EquivalenceClassAlgorithm::RepairComponent(
     const std::vector<const ViolationWithFixes*>& edges) const {
   // Dense ids for the cells touched by equality fixes.
-  std::unordered_map<CellRef, size_t, CellRefHash> ids;
+  std::unordered_map<CellRef, uint64_t, CellRefHash> ids;
   std::vector<CellRef> cells;
   std::vector<Value> current;  // Current (dirty) value per cell.
   auto intern = [&](const Cell& c) {
@@ -49,53 +54,38 @@ std::vector<CellAssignment> EquivalenceClassAlgorithm::RepairComponent(
     return it->second;
   };
 
-  // Union cells linked by `cell = cell` fixes; remember `cell = constant`.
-  std::vector<size_t> parent;
-  std::function<size_t(size_t)> find = [&](size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  auto ensure = [&](size_t id) {
-    while (parent.size() <= id) parent.push_back(parent.size());
-  };
-  std::vector<std::pair<size_t, Value>> constant_votes;
+  // Link cells joined by `cell = cell` fixes; remember `cell = constant`.
+  std::vector<std::pair<uint64_t, uint64_t>> links;
+  std::vector<std::pair<uint64_t, Value>> constant_votes;
   for (const ViolationWithFixes* vf : edges) {
     for (const Fix& fix : vf->fixes) {
       if (fix.op != FixOp::kEq) continue;  // EC consumes equality fixes only.
-      size_t left = intern(fix.left);
-      ensure(left);
+      const uint64_t left = intern(fix.left);
       if (fix.right.is_cell) {
-        size_t right = intern(fix.right.cell);
-        ensure(right);
-        size_t a = find(left);
-        size_t b = find(right);
-        if (a != b) parent[std::max(a, b)] = std::min(a, b);
+        links.emplace_back(left, intern(fix.right.cell));
       } else {
         constant_votes.emplace_back(left, fix.right.constant);
       }
     }
   }
+  const ComponentLabels classes =
+      UnionFindConnectedComponents(cells.size(), links);
 
   // Tally votes per class: one vote per member's current value, plus one
-  // per (cell, constant) fix.
-  std::unordered_map<size_t, std::map<Value, size_t>> votes;
+  // per distinct (cell, constant) fix.
+  std::vector<std::map<Value, size_t>> votes(cells.size());
   for (size_t i = 0; i < cells.size(); ++i) {
-    votes[find(i)][current[i]] += 1;
+    votes[classes[i]][current[i]] += 1;
   }
-  std::unordered_set<uint64_t> seen_constant;
+  DedupConstantVotes(&constant_votes);
   for (const auto& [cell_id, value] : constant_votes) {
-    uint64_t key = StableHashUint64(cell_id) ^ value.Hash();
-    if (!seen_constant.insert(key).second) continue;  // Count once.
-    votes[find(cell_id)][value] += 1;
+    votes[classes[cell_id]][value] += 1;
   }
 
   // Assign the winning value to members that differ.
   std::vector<CellAssignment> out;
   for (size_t i = 0; i < cells.size(); ++i) {
-    const Value target = WinningValue(votes[find(i)]);
+    const Value target = WinningValue(votes[classes[i]]);
     if (current[i] != target) {
       out.push_back(CellAssignment{cells[i], target});
     }
@@ -152,19 +142,18 @@ std::vector<CellAssignment> DistributedEquivalenceClassRepair(
 
   // Equivalence classes = connected components of the equality graph,
   // computed with the BSP kernel (GraphX role).
-  std::vector<uint64_t> nodes(cells.size());
-  for (uint64_t i = 0; i < nodes.size(); ++i) nodes[i] = i;
   std::optional<ScopedSpan> cc_span;
   if (trace.enabled()) {
     cc_span.emplace("repair:ec-connected-components", "operator");
   }
-  ComponentLabels labels = BspConnectedComponents(ctx, nodes, edges);
+  const ComponentLabels labels =
+      BspConnectedComponents(ctx, cells.size(), edges);
   cc_span.reset();
 
   // First map-reduce sequence: ((class, value), 1) -> counts.
   // "If an element exists in multiple fixes, we only count its value once":
   // member votes are emitted per cell (once each); constant votes are
-  // deduplicated per (cell, value).
+  // deduplicated per (cell, constant).
   struct KeyHash {
     size_t operator()(const std::pair<uint64_t, Value>& k) const {
       size_t seed = static_cast<size_t>(StableHashUint64(k.first));
@@ -176,13 +165,11 @@ std::vector<CellAssignment> DistributedEquivalenceClassRepair(
   std::vector<std::pair<CountKey, uint64_t>> votes;
   votes.reserve(cells.size() + constant_votes.size());
   for (uint64_t i = 0; i < cells.size(); ++i) {
-    votes.emplace_back(CountKey{labels.at(i), current[i]}, 1);
+    votes.emplace_back(CountKey{labels[i], current[i]}, 1);
   }
-  std::unordered_set<uint64_t> seen_constant;
+  DedupConstantVotes(&constant_votes);
   for (const auto& [cell_id, value] : constant_votes) {
-    uint64_t key = StableHashUint64(cell_id) ^ value.Hash();
-    if (!seen_constant.insert(key).second) continue;
-    votes.emplace_back(CountKey{labels.at(cell_id), value}, 1);
+    votes.emplace_back(CountKey{labels[cell_id], value}, 1);
   }
   std::optional<ScopedSpan> mr1_span;
   if (trace.enabled()) mr1_span.emplace("repair:ec-mr1-count", "operator");
@@ -205,20 +192,20 @@ std::vector<CellAssignment> DistributedEquivalenceClassRepair(
     return a.first <= b.first ? a : b;  // Deterministic tie-break.
   });
 
-  std::unordered_map<uint64_t, Value> target;
+  std::vector<Value> target(cells.size());  // Indexed by class label.
   for (const auto& [cls, vc] : best.Collect()) target[cls] = vc.first;
   mr2_span.reset();
 
   std::vector<CellAssignment> out;
   for (uint64_t i = 0; i < cells.size(); ++i) {
-    const Value& t = target.at(labels.at(i));
+    const Value& t = target[labels[i]];
     if (current[i] != t) {
       out.push_back(CellAssignment{cells[i], t});
       if (track_provenance) {
         FixProvenance p;
         p.rule = violations[first_violation[i]].violation.rule_name;
         p.violation_id = first_violation[i];
-        p.component = labels.at(i);
+        p.component = labels[i];
         p.strategy = "distributed-equivalence-class";
         provenance->push_back(std::move(p));
       }

@@ -2,7 +2,8 @@
 #define BIGDANSING_REPAIR_HYPERGRAPH_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "dataflow/context.h"
@@ -14,49 +15,49 @@ namespace bigdansing {
 /// hyperedge is one violation together with its possible fixes. The graph
 /// assigns dense node ids to distinct cells and can split its hyperedges
 /// into connected components for independent repair.
+///
+/// Flat layout: node ids follow the cells' first appearance (violation
+/// order; within a violation its cells, then each fix's left and right
+/// cell), and the hyperedges are one CSR array — edge e's ascending,
+/// deduplicated node ids are `nodes_[offsets_[e] .. offsets_[e + 1])`.
+/// Those orders fix the component ids and group order below, and with them
+/// the order of a repair pass's assignments and lineage.
 class ViolationHypergraph {
  public:
   /// Builds the hypergraph from detection output. `violations` must outlive
-  /// the hypergraph (edges hold pointers into it).
+  /// the hypergraph (edges refer into it).
   explicit ViolationHypergraph(
       const std::vector<ViolationWithFixes>& violations);
 
-  size_t num_nodes() const { return cells_.size(); }
-  size_t num_edges() const { return edges_.size(); }
+  size_t num_nodes() const { return num_nodes_; }
+  size_t num_edges() const { return violations_->size(); }
 
-  /// The cell for a node id.
-  const CellRef& cell(uint64_t node) const { return cells_[node]; }
-
-  /// Node id of `cell`; cells are registered during construction.
-  uint64_t NodeOf(const CellRef& cell) const;
-
-  /// Node ids touched by hyperedge `e` (deduplicated).
-  const std::vector<uint64_t>& edge_nodes(size_t e) const {
-    return edge_nodes_[e];
+  /// Node ids touched by hyperedge `e`, ascending and deduplicated.
+  std::span<const uint64_t> edge_nodes(size_t e) const {
+    return {nodes_.data() + offsets_[e], offsets_[e + 1] - offsets_[e]};
   }
 
   /// The violation behind hyperedge `e`.
-  const ViolationWithFixes& edge(size_t e) const { return *edges_[e]; }
+  const ViolationWithFixes& edge(size_t e) const { return (*violations_)[e]; }
 
   /// Binary edges (star expansion: first node of each hyperedge linked to
   /// the rest) for connected-components algorithms.
   std::vector<std::pair<uint64_t, uint64_t>> StarEdges() const;
 
-  /// All node ids (0..num_nodes-1).
-  std::vector<uint64_t> AllNodes() const;
-
   /// Groups hyperedges by connected component. When `ctx` is non-null the
   /// BSP dataflow algorithm computes the components (the GraphX path of the
-  /// paper); otherwise sequential union-find is used. Each group holds
-  /// indices into the hyperedge list; groups are ordered by component id.
+  /// paper); otherwise sequential union-find is used. Each group holds the
+  /// ascending indices of its hyperedges; groups are ordered by component
+  /// id (the component's smallest node id, hence its first hyperedge).
+  /// Hyperedges without nodes belong to no group.
   std::vector<std::vector<size_t>> ConnectedComponentGroups(
       ExecutionContext* ctx = nullptr) const;
 
  private:
-  std::vector<CellRef> cells_;
-  std::unordered_map<CellRef, uint64_t, CellRefHash> node_ids_;
-  std::vector<const ViolationWithFixes*> edges_;
-  std::vector<std::vector<uint64_t>> edge_nodes_;
+  const std::vector<ViolationWithFixes>* violations_;
+  size_t num_nodes_ = 0;
+  std::vector<size_t> offsets_;
+  std::vector<uint64_t> nodes_;
 };
 
 }  // namespace bigdansing

@@ -10,6 +10,7 @@
 #include "dataflow/context.h"
 #include "repair/blackbox.h"
 #include "repair/equivalence_class.h"
+#include "repair/hypergraph.h"
 #include "repair/hypergraph_repair.h"
 
 namespace bigdansing {
@@ -60,6 +61,69 @@ std::vector<ViolationWithFixes> RandomEqViolations(size_t count,
     out.push_back(std::move(vf));
   }
   return out;
+}
+
+/// Random hyperedges that stress the hypergraph's layout: three columns,
+/// negative and above-2^32 row ids, cells repeated inside one hyperedge,
+/// fixes naming cells the violation does not list, constant fixes, and
+/// empty hyperedges.
+std::vector<ViolationWithFixes> RandomHyperedges(size_t count, uint64_t seed) {
+  Random rng(seed);
+  auto random_cell = [&rng] {
+    const int64_t r = static_cast<int64_t>(rng.NextBounded(30));
+    const RowId row = r % 3 == 0   ? -1 - r
+                      : r % 3 == 1 ? (int64_t{1} << 32) + 7919 * r
+                                   : r;
+    // The value follows the row, as in real detection output.
+    return MakeCell(row, rng.NextBounded(3),
+                    Value("v" + std::to_string(r % 4)));
+  };
+  std::vector<ViolationWithFixes> out(count);
+  for (ViolationWithFixes& vf : out) {
+    vf.violation.rule_name = "rand";
+    if (rng.NextBool(0.1)) continue;  // Empty hyperedge.
+    const size_t width = 1 + rng.NextBounded(3);
+    for (size_t i = 0; i < width; ++i) {
+      vf.violation.cells.push_back(random_cell());
+    }
+    if (rng.NextBool(0.3)) {
+      vf.violation.cells.push_back(vf.violation.cells.front());
+    }
+    for (size_t i = 1; i < width; ++i) {
+      Fix fix;
+      fix.left = vf.violation.cells[0];
+      fix.op = FixOp::kEq;
+      fix.right = FixTerm::MakeCell(vf.violation.cells[i]);
+      vf.fixes.push_back(fix);
+    }
+    if (rng.NextBool(0.2)) {
+      Fix fix;
+      fix.left = vf.violation.cells[0];
+      fix.op = FixOp::kEq;
+      fix.right = FixTerm::MakeCell(random_cell());
+      vf.fixes.push_back(fix);
+    }
+    if (rng.NextBool(0.3)) {
+      Fix fix;
+      fix.left = vf.violation.cells.back();
+      fix.op = FixOp::kEq;
+      fix.right = FixTerm::MakeConstant(Value("k"));
+      vf.fixes.push_back(fix);
+    }
+  }
+  return out;
+}
+
+/// Every cell a hyperedge mentions, in the hypergraph's mention order: the
+/// violation's cells, then each fix's left and right cell.
+std::vector<CellRef> Mentions(const ViolationWithFixes& vf) {
+  std::vector<CellRef> cells;
+  for (const Cell& c : vf.violation.cells) cells.push_back(c.ref);
+  for (const Fix& f : vf.fixes) {
+    cells.push_back(f.left.ref);
+    if (f.right.is_cell) cells.push_back(f.right.cell.ref);
+  }
+  return cells;
 }
 
 std::vector<CellAssignment> Sorted(std::vector<CellAssignment> v) {
@@ -131,6 +195,67 @@ TEST_P(RepairEquivalence, KWaySplitNeverDivergesFromUnsplit) {
     auto [it, inserted] = seen.emplace(a.cell, a.value);
     EXPECT_TRUE(inserted) << "cell assigned twice: " << a.cell.ToString();
   }
+}
+
+TEST_P(RepairEquivalence, HypergraphLayoutMatchesMapOracle) {
+  // Pins the order contract of the repair pass: node ids in first-mention
+  // order, and component groups ordered by their first hyperedge with
+  // ascending members, on both component paths. The oracle keys cells by
+  // std::map and finds components by BFS over shared cells.
+  auto violations = RandomHyperedges(80, GetParam() + 300);
+  std::map<CellRef, uint64_t> node_of;
+  std::map<CellRef, std::vector<size_t>> edges_of;
+  for (size_t e = 0; e < violations.size(); ++e) {
+    for (const CellRef& c : Mentions(violations[e])) {
+      node_of.emplace(c, node_of.size());
+      edges_of[c].push_back(e);
+    }
+  }
+  std::vector<std::vector<size_t>> expected_groups;
+  std::vector<bool> seen(violations.size(), false);
+  for (size_t first = 0; first < violations.size(); ++first) {
+    if (seen[first] || Mentions(violations[first]).empty()) continue;
+    std::vector<size_t> group;
+    std::vector<size_t> frontier = {first};
+    seen[first] = true;
+    while (!frontier.empty()) {
+      const size_t e = frontier.back();
+      frontier.pop_back();
+      group.push_back(e);
+      for (const CellRef& c : Mentions(violations[e])) {
+        for (size_t next : edges_of.at(c)) {
+          if (!seen[next]) {
+            seen[next] = true;
+            frontier.push_back(next);
+          }
+        }
+      }
+    }
+    std::sort(group.begin(), group.end());
+    expected_groups.push_back(std::move(group));
+  }
+  ASSERT_GT(expected_groups.size(), 1u);
+
+  ViolationHypergraph graph(violations);
+  ASSERT_EQ(graph.num_nodes(), node_of.size());
+  ASSERT_EQ(graph.num_edges(), violations.size());
+  for (size_t e = 0; e < violations.size(); ++e) {
+    std::vector<uint64_t> expected_nodes;
+    for (const CellRef& c : Mentions(violations[e])) {
+      expected_nodes.push_back(node_of.at(c));
+    }
+    std::sort(expected_nodes.begin(), expected_nodes.end());
+    expected_nodes.erase(
+        std::unique(expected_nodes.begin(), expected_nodes.end()),
+        expected_nodes.end());
+    const auto nodes = graph.edge_nodes(e);
+    EXPECT_EQ(std::vector<uint64_t>(nodes.begin(), nodes.end()),
+              expected_nodes)
+        << "hyperedge " << e;
+  }
+  ExecutionContext ctx(3);
+  EXPECT_EQ(graph.ConnectedComponentGroups(), expected_groups);
+  EXPECT_EQ(graph.ConnectedComponentGroups(&ctx), expected_groups);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RepairEquivalence,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/lineage.h"
 #include "core/bigdansing.h"
 #include "core/rule_engine.h"
 #include "data/csv.h"
@@ -41,8 +42,7 @@ ViolationWithFixes EqViolation(RowId r1, RowId r2, size_t col, Value v1,
 }
 
 TEST(ConnectedComponents, UnionFindBasics) {
-  auto labels = UnionFindConnectedComponents({0, 1, 2, 3, 4},
-                                             {{0, 1}, {1, 2}, {3, 4}});
+  auto labels = UnionFindConnectedComponents(5, {{0, 1}, {1, 2}, {3, 4}});
   EXPECT_EQ(labels.at(0), labels.at(1));
   EXPECT_EQ(labels.at(1), labels.at(2));
   EXPECT_EQ(labels.at(3), labels.at(4));
@@ -53,9 +53,8 @@ TEST(ConnectedComponents, UnionFindBasics) {
 
 TEST(ConnectedComponents, BspMatchesUnionFind) {
   // A chain (worst-case diameter), a star, and isolated nodes.
-  std::vector<uint64_t> nodes;
+  const size_t nodes = 30;
   std::vector<std::pair<uint64_t, uint64_t>> edges;
-  for (uint64_t i = 0; i < 30; ++i) nodes.push_back(i);
   for (uint64_t i = 9; i > 0; --i) edges.emplace_back(i, i - 1);  // Chain 0-9.
   for (uint64_t i = 11; i < 20; ++i) edges.emplace_back(10, i);   // Star.
   // 20..29 isolated.
@@ -63,8 +62,8 @@ TEST(ConnectedComponents, BspMatchesUnionFind) {
   auto bsp = BspConnectedComponents(&ctx, nodes, edges);
   auto uf = UnionFindConnectedComponents(nodes, edges);
   ASSERT_EQ(bsp.size(), uf.size());
-  for (const auto& [node, label] : uf) {
-    EXPECT_EQ(bsp.at(node), label) << "node " << node;
+  for (uint64_t node = 0; node < nodes; ++node) {
+    EXPECT_EQ(bsp.at(node), uf.at(node)) << "node " << node;
   }
 }
 
@@ -128,6 +127,48 @@ TEST(EquivalenceClass, ConstantFixesVote) {
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].cell, (CellRef{0, 1}));
   EXPECT_EQ(assignments[0].value, Value("good"));
+}
+
+TEST(EquivalenceClass, ConstantVotesAreKeyedByExactCellAndValue) {
+  // Value(int).Hash() is the invertible splitmix64 finalizer, so the
+  // (cell 0, 7) and (cell 1, c) votes below have equal 64-bit XORs of
+  // cell-id and value hashes. Each is its own vote: c, proposed for two
+  // cells, must win over the one-vote values of the class.
+  const Value c(static_cast<int64_t>(-6587486439146025820LL));
+  Cell t0 = MakeTestCell(0, 0, Value(static_cast<int64_t>(
+                                   -9000000000000000000LL)));
+  Cell t1 = MakeTestCell(1, 0, Value(static_cast<int64_t>(100)));
+  Cell t2 = MakeTestCell(2, 0, Value(static_cast<int64_t>(200)));
+  auto eq_cell = [](const Cell& left, const Cell& right) {
+    Fix fix;
+    fix.left = left;
+    fix.op = FixOp::kEq;
+    fix.right = FixTerm::MakeCell(right);
+    return fix;
+  };
+  auto eq_constant = [](const Cell& left, const Value& constant) {
+    Fix fix;
+    fix.left = left;
+    fix.op = FixOp::kEq;
+    fix.right = FixTerm::MakeConstant(constant);
+    return fix;
+  };
+  std::vector<ViolationWithFixes> violations(3);
+  violations[0].violation.cells = {t0, t1};
+  violations[0].fixes = {eq_cell(t0, t1),
+                         eq_constant(t0, Value(static_cast<int64_t>(7)))};
+  violations[1].violation.cells = {t1};
+  violations[1].fixes = {eq_constant(t1, c)};
+  violations[2].violation.cells = {t2, t1};
+  violations[2].fixes = {eq_cell(t2, t1), eq_constant(t2, c)};
+
+  const std::vector<CellAssignment> expected = {
+      {t0.ref, c}, {t1.ref, c}, {t2.ref, c}};
+  std::vector<const ViolationWithFixes*> edges;
+  for (const auto& v : violations) edges.push_back(&v);
+  EXPECT_EQ(EquivalenceClassAlgorithm().RepairComponent(edges), expected);
+  ExecutionContext ctx(2);
+  EXPECT_EQ(DistributedEquivalenceClassRepair(&ctx, violations), expected);
 }
 
 TEST(EquivalenceClass, DistributedMatchesCentralized) {
@@ -238,26 +279,47 @@ TEST(BlackBox, SplitComponentProtocolUndoesConflicts) {
 }
 
 TEST(BlackBox, BspAndUnionFindComponentsAgree) {
+  // The two component paths must agree on the order of the assignments and
+  // of their provenance, not only on the set: the fix-point loop applies
+  // and records them in this order, so it fixes the lineage ledger.
   std::vector<ViolationWithFixes> violations;
   violations.push_back(EqViolation(0, 1, 2, Value("a"), Value("b")));
+  violations.push_back(EqViolation(7, 6, 2, Value("e"), Value("f")));
   violations.push_back(EqViolation(2, 3, 2, Value("c"), Value("d")));
   violations.push_back(EqViolation(3, 4, 2, Value("d"), Value("c")));
+  violations.push_back(EqViolation(5, 7, 2, Value("f"), Value("e")));
   EquivalenceClassAlgorithm ec;
   ExecutionContext ctx(2);
   BlackBoxOptions uf_options;
   BlackBoxOptions bsp_options;
   bsp_options.use_bsp_connected_components = true;
+  LineageRecorder& lineage = LineageRecorder::Instance();
+  lineage.Clear();
+  lineage.set_enabled(true);
   auto a = BlackBoxRepair(&ctx, violations, ec, uf_options);
   auto b = BlackBoxRepair(&ctx, violations, ec, bsp_options);
+  lineage.set_enabled(false);
+  lineage.Clear();
+  EXPECT_EQ(a.num_components, 3u);
   EXPECT_EQ(a.num_components, b.num_components);
-  auto key = [](std::vector<CellAssignment> v) {
-    std::sort(v.begin(), v.end(),
-              [](const CellAssignment& x, const CellAssignment& y) {
-                return x.cell < y.cell;
-              });
-    return v;
-  };
-  EXPECT_EQ(key(a.applied), key(b.applied));
+  EXPECT_EQ(a.applied, b.applied);
+  ASSERT_EQ(a.provenance.size(), a.applied.size());
+  ASSERT_EQ(b.provenance.size(), b.applied.size());
+  for (size_t i = 0; i < a.provenance.size(); ++i) {
+    EXPECT_EQ(a.provenance[i].rule, b.provenance[i].rule) << i;
+    EXPECT_EQ(a.provenance[i].violation_id, b.provenance[i].violation_id)
+        << i;
+    EXPECT_EQ(a.provenance[i].component, b.provenance[i].component) << i;
+    EXPECT_EQ(a.provenance[i].strategy, b.provenance[i].strategy) << i;
+  }
+  // Components in order of their first violation: rows {0,1}, {7,6,5} and
+  // {2,3,4}; each repairs its minority cell.
+  ASSERT_EQ(a.applied.size(), 3u);
+  EXPECT_EQ(a.applied[0].cell, (CellRef{1, 2}));
+  EXPECT_EQ(a.applied[1].cell, (CellRef{7, 2}));
+  EXPECT_EQ(a.applied[2].cell, (CellRef{3, 2}));
+  EXPECT_EQ(a.provenance[1].component, 1u);
+  EXPECT_EQ(a.provenance[2].component, 2u);
 }
 
 TEST(CleanEndToEnd, FdRepairReachesCleanInstance) {
