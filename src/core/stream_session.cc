@@ -79,7 +79,17 @@ Status StreamSession::Init() {
 
   // Physical plans once per session; the per-window engine calls rebuild
   // their own, but the session needs the blocking layout and detect schema
-  // to maintain its index.
+  // to maintain its index. Indexed slots are interned in rule order: each
+  // rule's blocking key columns, then its kernel slot columns.
+  std::unordered_map<size_t, size_t> col_slot;  // base col -> slot
+  auto slot_of = [&](size_t detect_col, const PhysicalRulePlan& plan) {
+    const size_t base = plan.scope_columns.empty()
+                            ? detect_col
+                            : plan.scope_columns[detect_col];
+    auto [it, fresh] = col_slot.emplace(base, indexed_cols_.size());
+    if (fresh) indexed_cols_.push_back(base);
+    return it->second;
+  };
   indexes_.reserve(rules_.size());
   for (const auto& rule : rules_) {
     auto plan = BuildPhysicalPlan(rule, table_->schema(), opts_.clean.planner);
@@ -94,9 +104,7 @@ Status StreamSession::Init() {
                  ri.plan.strategy != IterateStrategy::kSingle;
     if (ri.blocked && !ri.plan.block_key_fn) {
       for (size_t c : ri.plan.blocking_columns) {
-        ri.key_cols.push_back(ri.plan.scope_columns.empty()
-                                  ? c
-                                  : ri.plan.scope_columns[c]);
+        ri.key_slots.push_back(slot_of(c, ri.plan));
       }
     }
     if (ri.blocked && !ri.plan.block_key_fn &&
@@ -104,27 +112,11 @@ Status StreamSession::Init() {
       ri.tmpl = KernelRegistry::Instance().Compile(*rule, ri.plan.detect_schema);
       if (ri.tmpl) {
         for (size_t c : ri.tmpl->columns()) {
-          ri.slot_cols.push_back(ri.plan.scope_columns.empty()
-                                     ? c
-                                     : ri.plan.scope_columns[c]);
+          ri.kernel_slots.push_back(slot_of(c, ri.plan));
         }
       }
     }
     indexes_.push_back(std::move(ri));
-  }
-
-  // Indexed base columns: every blocking key column plus every kernel slot.
-  for (const auto& ri : indexes_) {
-    for (size_t c : ri.key_cols) {
-      if (col_slot_.emplace(c, indexed_cols_.size()).second) {
-        indexed_cols_.push_back(c);
-      }
-    }
-    for (size_t c : ri.slot_cols) {
-      if (col_slot_.emplace(c, indexed_cols_.size()).second) {
-        indexed_cols_.push_back(c);
-      }
-    }
   }
 
   // Pool-sharing groups (connected components over slots): kernels
@@ -134,13 +126,8 @@ Status StreamSession::Init() {
     if (!ri.tmpl) continue;
     for (const auto& group : ri.tmpl->shared_groups()) {
       for (size_t i = 1; i < group.size(); ++i) {
-        const size_t a = ri.plan.scope_columns.empty()
-                             ? group[0]
-                             : ri.plan.scope_columns[group[0]];
-        const size_t b = ri.plan.scope_columns.empty()
-                             ? group[i]
-                             : ri.plan.scope_columns[group[i]];
-        shared_slots.emplace_back(col_slot_.at(a), col_slot_.at(b));
+        shared_slots.emplace_back(slot_of(group[0], ri.plan),
+                                  slot_of(group[i], ri.plan));
       }
     }
   }
@@ -149,6 +136,7 @@ Status StreamSession::Init() {
   const ComponentLabels component =
       UnionFindConnectedComponents(indexed_cols_.size(), shared_slots);
   col_group_.resize(indexed_cols_.size());
+  code_cols_.resize(indexed_cols_.size());
   for (size_t s = 0; s < indexed_cols_.size(); ++s) {
     if (component[s] == s) {
       col_group_[s] = pools_.size();
@@ -160,8 +148,7 @@ Status StreamSession::Init() {
 
   // Index the existing rows and mark their blocks dirty, so the first
   // processed window cleans the backlog (OpenStream + Flush ≈ Clean).
-  std::vector<const Row*> existing;
-  existing.reserve(table_->num_rows());
+  std::vector<size_t> existing(table_->num_rows());
   for (size_t pos = 0; pos < table_->num_rows(); ++pos) {
     const Row& row = table_->row(pos);
     if (!row_pos_.emplace(row.id(), pos).second) {
@@ -169,7 +156,7 @@ Status StreamSession::Init() {
           "OpenStream: duplicate row id " + std::to_string(row.id()));
     }
     next_row_id_ = std::max(next_row_id_, row.id() + 1);
-    existing.push_back(&row);
+    existing[pos] = pos;
     pending_changed_.insert(row.id());
   }
   IndexRows(existing);
@@ -182,12 +169,13 @@ Status StreamSession::Init() {
   return Status::OK();
 }
 
-void StreamSession::GrowPools(const std::vector<const Row*>& rows) {
-  if (pools_.empty() || rows.empty()) return;
+void StreamSession::GrowPools(const std::vector<size_t>& positions) {
+  if (pools_.empty() || positions.empty()) return;
   std::vector<std::vector<Value>> fresh(pools_.size());
-  for (const Row* row : rows) {
+  for (size_t pos : positions) {
+    const Row& row = table_->row(pos);
     for (size_t s = 0; s < indexed_cols_.size(); ++s) {
-      const Value& v = row->value(indexed_cols_[s]);
+      const Value& v = row.value(indexed_cols_[s]);
       if (v.is_null()) continue;
       if (pools_[col_group_[s]]->CodeOf(v) == ValuePool::kAbsentCode) {
         fresh[col_group_[s]].push_back(v);
@@ -202,32 +190,29 @@ void StreamSession::GrowPools(const std::vector<const Row*>& rows) {
     pools_[g] = std::move(grown);
     ++pool_epoch_;
     ++stats_.pool_growths;
-    // Monotone remap of every stored code of this group's columns.
-    for (auto& [id, codes] : row_codes_) {
-      for (size_t s = 0; s < indexed_cols_.size(); ++s) {
-        if (col_group_[s] != g) continue;
-        const uint32_t c = codes[s];
-        if (c < old_to_new.size()) codes[s] = old_to_new[c];
+    // Monotone remap of this group's code columns (null codes stay).
+    for (size_t s = 0; s < code_cols_.size(); ++s) {
+      if (col_group_[s] != g) continue;
+      for (uint32_t& c : code_cols_[s]) {
+        if (c < old_to_new.size()) c = old_to_new[c];
       }
     }
   }
 }
 
-void StreamSession::EncodeRow(const Row& row) {
-  if (indexed_cols_.empty()) return;
-  auto& codes = row_codes_[row.id()];
-  codes.resize(indexed_cols_.size());
+void StreamSession::EncodeRow(size_t pos) {
+  const Row& row = table_->row(pos);
   for (size_t s = 0; s < indexed_cols_.size(); ++s) {
-    codes[s] = pools_[col_group_[s]]->CodeOf(row.value(indexed_cols_[s]));
+    code_cols_[s][pos] =
+        pools_[col_group_[s]]->CodeOf(row.value(indexed_cols_[s]));
   }
 }
 
-void StreamSession::DropCodes(RowId id) { row_codes_.erase(id); }
-
-bool StreamSession::KeyOf(const RuleIndex& ri, const Row& row,
+bool StreamSession::KeyOf(const RuleIndex& ri, size_t pos,
                           uint64_t* key) const {
   if (ri.plan.block_key_fn) {
     // UDF keys see the scoped row, exactly as the engine's blocking stage.
+    const Row& row = table_->row(pos);
     Value v = ri.plan.scope_columns.empty()
                   ? ri.plan.block_key_fn(ri.plan.detect_schema, row)
                   : ri.plan.block_key_fn(
@@ -239,27 +224,11 @@ bool StreamSession::KeyOf(const RuleIndex& ri, const Row& row,
   }
   // Pool-hash path: hash(code) is the precomputed Value::Hash, so the key
   // is the engine's ComputeBlockKey rebuilt from dictionary codes.
-  const auto codes_it = row_codes_.find(row.id());
   uint64_t h = 0x42D;
-  for (size_t c : ri.key_cols) {
-    uint64_t vh = 0;
-    bool have = false;
-    if (codes_it != row_codes_.end()) {
-      const size_t slot = col_slot_.at(c);
-      const uint32_t code = codes_it->second[slot];
-      if (code == ValuePool::kNullCode) return false;
-      const ValuePool& pool = *pools_[col_group_[slot]];
-      if (code < pool.size()) {
-        vh = pool.hash(code);
-        have = true;
-      }
-    }
-    if (!have) {
-      const Value& v = row.value(c);
-      if (v.is_null()) return false;
-      vh = v.Hash();
-    }
-    h = StableHashUint64(h ^ vh);
+  for (size_t slot : ri.key_slots) {
+    const uint32_t code = code_cols_[slot][pos];
+    if (code == ValuePool::kNullCode) return false;
+    h = StableHashUint64(h ^ pools_[col_group_[slot]]->hash(code));
   }
   *key = h;
   return true;
@@ -280,17 +249,21 @@ void StreamSession::IndexRemove(RowId id) {
   }
 }
 
-void StreamSession::IndexRows(const std::vector<const Row*>& rows) {
-  GrowPools(rows);
-  for (const Row* row : rows) {
-    EncodeRow(*row);
-    IndexRemove(row->id());
+void StreamSession::IndexRows(const std::vector<size_t>& positions) {
+  for (auto& col : code_cols_) {
+    col.resize(table_->num_rows(), ValuePool::kNullCode);
+  }
+  GrowPools(positions);
+  for (size_t pos : positions) {
+    EncodeRow(pos);
+    const RowId id = table_->row(pos).id();
+    IndexRemove(id);
     for (auto& ri : indexes_) {
       if (!ri.blocked) continue;
       uint64_t key = 0;
-      if (!KeyOf(ri, *row, &key)) continue;
-      ri.blocks[key].insert(row->id());
-      ri.row_key[row->id()] = key;
+      if (!KeyOf(ri, pos, &key)) continue;
+      ri.blocks[key].insert(id);
+      ri.row_key[id] = key;
       ri.dirty.insert(key);
     }
   }
@@ -363,7 +336,7 @@ Status StreamSession::Retract(const std::vector<RowId>& row_ids) {
   if (closed_) return Status::InvalidArgument("stream session is closed");
   std::vector<size_t> positions;
   for (RowId id : row_ids) {
-    if (pending_ids_.count(id) > 0) {
+    if (pending_ids_.erase(id) > 0) {
       // Still queued: the row never reaches the table.
       for (auto& batch : pending_) {
         for (auto it = batch.begin(); it != batch.end(); ++it) {
@@ -373,28 +346,38 @@ Status StreamSession::Retract(const std::vector<RowId>& row_ids) {
           }
         }
       }
-      pending_ids_.erase(id);
       ++stats_.retracted_rows;
       continue;
     }
+    // Unknown, already retracted, or repeated within this call.
     auto pos = row_pos_.find(id);
-    if (pos == row_pos_.end()) continue;  // unknown/already retracted
+    if (pos == row_pos_.end()) continue;
     IndexRemove(id);
-    DropCodes(id);
     pending_changed_.erase(id);
     positions.push_back(pos->second);
+    row_pos_.erase(pos);
     ++stats_.retracted_rows;
   }
   if (!positions.empty()) {
-    // Erase back-to-front so earlier positions stay valid, then rebuild the
-    // position map once.
-    std::sort(positions.begin(), positions.end(), std::greater<size_t>());
+    // One stable compaction pass from the first retracted position: the
+    // survivors behind it slide down over the gaps together with their
+    // codes, and only they get a new position.
+    std::sort(positions.begin(), positions.end());
     auto& rows = table_->mutable_rows();
-    for (size_t pos : positions) rows.erase(rows.begin() + pos);
-    row_pos_.clear();
-    for (size_t pos = 0; pos < rows.size(); ++pos) {
-      row_pos_[rows[pos].id()] = pos;
+    auto gap = positions.begin();
+    size_t write = *gap;
+    for (size_t read = write; read < rows.size(); ++read) {
+      if (gap != positions.end() && *gap == read) {
+        ++gap;
+        continue;
+      }
+      rows[write] = std::move(rows[read]);
+      for (auto& col : code_cols_) col[write] = col[read];
+      row_pos_[rows[write].id()] = write;
+      ++write;
     }
+    rows.erase(rows.begin() + write, rows.end());
+    for (auto& col : code_cols_) col.resize(write);
   }
   PushStats();
   return Status::OK();
@@ -412,9 +395,9 @@ void StreamSession::EnsureKernelBound(RuleIndex* ri) {
   if (!ri->tmpl) return;
   if (ri->kernel && ri->kernel_pool_epoch == pool_epoch_) return;
   std::vector<const ValuePool*> pools;
-  pools.reserve(ri->slot_cols.size());
-  for (size_t c : ri->slot_cols) {
-    pools.push_back(pools_[col_group_[col_slot_.at(c)]].get());
+  pools.reserve(ri->kernel_slots.size());
+  for (size_t slot : ri->kernel_slots) {
+    pools.push_back(pools_[col_group_[slot]].get());
   }
   const bool rebind = ri->kernel != nullptr;
   ri->kernel = ri->tmpl->Bind(pools);
@@ -425,33 +408,20 @@ void StreamSession::EnsureKernelBound(RuleIndex* ri) {
   }
 }
 
-bool StreamSession::BlockMayViolate(RuleIndex* ri,
-                                    const std::vector<size_t>& positions) {
-  if (!ri->kernel) return true;
+bool StreamSession::BlockMayViolate(
+    const RuleIndex& ri, const std::vector<const uint32_t*>& cols,
+    const std::vector<size_t>& positions) const {
+  if (!ri.kernel) return true;
+  const bool symmetric = ri.plan.rule->IsSymmetric();
   const size_t n = positions.size();
-  const size_t slots = ri->slot_cols.size();
-  std::vector<std::vector<uint32_t>> slot_codes(
-      slots, std::vector<uint32_t>(n, ValuePool::kNullCode));
   for (size_t i = 0; i < n; ++i) {
-    const Row& row = table_->row(positions[i]);
-    auto it = row_codes_.find(row.id());
-    if (it == row_codes_.end()) return true;  // unencoded: assume dirty
-    for (size_t s = 0; s < slots; ++s) {
-      slot_codes[s][i] = it->second[col_slot_.at(ri->slot_cols[s])];
-    }
-  }
-  std::vector<const uint32_t*> ptrs;
-  ptrs.reserve(slots);
-  for (size_t s = 0; s < slots; ++s) ptrs.push_back(slot_codes[s].data());
-  const bool symmetric = ri->plan.rule->IsSymmetric();
-  CodeTuple a{ptrs.data(), 0};
-  CodeTuple b{ptrs.data(), 0};
-  for (size_t i = 0; i < n; ++i) {
-    a.row = i;
+    const CodeTuple a{cols.data(), positions[i]};
     for (size_t j = i + 1; j < n; ++j) {
-      b.row = j;
-      if (ri->kernel->Matches(a, b)) return true;
-      if (!symmetric && ri->kernel->Matches(b, a)) return true;
+      const CodeTuple b{cols.data(), positions[j]};
+      if (ri.kernel->Matches(a, b) ||
+          (!symmetric && ri.kernel->Matches(b, a))) {
+        return true;
+      }
     }
   }
   return false;
@@ -459,6 +429,13 @@ bool StreamSession::BlockMayViolate(RuleIndex* ri,
 
 Table StreamSession::BuildCandidateTable(RuleIndex* ri, size_t* candidates) {
   EnsureKernelBound(ri);
+  // The prescreen reads the kernel slots' codes in place (tuple row = table
+  // position).
+  std::vector<const uint32_t*> kernel_cols;
+  kernel_cols.reserve(ri->kernel_slots.size());
+  for (size_t slot : ri->kernel_slots) {
+    kernel_cols.push_back(code_cols_[slot].data());
+  }
   std::vector<size_t> positions;
   std::vector<size_t> block_positions;
   for (uint64_t key : ri->dirty) {
@@ -474,7 +451,7 @@ Table StreamSession::BuildCandidateTable(RuleIndex* ri, size_t* candidates) {
     // Table order inside the block, so detection enumerates candidate pairs
     // exactly as a full pass over the base table would.
     std::sort(block_positions.begin(), block_positions.end());
-    if (!BlockMayViolate(ri, block_positions)) continue;
+    if (!BlockMayViolate(*ri, kernel_cols, block_positions)) continue;
     positions.insert(positions.end(), block_positions.begin(),
                      block_positions.end());
   }
@@ -503,13 +480,13 @@ Result<std::unordered_set<RowId>> StreamSession::RunWindow(
   // Repaired rows are re-indexed (their values may be new to the pools),
   // which re-dirties their blocks for the next iteration.
   spec.after_apply = [this](const std::unordered_set<RowId>& changed_rows) {
-    std::vector<const Row*> rows;
-    rows.reserve(changed_rows.size());
+    std::vector<size_t> positions;
+    positions.reserve(changed_rows.size());
     for (RowId id : changed_rows) {
       auto pos = row_pos_.find(id);
-      if (pos != row_pos_.end()) rows.push_back(&table_->row(pos->second));
+      if (pos != row_pos_.end()) positions.push_back(pos->second);
     }
-    IndexRows(rows);
+    IndexRows(positions);
   };
   spec.quality_session = name_;
   auto run = RunFixpoint(ctx(), opts_.clean, *table_, rules_.size(), spec,
@@ -554,17 +531,14 @@ Result<StreamWindowReport> StreamSession::ProcessWindow() {
     pending_.pop_front();
     ++stats_.batches_processed;
     rep.appended_rows = batch.size();
-    const size_t first_pos = table_->num_rows();
+    std::vector<size_t> fresh;
+    fresh.reserve(batch.size());
     for (auto& row : batch) {
       pending_ids_.erase(row.id());
       pending_changed_.insert(row.id());
-      row_pos_[row.id()] = table_->num_rows();
+      fresh.push_back(table_->num_rows());
+      row_pos_[row.id()] = fresh.back();
       table_->AppendRowWithId(std::move(row));
-    }
-    std::vector<const Row*> fresh;
-    fresh.reserve(table_->num_rows() - first_pos);
-    for (size_t pos = first_pos; pos < table_->num_rows(); ++pos) {
-      fresh.push_back(&table_->row(pos));
     }
     IndexRows(fresh);
   }

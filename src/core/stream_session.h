@@ -116,7 +116,9 @@ class StreamSession {
   /// Removes rows by id: queued rows never enter the table; live rows leave
   /// the table and the violation index immediately, and their former blocks
   /// are re-verified by the next processed window. Unknown ids are ignored
-  /// (retracting twice is not an error).
+  /// (retracting twice is not an error), and an id repeated within one call
+  /// retracts its row once and counts once. Costs O(rows after the first
+  /// retracted position) besides the index updates.
   Status Retract(const std::vector<RowId>& row_ids);
 
   /// Processes one pending window (the oldest queued batch plus any
@@ -155,8 +157,8 @@ class StreamSession {
     /// has no index and windows fall back to the engine's incremental
     /// (changed-rows) detection path.
     bool blocked = false;
-    /// Base-table columns forming the key (empty for UDF keys).
-    std::vector<size_t> key_cols;
+    /// Code columns (indexed slots) forming the key (empty for UDF keys).
+    std::vector<size_t> key_slots;
     /// blocking-key -> member rows; the candidate sets detection reads.
     std::unordered_map<uint64_t, std::unordered_set<RowId>> blocks;
     /// Reverse map for retraction and repair-driven block moves.
@@ -166,8 +168,8 @@ class StreamSession {
     std::shared_ptr<const KernelTemplate> tmpl;
     std::unique_ptr<DetectKernel> kernel;
     uint64_t kernel_pool_epoch = 0;
-    /// Base column per kernel slot.
-    std::vector<size_t> slot_cols;
+    /// Code column (indexed slot) per kernel slot.
+    std::vector<size_t> kernel_slots;
     /// Pending dirty keys for the next window.
     std::unordered_set<uint64_t> dirty;
   };
@@ -181,25 +183,26 @@ class StreamSession {
 
   ExecutionContext* ctx() { return session_ctx_.get(); }
 
-  /// Grows the session pools to cover every indexed value of `rows`,
-  /// remapping all stored codes (monotone, O(live rows) per grown group)
-  /// and bumping pool_epoch_ so stale kernels rebind lazily.
-  void GrowPools(const std::vector<const Row*>& rows);
-  /// Dictionary-encodes the indexed columns of `row` against the session
-  /// pools (GrowPools must already cover the row's values).
-  void EncodeRow(const Row& row);
-  /// Removes the row's stored codes.
-  void DropCodes(RowId id);
-  /// Key of `row` under rule index `ri`; false when the row has a null key
-  /// component (the row joins no block).
-  bool KeyOf(const RuleIndex& ri, const Row& row, uint64_t* key) const;
+  /// Grows the session pools to cover every indexed value of the rows at
+  /// `positions` and bumps pool_epoch_ so stale kernels rebind lazily. A
+  /// grown group's codes are remapped (monotone) by one sweep over that
+  /// group's code columns; other groups' columns are not touched.
+  void GrowPools(const std::vector<size_t>& positions);
+  /// Dictionary-encodes the indexed columns of the row at table position
+  /// `pos` into code_cols_ (GrowPools must already cover its values).
+  void EncodeRow(size_t pos);
+  /// Key of the row at table position `pos` under rule index `ri`, folded
+  /// from the pooled hashes of its key_slots codes; false when the row has
+  /// a null key component (the row joins no block).
+  bool KeyOf(const RuleIndex& ri, size_t pos, uint64_t* key) const;
 
   /// Removes one live row from every rule index, marking its blocks dirty.
   void IndexRemove(RowId id);
-  /// Grows the pools over `rows`, encodes them and (re)joins each live row
-  /// to its current block of every rule index; the blocks a row leaves and
-  /// joins become dirty.
-  void IndexRows(const std::vector<const Row*>& rows);
+  /// Extends code_cols_ over rows appended to the table, grows the pools
+  /// over the rows at `positions`, encodes them and (re)joins each to its
+  /// current block of every rule index; the blocks a row leaves and joins
+  /// become dirty.
+  void IndexRows(const std::vector<size_t>& positions);
 
   /// True when a window has anything to do.
   bool HasWork() const;
@@ -208,8 +211,13 @@ class StreamSession {
   void EnsureKernelBound(RuleIndex* ri);
   /// Kernel prescreen of one block (rows given as table positions): false
   /// only when the compiled kernel proves no ordered pair in the block can
-  /// violate — exact, so skipping the block drops nothing.
-  bool BlockMayViolate(RuleIndex* ri, const std::vector<size_t>& positions);
+  /// violate — exact, so skipping the block drops nothing. `cols` holds
+  /// the code_cols_ data of the rule's kernel slots, so each tuple points
+  /// straight into them (tuple row = table position); the pair loop stops
+  /// at the first match and tries both orders only for asymmetric rules.
+  bool BlockMayViolate(const RuleIndex& ri,
+                       const std::vector<const uint32_t*>& cols,
+                       const std::vector<size_t>& positions) const;
 
   /// Processes one window: moves the oldest batch (if any) into the table
   /// and runs the windowed detect/repair fix-point over the dirty blocks.
@@ -257,13 +265,16 @@ class StreamSession {
   std::deque<std::vector<Row>> pending_;
   std::unordered_set<RowId> pending_ids_;
 
-  /// Indexed base columns (blocking + kernel slots), their shared-pool
-  /// groups, and per-live-row codes aligned with indexed_cols_.
+  /// Indexed base columns (blocking + kernel slots; slot s indexes base
+  /// column indexed_cols_[s]) and their shared-pool groups.
   std::vector<size_t> indexed_cols_;
-  std::unordered_map<size_t, size_t> col_slot_;   // base col -> slot
   std::vector<size_t> col_group_;                 // slot -> pool group
   std::vector<std::shared_ptr<const ValuePool>> pools_;  // per group
-  std::unordered_map<RowId, std::vector<uint32_t>> row_codes_;
+  /// One code column per indexed slot, aligned with table_->rows():
+  /// code_cols_[s][pos] is the code of table row `pos` in slot s. Retract
+  /// compacts them together with the rows; IndexRows extends them over
+  /// appended rows.
+  std::vector<std::vector<uint32_t>> code_cols_;
   /// Bumped on every pool growth; kernels rebind lazily when stale.
   uint64_t pool_epoch_ = 0;
 

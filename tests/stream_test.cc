@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
@@ -214,6 +216,116 @@ TEST(Stream, RetractionRemovesViolationsBeforeTheyLand) {
   ASSERT_TRUE(verify.ok());
   EXPECT_TRUE(verify->converged);
   EXPECT_EQ((*table).num_rows(), 4u);
+}
+
+TEST(Stream, RetractRepeatedIdRemovesOnlyThatRow) {
+  auto table = ReadCsvString(
+      "zipcode,city\n10001,ny\n10001,ny\n20001,dc\n20001,dc\n", CsvOptions{});
+  ASSERT_TRUE(table.ok());
+  ExecutionContext ctx(2);
+  BigDansing system(&ctx);
+  auto session = system.OpenStream(
+      &*table, {*ParseRule("f: FD: zipcode -> city")}, StreamOptions{});
+  ASSERT_TRUE(session.ok());
+
+  // The repeated id retracts row 1 once; row 2, which slides into its
+  // position, stays in the table and in the index.
+  ASSERT_TRUE((*session)->Retract({1, 1}).ok());
+  std::vector<RowId> ids;
+  for (const Row& row : table->rows()) ids.push_back(row.id());
+  EXPECT_EQ(ids, (std::vector<RowId>{0, 2, 3}));
+  const StreamSessionStats stats = (*session)->stats();
+  EXPECT_EQ(stats.retracted_rows, 1u);
+  EXPECT_EQ(stats.index_rows, table->num_rows());
+}
+
+/// Outcome of one scattered-retraction run (see the test below).
+struct ScatteredRun {
+  std::vector<std::pair<size_t, size_t>> windows;  // violations, fixes
+  std::string table;
+  std::vector<std::pair<std::string, uint64_t>> index;
+  std::vector<std::pair<std::string, uint64_t>> fresh_index;
+};
+
+/// Streams `dirty` in 10 rounds of Append(300 rows) -> Poll -> Retract the
+/// first, middle, last and one seeded-random live row, then Flushes.
+ScatteredRun RunScatteredRetraction(const Table& dirty,
+                                    const std::vector<RulePtr>& rules,
+                                    uint64_t seed, bool kernels) {
+  constexpr size_t kBatch = 300;
+  ScatteredRun out;
+  ExecutionContext ctx(4);
+  ctx.set_kernels_enabled(kernels);
+  BigDansing system(&ctx);
+  Table table(dirty.schema());
+  StreamOptions options;
+  options.batch_rows = kBatch;
+  auto session = system.OpenStream(&table, rules, options);
+  EXPECT_TRUE(session.ok()) << session.status().ToString();
+  if (!session.ok()) return out;
+  StreamSession& s = **session;
+
+  std::mt19937_64 rng(seed);
+  const auto& rows = dirty.rows();
+  for (size_t begin = 0; begin + kBatch <= rows.size(); begin += kBatch) {
+    EXPECT_TRUE(s.Append(std::vector<Row>(rows.begin() + begin,
+                                          rows.begin() + begin + kBatch))
+                    .ok());
+    auto window = s.Poll();
+    EXPECT_TRUE(window.ok()) << window.status().ToString();
+    if (!window.ok()) return out;
+    out.windows.emplace_back(window->violations, window->applied_fixes);
+
+    const size_t n = table.num_rows();
+    std::vector<size_t> victims = {0, n / 2, n - 1};
+    size_t random = rng() % n;
+    while (std::count(victims.begin(), victims.end(), random) > 0) {
+      random = rng() % n;
+    }
+    victims.push_back(random);
+    std::vector<RowId> ids;
+    for (size_t pos : victims) ids.push_back(table.row(pos).id());
+    EXPECT_TRUE(s.Retract(ids).ok());
+  }
+  auto flush = s.Flush();
+  EXPECT_TRUE(flush.ok()) << flush.status().ToString();
+  if (!flush.ok()) return out;
+  EXPECT_TRUE(flush->converged);
+  for (const auto& w : flush->windows) {
+    out.windows.emplace_back(w.violations, w.applied_fixes);
+  }
+  out.table = Fingerprint(table);
+  out.index = s.IndexFingerprints();
+
+  Table copy = table;
+  auto fresh = system.OpenStream(&copy, rules, StreamOptions{});
+  EXPECT_TRUE(fresh.ok()) << fresh.status().ToString();
+  if (fresh.ok()) out.fresh_index = (*fresh)->IndexFingerprints();
+  return out;
+}
+
+TEST(Stream, ScatteredRetractionKeepsPrescreenExact) {
+  // Retracting rows from the front and middle of the table moves every
+  // later row to a new position. The kernel prescreen reads the moved
+  // rows' codes by position, so a run with kernels (and the prescreen)
+  // must see every window exactly as a run without them.
+  const std::vector<RulePtr> rules = {
+      *ParseRule("phi6: FD: zipcode -> state"),
+      *ParseRule("phi7: FD: phone -> zipcode"),
+      *ParseRule("phi8: FD: provider_id -> city, phone")};
+  for (uint64_t seed : {71u, 72u, 73u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto data = GenerateHai(3000, 0.1, seed);
+    const ScatteredRun kernels =
+        RunScatteredRetraction(data.dirty, rules, seed, /*kernels=*/true);
+    const ScatteredRun interpreted =
+        RunScatteredRetraction(data.dirty, rules, seed, /*kernels=*/false);
+    ASSERT_FALSE(kernels.windows.empty());
+    EXPECT_EQ(kernels.windows, interpreted.windows);
+    EXPECT_EQ(kernels.table, interpreted.table);
+    EXPECT_EQ(kernels.index, kernels.fresh_index);
+    EXPECT_EQ(interpreted.index, interpreted.fresh_index);
+  }
 }
 
 TEST(Stream, NonBlockingBackpressureRejectsWholeAppend) {
