@@ -10,10 +10,10 @@
 //  - fused:  the chain stays deferred and collapses into one per-partition
 //    pass when the action forces it — one stage, no intermediates.
 //
-// Both produce bit-identical partitions; the bench verifies that, prints
-// wall time and the recorded stage count for each mode, and always dumps
-// the per-stage JSON breakdown so the fused stage's combined label
-// ("...|scale|filter|render") is visible.
+// Both produce bit-identical partitions; the bench verifies that (exiting
+// non-zero when they differ), prints wall time and the recorded stage
+// count for each mode, and always dumps the per-stage JSON breakdown so
+// the fused stage's combined label ("...|scale|filter|render") is visible.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -66,7 +66,7 @@ std::string Render(const Record& r) {
   return r.payload + ":" + std::to_string(static_cast<uint64_t>(r.score));
 }
 
-void Run() {
+int Run() {
   const size_t rows = ScaledRows(1000000);
   const size_t kPartitions = 16;
   const auto input = MakeInput(rows);
@@ -129,12 +129,14 @@ void Run() {
       "\nExpected shape: the fused chain records 1 stage where the eager "
       "chain records 3, skips two intermediate materializations, and is "
       "measurably faster.\n");
+  if (!identical) {
+    std::fprintf(stderr, "FAIL: fused and eager outputs differ\n");
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace
 }  // namespace bigdansing
 
-int main() {
-  bigdansing::Run();
-  return 0;
-}
+int main() { return bigdansing::Run(); }

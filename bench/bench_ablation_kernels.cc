@@ -38,7 +38,7 @@ using bench::TimeSeconds;
 /// those samples instead of reporting workers as idle.
 template <typename Fn>
 auto DriverPhase(const char* stage, Fn&& fn) {
-  ScopedActivity activity(Profiler::Instance().Intern(stage, "driver"), 0, 0);
+  ScopedActivity activity(Profiler::Instance().Intern(stage, "driver"));
   return fn();
 }
 

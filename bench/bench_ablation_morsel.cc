@@ -4,18 +4,20 @@
 // The input is deliberately skewed: one partition holds ~100x the rows of
 // every other partition. The same per-row pipeline runs two ways:
 //
-//  - partition: BD_MORSEL_ROWS=0 semantics — one task per partition, so
-//    the heavy partition is one indivisible task pinned to one worker
-//    slot and the stage's simulated cluster wall time degenerates to that
-//    slot's busy time (Amdahl on the straggler).
-//  - morsel: the default scheduler — the fused pass is cut into row-range
-//    morsels that spread over all worker slots via work stealing, so the
-//    heavy partition's rows land evenly and the simulated wall time
-//    approaches total_busy / workers.
+//  - partition: a morsel size of at least the heavy partition, so every
+//    partition is one morsel — the heavy partition is one indivisible
+//    unit pinned to one worker slot and the stage's simulated cluster
+//    wall time degenerates to that slot's busy time (Amdahl on the
+//    straggler).
+//  - morsel: the fused pass is cut into small row-range morsels that
+//    spread over all worker slots, so the heavy partition's rows land
+//    evenly and the simulated wall time approaches total_busy / workers.
 //
 // Both paths must produce bit-identical output (morsels commit in
-// deterministic row order); the bench verifies that and reports the
-// simulated-wall speedup, which is the ablation's figure of merit.
+// deterministic row order); the bench exits non-zero when they differ and
+// reports the simulated-wall speedup, the ablation's figure of merit. The
+// record carries config.min_speedup = 1.5, which check_regression.py
+// enforces against metrics.speedup.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -55,7 +57,10 @@ std::vector<std::vector<uint64_t>> MakeSkewedInput(size_t heavy,
   return parts;
 }
 
-void Run() {
+/// Minimum simulated-wall speedup of the morsel path (DESIGN.md §10).
+constexpr double kMinSpeedup = 1.5;
+
+int Run() {
   const size_t kWorkers = 8;
   const size_t heavy_rows = ScaledRows(131072);
   const size_t kSmallParts = 15;
@@ -71,9 +76,9 @@ void Run() {
         .Collect();
   };
 
-  // --- Partition granularity: the pre-morsel engine. ---
+  // --- Partition granularity: one morsel per partition. ---
   ExecutionContext part_ctx(kWorkers);
-  part_ctx.set_morsel_rows(0);
+  part_ctx.set_morsel_rows(heavy_rows);
   std::vector<uint64_t> part_result;
   double part_wall = TimeSeconds([&] { part_result = pipeline(&part_ctx, input); });
   const double part_sim = part_ctx.metrics().SimulatedWallSeconds();
@@ -110,11 +115,12 @@ void Run() {
   record.AddConfig("workers", static_cast<uint64_t>(kWorkers));
   record.AddConfig("morsel_rows",
                    static_cast<uint64_t>(morsel_ctx.morsel_rows()));
+  record.AddConfig("min_speedup", kMinSpeedup);
   record.AddMetric("wall_seconds", morsel_wall);
   record.AddMetric("partition_wall_seconds", part_wall);
   record.AddMetric("partition_sim_wall_seconds", part_sim);
   record.AddMetric("morsels", morsel_ctx.metrics().morsels());
-  record.AddMetric("sim_wall_speedup", speedup);
+  record.AddMetric("speedup", speedup);
   record.AddMetric("identical", identical ? "yes" : "no");
   record.CaptureMetrics(morsel_ctx.metrics());
   record.Emit();
@@ -122,13 +128,16 @@ void Run() {
   std::printf(
       "\nExpected shape: the heavy partition pins one worker slot at "
       "partition granularity, so the morsel path's simulated wall time "
-      "should be several times lower (>= 1.5x) with identical output.\n");
+      "should be several times lower (>= %.1fx) with identical output.\n",
+      kMinSpeedup);
+  if (!identical) {
+    std::fprintf(stderr, "FAIL: morsel and partition outputs differ\n");
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace
 }  // namespace bigdansing
 
-int main() {
-  bigdansing::Run();
-  return 0;
-}
+int main() { return bigdansing::Run(); }

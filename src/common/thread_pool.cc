@@ -120,7 +120,7 @@ void ThreadPool::RunTask(std::function<void()> task) {
   {
     // Baseline activity for the sampling profiler; stage bodies overlay
     // their own (stage, kind) on top and pop back to this on return.
-    ScopedActivity activity(pool_activity_, 0, 0);
+    ScopedActivity activity(pool_activity_);
     task();
   }
   // Gauge updates precede the in_flight_ decrement: once WaitIdle()

@@ -16,14 +16,16 @@ class Counter;
 class Gauge;
 struct ActivityDesc;
 
-/// Work-stealing worker pool used by the dataflow engine to execute
-/// per-partition tasks and row-range morsels. Each worker owns a deque:
-/// tasks submitted from a worker thread push onto that worker's own deque
-/// and are popped LIFO (newest first — keeps a worker on the cache-warm
-/// morsels it just produced), while idle workers steal FIFO from the
-/// *front* of other deques (oldest first — steals grab the work least
-/// likely to be in the victim's cache). Tasks submitted from non-worker
-/// threads are distributed round-robin across the deques.
+/// Work-stealing worker pool behind the dataflow engine. Its deques carry
+/// StageExecutor helpers (one closure per helper thread of a stage, which
+/// then claims the stage's tasks or morsels from the stage's own counter)
+/// and ParallelFor work. Each worker owns a deque: tasks submitted from a
+/// worker thread push onto that worker's own deque and are popped LIFO
+/// (newest first — keeps a worker on the cache-warm work it just
+/// produced), while idle workers steal FIFO from the *front* of other
+/// deques (oldest first — steals grab the work least likely to be in the
+/// victim's cache). Tasks submitted from non-worker threads are
+/// distributed round-robin across the deques.
 ///
 /// Re-entrancy: a task that calls back into its own pool never blocks on
 /// queued work. ParallelFor and WaitIdle (when invoked on a worker thread)

@@ -87,7 +87,7 @@ inline TaskOutput MergeTaskPieces(std::vector<TaskOutput>&& pieces) {
 inline void MergeOutputs(std::vector<TaskOutput>* tasks,
                          DetectionResult* result) {
   ScopedActivity activity(
-      Profiler::Instance().Intern("detect:merge", "driver"), 0, 0);
+      Profiler::Instance().Intern("detect:merge", "driver"));
   size_t total = 0;
   for (const auto& t : *tasks) total += t.violations.size();
   result->violations.reserve(result->violations.size() + total);

@@ -30,8 +30,7 @@ using BlockKey = uint64_t;
 /// driver work; published to the sampling profiler so profiled runs
 /// attribute it instead of counting idle ticks.
 Dataset<Row> LoadTable(ExecutionContext* ctx, const Table& table) {
-  ScopedActivity activity(Profiler::Instance().Intern("load:table", "driver"),
-                          0, 0);
+  ScopedActivity activity(Profiler::Instance().Intern("load:table", "driver"));
   return Dataset<Row>::FromVector(ctx, table.rows());
 }
 

@@ -145,7 +145,7 @@ EncodedColumnSet EncodeColumns(
     // Driver-serial pool construction (merge + sort + index build between
     // the two parallel stages); published so profiled runs attribute it.
     ScopedActivity pool_activity(
-        Profiler::Instance().Intern("kernel:encode:pool", "driver"), 0, 0);
+        Profiler::Instance().Intern("kernel:encode:pool", "driver"));
     for (size_t g = 0; g < groups.size(); ++g) {
       FlatValueSet merged;
       size_t total = 0;

@@ -1,6 +1,7 @@
 #ifndef BIGDANSING_DATAFLOW_CONTEXT_H_
 #define BIGDANSING_DATAFLOW_CONTEXT_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdlib>
 #include <memory>
@@ -44,25 +45,16 @@ class ExecutionContext {
   /// Default partition count for new datasets (2 waves per worker).
   size_t default_partitions() const { return num_workers_ * 2; }
 
-  /// Rows per morsel for splittable stages; 0 disables morsel-driven
-  /// execution and every stage runs at partition granularity (the
-  /// pre-morsel engine, also the speculation-capable path). Defaults from
-  /// BD_MORSEL_ROWS; override per context for tests and ablations.
+  /// Rows per morsel for splittable stages (StageExecutor::RunMorsels).
+  /// The default, kDefaultMorselRows, keeps one morsel's rows plus its
+  /// output inside a typical 256KB–1MB L2 slice for the ~100-byte records
+  /// of the bundled datasets; tests and ablations override it per context.
+  /// A size of at least the largest partition gives one morsel per task.
+  /// Sizes below 1 read as 1.
+  static constexpr size_t kDefaultMorselRows = 2048;
   size_t morsel_rows() const { return morsel_rows_; }
-  void set_morsel_rows(size_t rows) { morsel_rows_ = rows; }
-
-  /// BD_MORSEL_ROWS when set (0 allowed: disables morsels), else 2048 —
-  /// sized so one morsel's rows plus its output stay inside a typical
-  /// 256KB–1MB L2 slice for the ~100-byte records of the bundled datasets.
-  static size_t DefaultMorselRows() {
-    if (const char* env = std::getenv("BD_MORSEL_ROWS")) {
-      char* end = nullptr;
-      long value = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && value >= 0) {
-        return static_cast<size_t>(value);
-      }
-    }
-    return 2048;
+  void set_morsel_rows(size_t rows) {
+    morsel_rows_ = std::max<size_t>(1, rows);
   }
 
   /// Whether declarative rules route through the columnar detect kernels
@@ -111,7 +103,7 @@ class ExecutionContext {
   std::unique_ptr<ThreadPool> pool_;
   Metrics metrics_;
   FaultPolicy fault_policy_ = FaultPolicy::FromEnv();
-  size_t morsel_rows_ = DefaultMorselRows();
+  size_t morsel_rows_ = kDefaultMorselRows;
   bool kernels_enabled_ = DefaultKernelsEnabled();
 };
 

@@ -424,34 +424,10 @@ class Dataset {
     return Dataset<std::pair<T, U>>(ctx, std::move(*out));
   }
 
-  /// Schedules `body(p)` for every partition index and waits, as one named
-  /// stage on the StageExecutor. Forces the pipeline first. Exposed for
-  /// operators built on top of the engine (e.g. OCJoin) that need custom
-  /// per-partition logic. The body writes caller memory in place, so this
-  /// form never speculates; a stage failure surfaces as a StageError
-  /// (caught at the public API boundaries and returned as a Status).
-  template <typename F>
-  void RunStage(const std::string& name, F body) const {
-    const auto& parts = partitions();
-    ExecutionContext* ctx = context();
-    if (ctx == nullptr) return;
-    Status st = StageExecutor(ctx).Run(
-        name, parts.size(), [&](size_t p, TaskContext& tc) {
-          body(p);
-          tc.records_in = parts[p].size();
-        });
-    if (!st.ok()) throw StageError(std::move(st));
-  }
-
-  /// Back-compat overload: unnamed stage.
-  template <typename F>
-  void RunStage(F body) const {
-    RunStage("stage", std::move(body));
-  }
-
-  /// Like RunStage, but each task returns its result (`body`: size_t ->
-  /// U, or (size_t, TaskContext&) -> U via the executor's buffering), and
-  /// the per-partition results come back as a vector indexed by partition.
+  /// Runs `body(p, tc)` for every partition index as one named stage on
+  /// the StageExecutor and returns the per-partition results, indexed by
+  /// partition. Forces the pipeline first. Exposed for operators built on
+  /// top of the engine (e.g. OCJoin) that need custom per-partition logic.
   /// Buffered outputs make the stage retryable and speculation-capable.
   /// Throws StageError when the stage fails (caught at public boundaries).
   template <typename U, typename F>
@@ -472,10 +448,8 @@ class Dataset {
   /// decomposes into `units_of(p)` independent units (rows, blocks,
   /// pairs): `body(p, begin, end, tc)` processes units [begin, end) of
   /// partition p and returns a partial U; `merge(p, pieces)` folds the
-  /// partials in ascending unit order into partition p's result. With
-  /// morsels disabled (ctx->morsel_rows() == 0) the stage runs one body
-  /// call per partition — identical results, partition granularity.
-  /// Forces the pipeline first. Throws StageError when the stage fails.
+  /// partials in ascending unit order into partition p's result. Forces
+  /// the pipeline first. Throws StageError when the stage fails.
   template <typename U, typename RowsF, typename F, typename M>
   std::vector<U> RunStageMorsels(const std::string& name, RowsF units_of,
                                  F body, M merge) const {
@@ -607,19 +581,17 @@ class Dataset {
   /// failure (caught at the public API boundaries).
   ///
   /// Range-splittable pipelines run on the morsel scheduler: every
-  /// BD_MORSEL_ROWS root rows of a partition become one independently
+  /// ctx->morsel_rows() root rows of a partition become one independently
   /// scheduled morsel, and the partition's cache is the concatenation of
   /// its morsel outputs in row order — bit-identical to one streaming pass
   /// (element-wise steps preserve per-row output order). Non-splittable
-  /// pipelines, and all pipelines when morsels are disabled, run one task
-  /// per partition exactly as before.
+  /// pipelines run one task per partition.
   void Force() const {
     State& s = *state_;
     if (s.materialized) return;
     const std::string stage_name = s.label.empty() ? "stage" : s.label;
-    const size_t morsel_rows = s.ctx ? s.ctx->morsel_rows() : 0;
     Result<std::vector<std::vector<T>>> produced = Status::OK();
-    if (morsel_rows > 0 && s.produce_range && s.split_rows) {
+    if (RangeStreamable()) {
       produced = StageExecutor(s.ctx).RunMorsels<std::vector<T>>(
           stage_name, s.num_partitions,
           [&](size_t p) { return s.split_rows(p); },
@@ -697,7 +669,7 @@ std::vector<std::vector<std::pair<K, V>>> ShuffleByKey(
           : ds.pipeline_label() + "|" + stage_prefix + ":map";
   using BucketRow = std::vector<std::vector<std::pair<K, V>>>;
   Result<std::vector<BucketRow>> buckets_result = Status::OK();
-  if (ds.RangeStreamable() && ctx->morsel_rows() > 0) {
+  if (ds.RangeStreamable()) {
     // Morsel-driven map side: each morsel hashes its root-row range into a
     // private bucket row; the driver concatenates bucket rows in row-range
     // order, so every bucket's record order equals the whole-partition

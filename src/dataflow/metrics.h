@@ -75,10 +75,10 @@ struct StageReport {
   uint64_t failed_attempts = 0;
   uint64_t speculative_launched = 0;
   uint64_t speculative_committed = 0;
-  /// Row-range morsels executed when the stage ran on the morsel-driven
-  /// scheduler (0 for partition-granularity stages). When non-zero, each
-  /// entry of `task_seconds` is one morsel's CPU time, so the quantiles
-  /// and straggler ratio measure the scheduler's actual work units.
+  /// Row-range morsels executed when the stage was a morsel stage
+  /// (RunMorsels; 0 for task stages). When non-zero, each entry of
+  /// `task_seconds` is one morsel's CPU time, so the quantiles and
+  /// straggler ratio measure the scheduler's actual work units.
   uint64_t morsels = 0;
   /// Resource accounting (see obs/resource_accounting.h): heap traffic of
   /// the stage's committed attempts, the process RSS delta and the number
@@ -193,11 +193,13 @@ class Metrics {
     return (generation_ << kHandleGenShift) | (stage_reports_.size() - 1);
   }
 
-  /// Folds one finished task's counters and CPU time into stage `handle`.
-  /// The task's shuffled records also count toward the global total.
-  /// No-op (including the global total) when `handle` is stale.
+  /// Folds one finished task's (or, with `morsel`, one morsel's) counters
+  /// and CPU time into stage `handle`; a morsel is also counted, per stage
+  /// and globally. The unit's shuffled records also count toward the
+  /// global total. No-op (including the global totals) when `handle` is
+  /// stale.
   void AccumulateTask(size_t handle, const TaskContext& tc,
-                      double busy_seconds) {
+                      double busy_seconds, bool morsel = false) {
     std::lock_guard<std::mutex> lock(stage_mutex_);
     StageReport* report = LookupLocked(handle);
     if (report == nullptr) return;
@@ -209,26 +211,10 @@ class Metrics {
     report->alloc_bytes += tc.alloc_bytes;
     report->allocs += tc.allocs;
     report->task_seconds.push_back(busy_seconds);
-  }
-
-  /// Folds one finished morsel's counters into stage `handle`, exactly like
-  /// AccumulateTask but also counting the morsel (per-stage and globally).
-  /// No-op when `handle` is stale.
-  void AccumulateMorsel(size_t handle, const TaskContext& tc,
-                        double busy_seconds) {
-    std::lock_guard<std::mutex> lock(stage_mutex_);
-    StageReport* report = LookupLocked(handle);
-    if (report == nullptr) return;
-    if (tc.shuffled_records > 0) shuffled_records_ += tc.shuffled_records;
-    report->records_in += tc.records_in;
-    report->records_out += tc.records_out;
-    report->shuffled_records += tc.shuffled_records;
-    report->busy_seconds += busy_seconds;
-    report->alloc_bytes += tc.alloc_bytes;
-    report->allocs += tc.allocs;
-    report->task_seconds.push_back(busy_seconds);
-    ++report->morsels;
-    ++morsels_;
+    if (morsel) {
+      ++report->morsels;
+      ++morsels_;
+    }
   }
 
   /// Folds one stage's resource deltas (process RSS movement and steal

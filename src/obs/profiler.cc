@@ -182,20 +182,13 @@ bool Profiler::WriteFoldedFromEnv() {
   return std::fclose(f) == 0 && written == text.size();
 }
 
-ScopedActivity::ScopedActivity(const ActivityDesc* desc, uint64_t unit_begin,
-                               uint64_t unit_end)
-    : slot_(ThisThreadActivitySlot()) {
-  prev_desc_ = slot_->desc.load(std::memory_order_relaxed);
-  prev_begin_ = slot_->unit_begin.load(std::memory_order_relaxed);
-  prev_end_ = slot_->unit_end.load(std::memory_order_relaxed);
-  slot_->unit_begin.store(unit_begin, std::memory_order_relaxed);
-  slot_->unit_end.store(unit_end, std::memory_order_relaxed);
+ScopedActivity::ScopedActivity(const ActivityDesc* desc)
+    : slot_(ThisThreadActivitySlot()),
+      prev_desc_(slot_->desc.load(std::memory_order_relaxed)) {
   slot_->desc.store(desc, std::memory_order_release);
 }
 
 ScopedActivity::~ScopedActivity() {
-  slot_->unit_begin.store(prev_begin_, std::memory_order_relaxed);
-  slot_->unit_end.store(prev_end_, std::memory_order_relaxed);
   slot_->desc.store(prev_desc_, std::memory_order_release);
 }
 

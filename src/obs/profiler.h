@@ -32,8 +32,6 @@ struct ActivityDesc {
 /// desc is cleared to null on thread teardown).
 struct ActivitySlot {
   std::atomic<const ActivityDesc*> desc{nullptr};
-  std::atomic<uint64_t> unit_begin{0};
-  std::atomic<uint64_t> unit_end{0};
 };
 
 /// Signal-free sampling profiler: a dedicated sampler thread wakes at the
@@ -42,9 +40,9 @@ struct ActivitySlot {
 /// folded-stack count; a tick during which no thread published anything
 /// counts one "(idle)" sample, so the output distinguishes "nothing ran"
 /// from "work ran unattributed". No signals, no stack unwinding: workers
-/// cooperatively publish (stage, kind, unit range) via ScopedActivity and
-/// the sampler only reads atomics, which keeps the hook cheap enough for
-/// morsel granularity and the whole plane TSan-clean.
+/// cooperatively publish (stage, kind) via ScopedActivity and the sampler
+/// only reads atomics, which keeps the hook cheap enough for morsel
+/// granularity and the whole plane TSan-clean.
 class Profiler {
  public:
   static Profiler& Instance();
@@ -130,8 +128,7 @@ ActivitySlot* ThisThreadActivitySlot();
 /// generic "run" activity and pops back on exit.
 class ScopedActivity {
  public:
-  ScopedActivity(const ActivityDesc* desc, uint64_t unit_begin,
-                 uint64_t unit_end);
+  explicit ScopedActivity(const ActivityDesc* desc);
   ~ScopedActivity();
 
   ScopedActivity(const ScopedActivity&) = delete;
@@ -140,8 +137,6 @@ class ScopedActivity {
  private:
   ActivitySlot* slot_;
   const ActivityDesc* prev_desc_;
-  uint64_t prev_begin_;
-  uint64_t prev_end_;
 };
 
 }  // namespace bigdansing

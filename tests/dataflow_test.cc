@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <numeric>
+#include <thread>
+
+#include "common/fault.h"
+#include "common/metrics_registry.h"
 
 namespace bigdansing {
 namespace {
@@ -426,17 +432,19 @@ TEST(MorselScheduling, SkewedPartitionStopsDominatingUnderMorsels) {
     return out;
   };
 
+  // A morsel size of at least the largest partition gives one morsel per
+  // task: partition granularity.
   StageReport partition_report;
-  std::vector<uint64_t> partition_out = run(0, &partition_report);
+  std::vector<uint64_t> partition_out = run(10000, &partition_report);
   StageReport morsel_report;
   std::vector<uint64_t> morsel_out = run(100, &morsel_report);
 
   EXPECT_EQ(partition_out, morsel_out);
 
-  // Partition path: 9 tasks, no morsels; the 10000-row task dominates
-  // (ideal ratio 10000 / (10800/9) = 8.3).
+  // Partition granularity: 9 tasks of one morsel each; the 10000-row task
+  // dominates (ideal ratio 10000 / (10800/9) = 8.3).
   EXPECT_EQ(partition_report.tasks, 9u);
-  EXPECT_EQ(partition_report.morsels, 0u);
+  EXPECT_EQ(partition_report.morsels, 9u);
   EXPECT_GT(partition_report.StragglerRatio(), 3.0);
 
   // Morsel path: 100-row units, so the heavy partition becomes 100 units
@@ -451,7 +459,7 @@ TEST(MorselScheduling, SkewedPartitionStopsDominatingUnderMorsels) {
 
 TEST(MorselScheduling, MorselPathMatchesPartitionPathOnChains) {
   // Fused Map/Filter/FlatMap chains and shuffles must produce identical
-  // results with morsels on and off.
+  // results with small morsels and with one morsel per partition.
   auto build = [](ExecutionContext* ctx) {
     auto ds = Dataset<int>::FromVector(ctx, Range(5000), 7);
     return ds.Map([](const int& x) { return x * 3 - 1; })
@@ -465,7 +473,7 @@ TEST(MorselScheduling, MorselPathMatchesPartitionPathOnChains) {
   ExecutionContext ctx_morsel(4);
   ctx_morsel.set_morsel_rows(64);
   ExecutionContext ctx_partition(4);
-  ctx_partition.set_morsel_rows(0);
+  ctx_partition.set_morsel_rows(5000);
   auto morsel = build(&ctx_morsel);
   auto partition = build(&ctx_partition);
   EXPECT_EQ(morsel.partitions(), partition.partitions());
@@ -476,7 +484,140 @@ TEST(MorselScheduling, MorselPathMatchesPartitionPathOnChains) {
   };
   EXPECT_EQ(keyed(morsel), keyed(partition));
   EXPECT_GT(ctx_morsel.metrics().morsels(), 0u);
-  EXPECT_EQ(ctx_partition.metrics().morsels(), 0u);
+}
+
+/// Replaces the fault injector's schedule for one scope, then restores the
+/// environment's (BD_FAULT_SPEC / BD_FAULT_SEED), so a suite run under a
+/// chaos schedule keeps it for the tests that follow.
+class ScopedFaultSpec {
+ public:
+  explicit ScopedFaultSpec(const std::string& spec) {
+    EXPECT_TRUE(FaultInjector::Instance().Configure(spec, /*seed=*/1).ok());
+  }
+  ~ScopedFaultSpec() {
+    const char* spec = std::getenv("BD_FAULT_SPEC");
+    const char* seed = std::getenv("BD_FAULT_SEED");
+    EXPECT_TRUE(FaultInjector::Instance()
+                    .Configure(spec ? spec : "",
+                               seed ? std::strtoull(seed, nullptr, 10) : 42)
+                    .ok());
+  }
+};
+
+TEST(StageExecutor, MorselFaultRetriesAtItsGlobalMorselIndex) {
+  // 3 tasks x 1,000 units at morsel size 100: 30 morsels, and fault site
+  // 17 is the global morsel index (task 1, piece 7). One injected throw
+  // costs exactly one retry and leaves the output unchanged.
+  ExecutionContext ctx(4);
+  ctx.set_morsel_rows(100);
+  const std::string stage = "executor:morsel-fault";
+  auto run = [&]() {
+    return StageExecutor(&ctx).RunMorsels<std::vector<uint64_t>>(
+        stage, 3, [](size_t) { return size_t{1000}; },
+        [](size_t t, size_t begin, size_t end, TaskContext& tc) {
+          std::vector<uint64_t> piece;
+          for (size_t i = begin; i < end; ++i) piece.push_back(t * 1000 + i);
+          tc.records_in = end - begin;
+          tc.records_out = piece.size();
+          return piece;
+        },
+        [](size_t, std::vector<std::vector<uint64_t>>&& pieces) {
+          std::vector<uint64_t> slot;
+          for (const auto& piece : pieces) {
+            slot.insert(slot.end(), piece.begin(), piece.end());
+          }
+          return slot;
+        });
+  };
+  auto clean = run();
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+
+  Counter& retries = MetricsRegistry::Instance().GetCounter("stage.retries");
+  const uint64_t retries_before = retries.Value();
+  {
+    ScopedFaultSpec faults("stage=" + stage + ",task=17,kind=throw,times=1");
+    auto faulted = run();
+    ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();
+    EXPECT_EQ(*faulted, *clean);
+  }
+  const StageReport report = ctx.metrics().StageReports().back();
+  EXPECT_EQ(report.retries, 1u);
+  EXPECT_EQ(report.failed_attempts, 1u);
+  EXPECT_EQ(report.morsels, 30u);
+  EXPECT_EQ(report.records_in, 3000u);
+  EXPECT_EQ(retries.Value() - retries_before, report.retries);
+}
+
+TEST(StageExecutor, EmptyStagesFinish) {
+  ExecutionContext ctx(4);
+  StageExecutor exec(&ctx);
+  auto none = exec.RunProducing<int>("executor:no-tasks", 0,
+                                     [](size_t, TaskContext&) { return 1; });
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+
+  // A task with no units has no morsels; merge still folds its (empty)
+  // piece list.
+  auto merged = exec.RunMorsels<std::vector<int>>(
+      "executor:no-units", 1, [](size_t) { return size_t{0}; },
+      [](size_t, size_t, size_t, TaskContext&) { return std::vector<int>{1}; },
+      [](size_t, std::vector<std::vector<int>>&& pieces) {
+        EXPECT_TRUE(pieces.empty());
+        return std::vector<int>{};
+      });
+  ASSERT_TRUE(merged.ok());
+  ASSERT_EQ(merged->size(), 1u);
+  EXPECT_TRUE(merged->front().empty());
+
+  const auto reports = ctx.metrics().StageReports();
+  ASSERT_EQ(reports.size(), 2u);
+  for (const StageReport& r : reports) {
+    EXPECT_TRUE(r.finished) << r.name;
+    EXPECT_EQ(r.morsels, 0u) << r.name;
+  }
+}
+
+TEST(StageExecutor, NestedProducingStageCompletesOnOneWorker) {
+  // The inner stage's driver is the outer task's thread; it claims the
+  // inner units itself, so nesting cannot deadlock a one-thread pool.
+  ExecutionContext ctx(1);
+  StageExecutor exec(&ctx);
+  auto outer = exec.RunProducing<uint64_t>(
+      "executor:outer", 3, [&](size_t t, TaskContext&) {
+        auto inner = exec.RunProducing<uint64_t>(
+            "executor:inner", 4,
+            [t](size_t i, TaskContext&) { return uint64_t{t * 10 + i}; });
+        if (!inner.ok()) throw StageError(inner.status());
+        uint64_t sum = 0;
+        for (uint64_t v : *inner) sum += v;
+        return sum;
+      });
+  ASSERT_TRUE(outer.ok()) << outer.status().ToString();
+  EXPECT_EQ(*outer, (std::vector<uint64_t>{6, 46, 86}));
+}
+
+TEST(StageExecutor, InPlaceStagesNeverSpeculate) {
+  // Run bodies write caller memory, so a straggler is never duplicated,
+  // however eager the speculation policy.
+  ExecutionContext ctx(4);
+  FaultPolicy eager;
+  eager.speculation = true;
+  eager.speculation_multiplier = 1.5;
+  eager.speculation_min_seconds = 0.0;
+  ScopedFaultPolicy scoped(&ctx, eager);
+  std::vector<uint64_t> slots(16, 0);
+  ASSERT_TRUE(StageExecutor(&ctx)
+                  .Run("executor:in-place", slots.size(),
+                       [&](size_t t, TaskContext&) {
+                         if (t == 3) {
+                           std::this_thread::sleep_for(
+                               std::chrono::milliseconds(40));
+                         }
+                         slots[t] += t + 1;
+                       })
+                  .ok());
+  EXPECT_EQ(ctx.metrics().StageReports().back().speculative_launched, 0u);
+  for (size_t t = 0; t < slots.size(); ++t) EXPECT_EQ(slots[t], t + 1);
 }
 
 TEST(DatasetFusion, RepartitionMatchesDriverSideRoundRobin) {

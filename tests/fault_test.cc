@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault.h"
@@ -258,6 +261,57 @@ TEST(Speculation, DuplicateAttemptsNeverDoubleCount) {
                 committed_before,
             registry.GetCounter("stage.speculative_launched").Value());
   injector.Clear();
+}
+
+TEST(Speculation, PrimaryFailureAfterDuplicateCommitKeepsStage) {
+  // Task 3's primary runs on a pool helper and fails only after its
+  // speculative duplicate (run inline on the driver) has committed. Once
+  // any attempt of a task has committed, a later failure of another
+  // attempt must neither retry nor fail the stage.
+  InjectorGuard guard;
+  ExecutionContext ctx(4);
+  FaultPolicy eager;
+  eager.speculation = true;
+  eager.speculation_multiplier = 1.5;
+  eager.speculation_min_seconds = 0.0;
+  ScopedFaultPolicy scoped(&ctx, eager);
+  const std::thread::id driver = std::this_thread::get_id();
+  auto live_records_out = [&ctx]() -> uint64_t {
+    const std::vector<StageReport> reports = ctx.metrics().StageReports();
+    return reports.empty() ? 0 : reports.back().records_out;
+  };
+
+  int checked_rounds = 0;
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<bool> primary_on_helper{false};
+    auto out = StageExecutor(&ctx).RunProducing<uint64_t>(
+        "spec:late-failure", 16, [&](size_t t, TaskContext& tc) {
+          tc.records_out = 1;
+          if (std::this_thread::get_id() == driver) {
+            // Keeps the driver busy so helpers claim task 3.
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          } else if (t == 3 && !tc.speculative) {
+            primary_on_helper = true;
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(2);
+            while (live_records_out() < 16 &&
+                   std::chrono::steady_clock::now() < deadline) {
+              std::this_thread::sleep_for(std::chrono::microseconds(200));
+            }
+            throw TaskFailure("spec:late-failure",
+                              "primary failed after its duplicate committed");
+          }
+          return static_cast<uint64_t>(t);
+        });
+    if (!primary_on_helper) continue;
+    ++checked_rounds;
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    const StageReport report = ctx.metrics().StageReports().back();
+    EXPECT_EQ(report.speculative_committed, 1u);
+    EXPECT_EQ(report.retries, 0u);
+    EXPECT_EQ(report.records_out, 16u);
+  }
+  EXPECT_GT(checked_rounds, 0);
 }
 
 TEST(UnifiedDetect, RejectsMalformedRequests) {

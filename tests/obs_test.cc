@@ -91,7 +91,6 @@ TEST(ObsDispatchTest, MetricsEndpointPassesPrometheusLint) {
 
 TEST(ObsDispatchTest, StagesEndpointReconcilesWithFinishedRun) {
   ExecutionContext ctx(2);
-  ctx.set_morsel_rows(0);
   StageExecutor exec(&ctx);
   ASSERT_TRUE(exec.Run("obs-reconcile-stage", 4,
                        [](size_t t, TaskContext& tc) {
@@ -133,7 +132,6 @@ TEST(ObsDispatchTest, StagesEndpointReconcilesWithFinishedRun) {
 
 TEST(ObsDispatchTest, StagesEndpointShowsInFlightStage) {
   ExecutionContext ctx(2);
-  ctx.set_morsel_rows(0);
 
   std::mutex mu;
   std::condition_variable cv;
@@ -497,17 +495,13 @@ TEST(ProfilerTest, ScopedActivityNestsAndRestores) {
   ActivitySlot* slot = ThisThreadActivitySlot();
   EXPECT_EQ(slot->desc.load(), nullptr);
   {
-    ScopedActivity a(outer, 0, 10);
+    ScopedActivity a(outer);
     EXPECT_EQ(slot->desc.load(), outer);
     {
-      ScopedActivity b(inner, 3, 5);
+      ScopedActivity b(inner);
       EXPECT_EQ(slot->desc.load(), inner);
-      EXPECT_EQ(slot->unit_begin.load(), 3u);
-      EXPECT_EQ(slot->unit_end.load(), 5u);
     }
     EXPECT_EQ(slot->desc.load(), outer);
-    EXPECT_EQ(slot->unit_begin.load(), 0u);
-    EXPECT_EQ(slot->unit_end.load(), 10u);
   }
   EXPECT_EQ(slot->desc.load(), nullptr);
 }
@@ -535,7 +529,6 @@ TEST(ResourceAccountingTest, RssIsReadableOnLinux) {
 
 TEST(ResourceAccountingTest, StageReportCarriesAllocAndRss) {
   ExecutionContext ctx(2);
-  ctx.set_morsel_rows(0);
   StageExecutor exec(&ctx);
   ASSERT_TRUE(exec.Run("obs-alloc-stage", 2,
                        [](size_t t, TaskContext& tc) {
