@@ -4,9 +4,8 @@
 // ways on identical input:
 //
 //  - eager:  every transformation is forced (materialized) before the next
-//    one is applied — three stages, two intermediate partition vectors,
-//    three Hadoop-style materialization charges. This is what the engine
-//    did before pipelines became deferred.
+//    one is applied — three stages and two intermediate partition vectors.
+//    This is what the engine did before pipelines became deferred.
 //  - fused:  the chain stays deferred and collapses into one per-partition
 //    pass when the action forces it — one stage, no intermediates.
 //

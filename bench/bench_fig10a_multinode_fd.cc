@@ -1,9 +1,9 @@
 // Reproduces Fig 10(a): multi-node violation detection on TaxA with FD ϕ1.
-// Systems: BigDansing-Spark (in-memory backend), BigDansing-Hadoop
-// (disk-based backend emulation: per-stage materialization charge),
-// Spark SQL, and Shark (capped + extrapolated). The "cluster" is the
-// embedded dataflow engine with 16 workers; paper sizes 1M/2M/4M are scaled
-// to 100K/200K/400K.
+// Systems: BigDansing-Spark (in-memory dataflow engine), BigDansing-Hadoop
+// (the miniature MapReduce backend: serialized spill files and a
+// sort-based shuffle), Spark SQL, and Shark (capped + extrapolated). The
+// "cluster" is the embedded dataflow engine with 16 workers; paper sizes
+// 1M/2M/4M are scaled to 100K/200K/400K.
 #include <cstdio>
 
 #include "baselines/sql_baseline.h"
@@ -37,7 +37,7 @@ void Run() {
     data.clean = Table();  // Ground truth is unused here; free the memory.
 
     size_t violations = 0;
-    ExecutionContext spark_ctx(kWorkers, Backend::kSpark);
+    ExecutionContext spark_ctx(kWorkers);
     double spark = TimeSeconds([&] {
       RuleEngine engine(&spark_ctx);
       auto r = engine.Detect(data.dirty, *ParseRule(kRule));

@@ -120,25 +120,6 @@ class BenchRecord {
   JsonObjectBuilder metrics_;
 };
 
-/// Applies the observability environment variables shared by every bench:
-/// BD_LOG_LEVEL (logger threshold), BD_TRACE_JSON=<path> (enables the
-/// TraceRecorder; the Chrome trace is written to <path> by
-/// FlushObservability), BD_EXPLAIN=1 (prints the runtime EXPLAIN tree at
-/// exit), BD_OBS_PORT=<port> (live HTTP observability endpoint for the
-/// process lifetime), BD_PROFILE_HZ / BD_PROFILE_FOLDED (sampling
-/// profiler), BD_LINEAGE_JSONL=<path> (repair lineage ledger) and
-/// BD_QUALITY_JSONL=<path> (data-quality run history; enables the
-/// QualityRecorder). Runs automatically before main() in every binary
-/// linking this file; calling it again is harmless.
-void InitObservabilityFromEnv();
-
-/// Writes the Chrome trace (BD_TRACE_JSON), the folded-stack profile
-/// (BD_PROFILE_FOLDED) and prints the EXPLAIN tree (BD_EXPLAIN) if
-/// requested. Runs automatically at normal process exit; benches may also
-/// call it directly to snapshot mid-run (the live server and sampler keep
-/// running — they stop only at process exit).
-void FlushObservability();
-
 /// "%.3f" seconds formatting.
 std::string Secs(double seconds);
 

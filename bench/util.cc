@@ -5,14 +5,10 @@
 #include <mutex>
 #include <set>
 
-#include "common/lineage.h"
 #include "common/logging.h"
 #include "common/metrics_registry.h"
 #include "common/string_util.h"
-#include "common/trace.h"
-#include "obs/http_server.h"
-#include "obs/profiler.h"
-#include "obs/quality.h"
+#include "obs/bootstrap.h"
 
 namespace bigdansing {
 namespace bench {
@@ -21,123 +17,15 @@ namespace {
 
 /// Static-initializer bootstrap: every bench links util.cc, so the
 /// observability env vars take effect without touching each main(). The
-/// destructor flushes at normal exit (after main returns), then shuts the
-/// live plane down — the server and sampler stop here, NOT inside
-/// FlushObservability, which benches may call mid-run.
+/// destructor flushes every export at normal exit (after main returns) and
+/// stops the sampler and the server.
 struct ObservabilityBootstrap {
   ObservabilityBootstrap() { InitObservabilityFromEnv(); }
-  ~ObservabilityBootstrap() {
-    FlushObservability();
-    Profiler::Instance().Stop();
-    ObsServer::Instance().Stop();
-  }
+  ~ObservabilityBootstrap() { ShutdownObservability(); }
 };
 ObservabilityBootstrap g_observability_bootstrap;
 
 }  // namespace
-
-namespace {
-
-/// Env var set to a non-empty value.
-const char* EnvPath(const char* name) {
-  const char* value = std::getenv(name);
-  return (value != nullptr && *value != '\0') ? value : nullptr;
-}
-
-/// Writes `text` to `path` ("-"/"stdout" -> stdout); warns on failure.
-void WriteTextFile(const char* path, const std::string& text,
-                   const char* what) {
-  const std::string target(path);
-  if (target == "-" || target == "stdout") {
-    std::fwrite(text.data(), 1, text.size(), stdout);
-    std::fflush(stdout);
-    return;
-  }
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    BD_LOG(Warning) << "failed to write " << what << " to " << path;
-    return;
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-}
-
-}  // namespace
-
-void InitObservabilityFromEnv() {
-  InitLoggingFromEnv();
-  const char* trace_path = std::getenv("BD_TRACE_JSON");
-  const char* explain = std::getenv("BD_EXPLAIN");
-  const bool want_explain =
-      explain != nullptr && *explain != '\0' && std::string(explain) != "0";
-  if ((trace_path != nullptr && *trace_path != '\0') || want_explain) {
-    TraceRecorder::Instance().set_enabled(true);
-  }
-  // BD_LINEAGE_JSONL=<path> turns the repair lineage ledger on; the ledger
-  // is written to <path> by FlushObservability.
-  if (EnvPath("BD_LINEAGE_JSONL") != nullptr) {
-    LineageRecorder::Instance().set_enabled(true);
-  }
-  // BD_QUALITY_JSONL=<path> turns the data-quality recorder on; the run
-  // history is written to <path> by FlushObservability.
-  if (EnvPath("BD_QUALITY_JSONL") != nullptr) {
-    QualityRecorder::Instance().set_enabled(true);
-  }
-  // Live observability plane: BD_OBS_PORT serves /metrics, /stages,
-  // /explain, /healthz and /profilez over HTTP for the duration of the
-  // process; BD_PROFILE_HZ / BD_PROFILE_FOLDED start the sampling profiler
-  // even without a server.
-  ObsServer::StartFromEnv();
-  Profiler::StartFromEnv();
-}
-
-void FlushObservability() {
-  // Lineage ledger and metrics-registry snapshots flush independently of
-  // the trace recorder (each has its own enabling env var).
-  const char* lineage_path = EnvPath("BD_LINEAGE_JSONL");
-  LineageRecorder& lineage = LineageRecorder::Instance();
-  if (lineage_path != nullptr && lineage.enabled()) {
-    const std::string target(lineage_path);
-    if (target == "-" || target == "stdout") {
-      const std::string text = lineage.ToJsonl();
-      std::fwrite(text.data(), 1, text.size(), stdout);
-      std::fflush(stdout);
-    } else if (!lineage.WriteJsonl(target)) {
-      BD_LOG(Warning) << "failed to write lineage ledger to " << target;
-    }
-  }
-  // Quality run history (BD_QUALITY_JSONL); the recorder keeps running so
-  // mid-run flushes only export the runs completed so far.
-  QualityRecorder::WriteJsonlFromEnv();
-  const char* metrics_path = EnvPath("BD_METRICS_JSON");
-  if (metrics_path != nullptr) {
-    WriteTextFile(metrics_path, MetricsRegistry::Instance().ToJson() + "\n",
-                  "metrics registry snapshot");
-  }
-  const char* prom_path = EnvPath("BD_METRICS_PROM");
-  if (prom_path != nullptr) {
-    WriteTextFile(prom_path, MetricsRegistry::Instance().ToPrometheusText(),
-                  "metrics registry text exposition");
-  }
-  // Folded-stack profile (BD_PROFILE_FOLDED); the sampler keeps running —
-  // only the bootstrap destructor stops it, so mid-run flushes are safe.
-  Profiler::WriteFoldedFromEnv();
-
-  TraceRecorder& trace = TraceRecorder::Instance();
-  if (!trace.enabled() || trace.SpanCount() == 0) return;
-  const char* trace_path = std::getenv("BD_TRACE_JSON");
-  if (trace_path != nullptr && *trace_path != '\0') {
-    if (!trace.WriteChromeTrace(trace_path)) {
-      BD_LOG(Warning) << "failed to write Chrome trace to " << trace_path;
-    }
-  }
-  const char* explain = std::getenv("BD_EXPLAIN");
-  if (explain != nullptr && *explain != '\0' && std::string(explain) != "0") {
-    std::string tree = trace.ExplainTree();
-    std::fwrite(tree.data(), 1, tree.size(), stdout);
-    std::fflush(stdout);
-  }
-}
 
 double EnvScale() {
   const char* env = std::getenv("BD_SCALE");

@@ -13,9 +13,10 @@
 //
 // Each cycle cleans a freshly drifted instance of the table (the dirty
 // rate and the dirty-city alphabet shift per cycle), so /quality serves a
-// run history with real drift between snapshots. BD_PROFILE_HZ /
-// BD_PROFILE_FOLDED also apply (sampling profiler); BD_QUALITY_JSONL
-// exports the quality run history at exit.
+// run history with real drift between snapshots. Every observability
+// variable of InitObservabilityFromEnv (obs/bootstrap.h) applies, e.g.
+// BD_PROFILE_HZ / BD_PROFILE_FOLDED (sampling profiler) and
+// BD_QUALITY_JSONL (the quality run history, exported at exit).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -23,8 +24,8 @@
 
 #include "core/bigdansing.h"
 #include "data/csv.h"
+#include "obs/bootstrap.h"
 #include "obs/http_server.h"
-#include "obs/profiler.h"
 #include "obs/quality.h"
 #include "rules/parser.h"
 
@@ -66,11 +67,9 @@ int main(int argc, char** argv) {
   const double run_seconds = argc > 1 ? std::atof(argv[1]) : 10.0;
   const size_t rows = argc > 2 ? static_cast<size_t>(std::atol(argv[2])) : 20000;
 
-  // Examples do not link the bench bootstrap, so start the plane here.
-  // StartFromEnv also enables the QualityRecorder; keep it on even without
-  // a server so BD_QUALITY_JSONL works standalone.
-  ObsServer::StartFromEnv();
-  Profiler::StartFromEnv();
+  InitObservabilityFromEnv();
+  // The demo's point is the quality plane: keep the recorder on even
+  // without a server or BD_QUALITY_JSONL.
   QualityRecorder::Instance().set_enabled(true);
 
   auto fd = ParseRule("phiF: FD: zipcode -> city");
@@ -112,9 +111,5 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   QualityRecorder::Instance().RunsBegun()),
               ObsServer::Instance().port());
-  QualityRecorder::WriteJsonlFromEnv();
-  Profiler::WriteFoldedFromEnv();
-  Profiler::Instance().Stop();
-  ObsServer::Instance().Stop();
-  return 0;
+  return ShutdownObservability() ? 0 : 1;
 }

@@ -10,9 +10,8 @@
 // Each Append carries a slice of rows whose dirty-city alphabet drifts
 // with the batch number; every few batches a slice of earlier rows is
 // retracted, so /streams shows appends, retractions, backpressure and
-// index growth on a genuinely moving table. BD_STREAM_BATCH_ROWS /
-// BD_STREAM_MAX_INFLIGHT shape the micro-batching (StreamOptions
-// defaults).
+// index growth on a genuinely moving table. Every observability variable
+// of InitObservabilityFromEnv (obs/bootstrap.h) applies.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -22,8 +21,8 @@
 #include "core/bigdansing.h"
 #include "core/stream_session.h"
 #include "data/csv.h"
+#include "obs/bootstrap.h"
 #include "obs/http_server.h"
-#include "obs/profiler.h"
 #include "obs/quality.h"
 #include "rules/parser.h"
 
@@ -66,9 +65,8 @@ int main(int argc, char** argv) {
                                 ? static_cast<size_t>(std::atol(argv[2]))
                                 : 2000;
 
-  // Examples do not link the bench bootstrap, so start the plane here.
-  ObsServer::StartFromEnv();
-  Profiler::StartFromEnv();
+  InitObservabilityFromEnv();
+  // Keep the quality recorder on so /quality serves per-window runs.
   QualityRecorder::Instance().set_enabled(true);
 
   auto schema_probe = ReadCsvString(
@@ -139,9 +137,5 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.fixes_applied),
               static_cast<unsigned long long>(stats.index_blocks),
               ObsServer::Instance().port());
-  QualityRecorder::WriteJsonlFromEnv();
-  Profiler::WriteFoldedFromEnv();
-  Profiler::Instance().Stop();
-  ObsServer::Instance().Stop();
-  return 0;
+  return ShutdownObservability() ? 0 : 1;
 }

@@ -1,7 +1,5 @@
 #include "common/lineage.h"
 
-#include <cstdio>
-
 #include "common/json_writer.h"
 
 namespace bigdansing {
@@ -122,15 +120,6 @@ std::string LineageRecorder::ToJsonl() const {
     out += "\n";
   }
   return out;
-}
-
-bool LineageRecorder::WriteJsonl(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string text = ToJsonl();
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const bool ok = written == text.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace bigdansing

@@ -83,9 +83,6 @@ class LineageRecorder {
   /// All entries, one strict-JSON object per line.
   std::string ToJsonl() const;
 
-  /// Writes ToJsonl() to `path`; false on I/O failure.
-  bool WriteJsonl(const std::string& path) const;
-
  private:
   LineageRecorder() = default;
 

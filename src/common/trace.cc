@@ -171,15 +171,6 @@ std::string TraceRecorder::ToChromeTraceJson() const {
   return out;
 }
 
-bool TraceRecorder::WriteChromeTrace(const std::string& path) const {
-  std::string json = ToChromeTraceJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return written == json.size();
-}
-
 std::string TraceRecorder::ExplainTree() const {
   std::vector<TraceSpan> spans = Spans();
   const double now_us = NowUs();

@@ -86,9 +86,6 @@ class TraceRecorder {
   /// Chrome trace-event JSON (the whole recording).
   std::string ToChromeTraceJson() const;
 
-  /// Writes ToChromeTraceJson() to `path`; false on I/O failure.
-  bool WriteChromeTrace(const std::string& path) const;
-
   /// Renders the runtime EXPLAIN tree. Task and morsel spans are not
   /// printed as nodes (their skew summary lives on the parent stage's
   /// attributes); spans opened inside a task or morsel re-attach to the

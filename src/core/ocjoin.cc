@@ -178,7 +178,6 @@ std::vector<RowPair> OCJoin(ExecutionContext* ctx,
       }
       part.sorted.emplace(col, std::move(idx));
     }
-    ctx->ChargeMaterialization(part.rows.size());
   });
   if (!sort_status.ok()) throw StageError(std::move(sort_status));
 

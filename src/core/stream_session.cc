@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <optional>
 
 #include "common/hash.h"
@@ -16,17 +15,6 @@ namespace bigdansing {
 
 namespace {
 
-size_t EnvSizeOr(const char* name, size_t fallback) {
-  if (const char* env = std::getenv(name)) {
-    char* end = nullptr;
-    long value = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && value > 0) {
-      return static_cast<size_t>(value);
-    }
-  }
-  return fallback;
-}
-
 /// Default session names ("stream-N") when StreamOptions carries none.
 std::atomic<uint64_t>& NameCounter() {
   static std::atomic<uint64_t> counter{0};
@@ -34,14 +22,6 @@ std::atomic<uint64_t>& NameCounter() {
 }
 
 }  // namespace
-
-size_t StreamOptions::DefaultBatchRows() {
-  return EnvSizeOr("BD_STREAM_BATCH_ROWS", 4096);
-}
-
-size_t StreamOptions::DefaultMaxInflight() {
-  return EnvSizeOr("BD_STREAM_MAX_INFLIGHT", 4);
-}
 
 StreamSession::StreamSession(ExecutionContext* parent, Table* table,
                              std::vector<RulePtr> rules, StreamOptions options)
@@ -59,9 +39,9 @@ Status StreamSession::Init() {
   if (rules_.empty()) {
     return Status::InvalidArgument("OpenStream: no rules given");
   }
-  if (opts_.batch_rows == 0) opts_.batch_rows = StreamOptions::DefaultBatchRows();
-  if (opts_.max_inflight_batches == 0) {
-    opts_.max_inflight_batches = StreamOptions::DefaultMaxInflight();
+  if (opts_.batch_rows == 0 || opts_.max_inflight_batches == 0) {
+    return Status::InvalidArgument(
+        "OpenStream: batch_rows and max_inflight_batches must be positive");
   }
   name_ = opts_.session_name.empty()
               ? "stream-" + std::to_string(NameCounter().fetch_add(1) + 1)
@@ -70,8 +50,7 @@ Status StreamSession::Init() {
   // The session's own context: same logical cluster as the parent, but its
   // Metrics carry the session label so /stages attributes this session's
   // stages (and SimulatedWallSeconds isolates its cost for the benches).
-  session_ctx_ = std::make_unique<ExecutionContext>(parent_ctx_->num_workers(),
-                                                    parent_ctx_->backend());
+  session_ctx_ = std::make_unique<ExecutionContext>(parent_ctx_->num_workers());
   session_ctx_->set_morsel_rows(parent_ctx_->morsel_rows());
   session_ctx_->set_kernels_enabled(parent_ctx_->kernels_enabled());
   session_ctx_->set_fault_policy(parent_ctx_->fault_policy());

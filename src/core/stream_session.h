@@ -31,13 +31,12 @@ struct StreamOptions {
   /// window's stages.
   CleanOptions clean;
 
-  /// Rows per micro-batch; Append() splits larger row vectors. 0 inherits
-  /// DefaultBatchRows() (BD_STREAM_BATCH_ROWS, default 4096).
-  size_t batch_rows = 0;
+  /// Rows per micro-batch; Append() splits larger row vectors. Must be
+  /// positive.
+  size_t batch_rows = 4096;
 
-  /// Bound on queued (not yet processed) micro-batches. 0 inherits
-  /// DefaultMaxInflight() (BD_STREAM_MAX_INFLIGHT, default 4).
-  size_t max_inflight_batches = 0;
+  /// Bound on queued (not yet processed) micro-batches. Must be positive.
+  size_t max_inflight_batches = 4;
 
   /// Backpressure contract when Append() would exceed the in-flight bound:
   /// true  -> Append() drains queued batches inline (the caller's thread
@@ -49,11 +48,6 @@ struct StreamOptions {
   /// Observability namespace (the /streams record name, the /stages
   /// context label, the /quality run session). Empty -> "stream-<id>".
   std::string session_name;
-
-  /// BD_STREAM_BATCH_ROWS when set and positive, else 4096.
-  static size_t DefaultBatchRows();
-  /// BD_STREAM_MAX_INFLIGHT when set and positive, else 4.
-  static size_t DefaultMaxInflight();
 };
 
 /// Outcome of one processed window (one Poll(), or Flush()'s full-table

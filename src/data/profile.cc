@@ -32,29 +32,14 @@ std::string ValueJson(const Value& v) {
   return "null";
 }
 
-/// Count-descending, value-ascending order; keeps the first `k`.
-std::vector<TopValue> SelectTopK(std::vector<TopValue> all, size_t k) {
+/// Count-descending, value-ascending order; keeps the first kProfileTopK.
+std::vector<TopValue> SelectTopK(std::vector<TopValue> all) {
   std::sort(all.begin(), all.end(), [](const TopValue& a, const TopValue& b) {
     if (a.count != b.count) return a.count > b.count;
     return a.value < b.value;
   });
-  if (all.size() > k) all.resize(k);
+  if (all.size() > kProfileTopK) all.resize(kProfileTopK);
   return all;
-}
-
-/// Fills distinct/min/max/top of `prof` from a raw frequency map — shared
-/// by the scan stage and the small-table inline path so they cannot drift.
-void FinalizeFromCounts(const std::unordered_map<Value, uint64_t>& counts,
-                        size_t top_k, ColumnProfile* prof) {
-  prof->distinct = counts.size();
-  std::vector<TopValue> all;
-  all.reserve(counts.size());
-  for (const auto& [v, n] : counts) {
-    if (prof->min.is_null() || v < prof->min) prof->min = v;
-    if (prof->max.is_null() || v > prof->max) prof->max = v;
-    all.push_back({v, n});
-  }
-  prof->top = SelectTopK(std::move(all), top_k);
 }
 
 }  // namespace
@@ -95,8 +80,7 @@ std::string TableProfile::ToJson() const {
   return out;
 }
 
-TableProfile ProfileTable(ExecutionContext* ctx, const Table& table,
-                          const ProfileOptions& options) {
+TableProfile ProfileTable(ExecutionContext* ctx, const Table& table) {
   TableProfile out;
   const Schema& schema = table.schema();
   const size_t num_cols = schema.num_attributes();
@@ -116,11 +100,11 @@ TableProfile ProfileTable(ExecutionContext* ctx, const Table& table,
     span->Annotate("columns", static_cast<uint64_t>(num_cols));
   }
 
-  if (table.num_rows() < options.stage_min_rows) {
-    // Small-table fast path: a driver-side loop with no stage dispatch —
-    // below this size the dispatch overhead exceeds the profiling work
-    // (the same economics as the morsel-size cutoff). Output is identical
-    // to the staged paths.
+  if (table.num_rows() < kProfileInlineRows) {
+    // Small-table path: a driver-side loop with no stage dispatch — below
+    // this size the dispatch overhead exceeds the profiling work (the same
+    // economics as the morsel-size cutoff). Output is identical to the
+    // encoded path.
     std::vector<std::unordered_map<Value, uint64_t>> counts(num_cols);
     for (const Row& row : table.rows()) {
       for (size_t c = 0; c < num_cols; ++c) {
@@ -133,110 +117,51 @@ TableProfile ProfileTable(ExecutionContext* ctx, const Table& table,
       }
     }
     for (size_t c = 0; c < num_cols; ++c) {
-      FinalizeFromCounts(counts[c], options.top_k, &out.columns[c]);
+      ColumnProfile& prof = out.columns[c];
+      prof.distinct = counts[c].size();
+      std::vector<TopValue> all;
+      all.reserve(counts[c].size());
+      for (const auto& [v, n] : counts[c]) {
+        if (prof.min.is_null() || v < prof.min) prof.min = v;
+        if (prof.max.is_null() || v > prof.max) prof.max = v;
+        all.push_back({v, n});
+      }
+      prof.top = SelectTopK(std::move(all));
     }
     return out;
   }
 
+  // Encoded path: the sorted pools give distinct/min/max for free (every
+  // pooled value occurs in the data, and code order is Value order); only
+  // null counts and the frequency histogram need a pass, and that pass
+  // touches dense u32 codes, never a Value.
   Dataset<Row> data = Dataset<Row>::FromVector(
       ctx, std::vector<Row>(table.rows().begin(), table.rows().end()));
   const auto& parts = data.partitions();
 
-  if (options.use_encoding && table.num_rows() >= options.encode_min_rows) {
-    // Encoded path: the sorted pools give distinct/min/max for free
-    // (every pooled value occurs in the data, and code order is Value
-    // order); only null counts and the frequency histogram need a pass,
-    // and that pass touches dense u32 codes, never a Value.
-    std::vector<std::vector<size_t>> groups(num_cols);
-    for (size_t c = 0; c < num_cols; ++c) groups[c] = {c};
-    EncodedColumnSet encoded = EncodeColumns(data, groups);
+  std::vector<std::vector<size_t>> groups(num_cols);
+  for (size_t c = 0; c < num_cols; ++c) groups[c] = {c};
+  EncodedColumnSet encoded = EncodeColumns(data, groups);
 
-    struct ColumnCounts {
-      std::vector<uint64_t> counts;
-      uint64_t nulls = 0;
-    };
-    using Piece = std::vector<ColumnCounts>;
-    std::vector<Piece> hist = data.RunStageMorsels<Piece>(
-        "profile:histogram", [&](size_t p) { return parts[p].size(); },
-        [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
-          Piece piece(num_cols);
-          for (size_t c = 0; c < num_cols; ++c) {
-            const EncodedColumn& col = encoded.columns.at(c);
-            piece[c].counts.assign(col.pool->size(), 0);
-            const std::vector<uint32_t>& codes = col.codes[p];
-            for (size_t i = begin; i < end; ++i) {
-              const uint32_t code = codes[i];
-              if (code >= col.pool->size()) {
-                ++piece[c].nulls;
-              } else {
-                ++piece[c].counts[code];
-              }
-            }
-          }
-          tc.records_in = end - begin;
-          return piece;
-        },
-        [&](size_t, std::vector<Piece>&& pieces) {
-          Piece merged(num_cols);
-          for (size_t c = 0; c < num_cols; ++c) {
-            merged[c].counts.assign(encoded.columns.at(c).pool->size(), 0);
-          }
-          for (const Piece& piece : pieces) {
-            for (size_t c = 0; c < num_cols; ++c) {
-              merged[c].nulls += piece[c].nulls;
-              for (size_t k = 0; k < piece[c].counts.size(); ++k) {
-                merged[c].counts[k] += piece[c].counts[k];
-              }
-            }
-          }
-          return merged;
-        });
-
-    for (size_t c = 0; c < num_cols; ++c) {
-      const ValuePool& pool = *encoded.columns.at(c).pool;
-      ColumnProfile& prof = out.columns[c];
-      std::vector<uint64_t> counts(pool.size(), 0);
-      for (const Piece& part : hist) {
-        prof.nulls += part[c].nulls;
-        for (size_t k = 0; k < part[c].counts.size(); ++k) {
-          counts[k] += part[c].counts[k];
-        }
-      }
-      prof.distinct = pool.size();
-      if (pool.size() > 0) {
-        prof.min = pool.value(0);
-        prof.max = pool.value(static_cast<uint32_t>(pool.size() - 1));
-      }
-      std::vector<TopValue> all;
-      all.reserve(counts.size());
-      for (uint32_t code = 0; code < counts.size(); ++code) {
-        if (counts[code] > 0) all.push_back({pool.value(code), counts[code]});
-      }
-      prof.top = SelectTopK(std::move(all), options.top_k);
-    }
-    return out;
-  }
-
-  // Scan path for un-encoded use: one morselized pass accumulating raw
-  // Value frequencies per column. Identical output to the encoded path
-  // (same Value equivalence, same tie-breaks).
-  struct ScanAcc {
-    std::unordered_map<Value, uint64_t> counts;
+  struct ColumnCounts {
+    std::vector<uint64_t> counts;
     uint64_t nulls = 0;
   };
-  using Piece = std::vector<ScanAcc>;
-  std::vector<Piece> scanned = data.RunStageMorsels<Piece>(
-      "profile:scan", [&](size_t p) { return parts[p].size(); },
+  using Piece = std::vector<ColumnCounts>;
+  std::vector<Piece> hist = data.RunStageMorsels<Piece>(
+      "profile:histogram", [&](size_t p) { return parts[p].size(); },
       [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
         Piece piece(num_cols);
-        for (size_t i = begin; i < end; ++i) {
-          const Row& row = parts[p][i];
-          for (size_t c = 0; c < num_cols; ++c) {
-            const Value& v = row.value(row.source_column(c));
-            if (v.is_null()) {
+        for (size_t c = 0; c < num_cols; ++c) {
+          const EncodedColumn& col = encoded.columns.at(c);
+          piece[c].counts.assign(col.pool->size(), 0);
+          const std::vector<uint32_t>& codes = col.codes[p];
+          for (size_t i = begin; i < end; ++i) {
+            const uint32_t code = codes[i];
+            if (code >= col.pool->size()) {
               ++piece[c].nulls;
             } else {
-              ++piece[c].counts[v];
+              ++piece[c].counts[code];
             }
           }
         }
@@ -245,23 +170,41 @@ TableProfile ProfileTable(ExecutionContext* ctx, const Table& table,
       },
       [&](size_t, std::vector<Piece>&& pieces) {
         Piece merged(num_cols);
-        for (Piece& piece : pieces) {
+        for (size_t c = 0; c < num_cols; ++c) {
+          merged[c].counts.assign(encoded.columns.at(c).pool->size(), 0);
+        }
+        for (const Piece& piece : pieces) {
           for (size_t c = 0; c < num_cols; ++c) {
             merged[c].nulls += piece[c].nulls;
-            for (auto& [v, n] : piece[c].counts) merged[c].counts[v] += n;
+            for (size_t k = 0; k < piece[c].counts.size(); ++k) {
+              merged[c].counts[k] += piece[c].counts[k];
+            }
           }
         }
         return merged;
       });
 
   for (size_t c = 0; c < num_cols; ++c) {
+    const ValuePool& pool = *encoded.columns.at(c).pool;
     ColumnProfile& prof = out.columns[c];
-    std::unordered_map<Value, uint64_t> counts;
-    for (Piece& part : scanned) {
+    std::vector<uint64_t> counts(pool.size(), 0);
+    for (const Piece& part : hist) {
       prof.nulls += part[c].nulls;
-      for (auto& [v, n] : part[c].counts) counts[v] += n;
+      for (size_t k = 0; k < part[c].counts.size(); ++k) {
+        counts[k] += part[c].counts[k];
+      }
     }
-    FinalizeFromCounts(counts, options.top_k, &prof);
+    prof.distinct = pool.size();
+    if (pool.size() > 0) {
+      prof.min = pool.value(0);
+      prof.max = pool.value(static_cast<uint32_t>(pool.size() - 1));
+    }
+    std::vector<TopValue> all;
+    all.reserve(counts.size());
+    for (uint32_t code = 0; code < counts.size(); ++code) {
+      if (counts[code] > 0) all.push_back({pool.value(code), counts[code]});
+    }
+    prof.top = SelectTopK(std::move(all));
   }
   return out;
 }

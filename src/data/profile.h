@@ -52,38 +52,20 @@ struct TableProfile {
   std::string ToJson() const;
 };
 
-struct ProfileOptions {
-  /// How many frequent values to keep per column.
-  size_t top_k = 5;
-  /// Dictionary-encode the columns first (PR 8 ValuePools) so distinct /
-  /// min / max fall out of the sorted pools for free and the frequency
-  /// histogram runs over dense u32 codes. With `false` the profiler scans
-  /// raw Values instead — the path for columns that are never encoded.
-  /// Both paths produce identical profiles.
-  bool use_encoding = true;
-  /// Encoding pays one encode stage per column before the histogram pass;
-  /// below this many rows the single-stage scan path is cheaper than that
-  /// fixed stage cost (and the output is identical anyway), so encoding
-  /// only kicks in at this size. 0 forces encoding whenever
-  /// `use_encoding` is set.
-  size_t encode_min_rows = 8192;
-  /// Below this many rows even one stage dispatch costs more than the
-  /// profiling work itself, so the profiler runs a plain driver-side loop
-  /// with no stages at all (same output, like the morsel-size cutoff).
-  /// 0 always dispatches stages.
-  size_t stage_min_rows = 4096;
-};
+/// Frequent values kept per column (ColumnProfile::top).
+constexpr size_t kProfileTopK = 5;
 
-/// Profiles every column of `table`, morselized via the StageExecutor.
-/// The encoded path runs the kernel encode stages plus one
-/// "profile:histogram" stage over the code vectors; the scan path runs one
-/// "profile:scan" stage over raw Values; tables under
-/// `ProfileOptions::stage_min_rows` are profiled inline on the calling
-/// thread with no stages at all. All paths produce identical profiles.
-/// Dispatched stages publish through stage reports, trace spans, EXPLAIN
-/// and the sampling profiler like any other engine stage.
-TableProfile ProfileTable(ExecutionContext* ctx, const Table& table,
-                          const ProfileOptions& options = ProfileOptions());
+/// Tables under this many rows are profiled inline on the calling thread:
+/// below it even one stage dispatch costs more than the profiling work.
+constexpr size_t kProfileInlineRows = 4096;
+
+/// Profiles every column of `table`. Tables under kProfileInlineRows run a
+/// driver-side loop with no stages; larger ones run the kernel encode
+/// stages plus one morselized "profile:histogram" stage over the code
+/// vectors, which publishes through stage reports, trace spans, EXPLAIN
+/// and the sampling profiler like any other engine stage. Both paths
+/// produce identical profiles.
+TableProfile ProfileTable(ExecutionContext* ctx, const Table& table);
 
 }  // namespace bigdansing
 

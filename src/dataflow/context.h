@@ -8,18 +8,10 @@
 #include <string_view>
 
 #include "common/fault.h"
-#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "dataflow/metrics.h"
 
 namespace bigdansing {
-
-/// Emulated execution backend. kSpark keeps stage outputs in memory; kHadoop
-/// models a disk-based MapReduce engine by charging a per-record
-/// materialization cost at every stage boundary (the paper's
-/// BigDansing-Hadoop is 16-22x slower than BigDansing-Spark on large inputs
-/// for this reason, §6.3).
-enum class Backend { kSpark, kHadoop };
 
 /// The "cluster": worker count, task scheduler and metrics for one dataflow
 /// job graph. Stands in for a SparkContext. Worker count is the scale-out
@@ -28,16 +20,14 @@ enum class Backend { kSpark, kHadoop };
 /// the host has few cores.
 class ExecutionContext {
  public:
-  explicit ExecutionContext(size_t num_workers, Backend backend = Backend::kSpark)
+  explicit ExecutionContext(size_t num_workers)
       : num_workers_(num_workers == 0 ? 1 : num_workers),
-        backend_(backend),
         // BD_THREADS overrides the physical thread count without changing
         // the logical cluster size used for partitioning and accounting.
         pool_(std::make_unique<ThreadPool>(
             ThreadPool::EnvThreadsOr(num_workers_))) {}
 
   size_t num_workers() const { return num_workers_; }
-  Backend backend() const { return backend_; }
   ThreadPool& pool() { return *pool_; }
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
@@ -80,26 +70,8 @@ class ExecutionContext {
   const FaultPolicy& fault_policy() const { return fault_policy_; }
   void set_fault_policy(const FaultPolicy& policy) { fault_policy_ = policy; }
 
-  /// Per-record cost charged at stage boundaries in Hadoop mode; emulates
-  /// serializing each stage's output to a distributed file system and
-  /// re-reading it (MapReduce materializes between jobs; Spark keeps RDDs
-  /// in memory). The mix count is calibrated so a multi-stage pipeline runs
-  /// a single-digit factor slower in Hadoop mode — milder than the paper's
-  /// 16-22x (their jobs also paid HDFS replication and JVM startup).
-  void ChargeMaterialization(size_t num_records) {
-    if (backend_ != Backend::kHadoop) return;
-    volatile uint64_t sink = 0;
-    for (size_t i = 0; i < num_records; ++i) {
-      uint64_t h = i;
-      for (int k = 0; k < 400; ++k) h = StableHashUint64(h + k);
-      sink = sink + h;
-    }
-    (void)sink;
-  }
-
  private:
   size_t num_workers_;
-  Backend backend_;
   std::unique_ptr<ThreadPool> pool_;
   Metrics metrics_;
   FaultPolicy fault_policy_ = FaultPolicy::FromEnv();

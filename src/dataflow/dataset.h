@@ -34,8 +34,7 @@ namespace bigdansing {
 /// per partition to the former eager engine.
 ///
 /// Every fused pipeline runs as one named stage through the StageExecutor,
-/// so a Map→Filter→Map chain costs one stage (and one materialization
-/// charge in Hadoop mode) instead of three.
+/// so a Map→Filter→Map chain costs one stage instead of three.
 ///
 /// Lifetime rule: functors passed to transformations are copied into the
 /// pipeline, but anything they capture *by reference* must stay alive until
@@ -601,7 +600,6 @@ class Dataset {
                             [&](T&& x) { piece.push_back(std::move(x)); });
             tc.records_in = end - begin;
             tc.records_out = piece.size();
-            s.ctx->ChargeMaterialization(piece.size());
             return piece;
           },
           [](size_t, std::vector<std::vector<T>>&& pieces) {
@@ -622,9 +620,6 @@ class Dataset {
             s.produce(p, [&](T&& x) { slot.push_back(std::move(x)); });
             tc.records_in = s.input_size ? s.input_size(p) : 0;
             tc.records_out = slot.size();
-            // One stage boundary per fused pipeline: Hadoop mode charges
-            // the materialization once, however many steps were fused.
-            s.ctx->ChargeMaterialization(slot.size());
             return slot;
           });
     }
@@ -686,7 +681,6 @@ std::vector<std::vector<std::pair<K, V>>> ShuffleByKey(
           tc.records_in = end - begin;
           tc.shuffled_records = tc.records_out;
           shuffle_bytes.Add(tc.records_out * sizeof(std::pair<K, V>));
-          ctx->ChargeMaterialization(tc.records_out);
           return row;
         },
         [&](size_t, std::vector<BucketRow>&& pieces) {
@@ -712,7 +706,6 @@ std::vector<std::vector<std::pair<K, V>>> ShuffleByKey(
           tc.records_in = ds.InputSize(p);
           tc.shuffled_records = tc.records_out;
           shuffle_bytes.Add(tc.records_out * sizeof(std::pair<K, V>));
-          ctx->ChargeMaterialization(tc.records_out);
           return row;
         });
   }

@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 
 #ifndef _WIN32
@@ -267,28 +266,6 @@ void ObsServer::HandleConnection(int fd) {
 #else
   (void)fd;
 #endif
-}
-
-bool ObsServer::StartFromEnv() {
-  const char* env = std::getenv("BD_OBS_PORT");
-  if (env == nullptr || *env == '\0') return false;
-  char* end = nullptr;
-  const long port = std::strtol(env, &end, 10);
-  if (end == env || port < 0 || port > 65535) {
-    BD_LOG(Warning) << "BD_OBS_PORT ignored (not a port): " << env;
-    return false;
-  }
-  if (!Instance().Start(static_cast<uint16_t>(port))) return false;
-  // A live endpoint without spans or samples answers /explain and
-  // /profilez with empty shells; light both planes up alongside it. Same
-  // for the data-quality plane: /quality and /profile only have content
-  // when the QualityRecorder observes the Clean() runs.
-  TraceRecorder::Instance().set_enabled(true);
-  QualityRecorder::Instance().set_enabled(true);
-  if (!Profiler::Instance().running()) {
-    Profiler::Instance().Start(Profiler::DefaultHz());
-  }
-  return true;
 }
 
 }  // namespace bigdansing

@@ -20,8 +20,9 @@ struct ObsResponse {
 /// Embedded, dependency-free observability endpoint: a blocking accept
 /// loop on one dedicated thread serving read-only snapshots of the live
 /// telemetry plane over HTTP/1.1 (connection-per-request, loopback use).
-/// Enabled by BD_OBS_PORT; intended for operators watching a long-running
-/// cleanse — every handler is a consistent snapshot, never a mutation.
+/// Started by InitObservabilityFromEnv (obs/bootstrap.h); intended for
+/// operators watching a long-running cleanse — every handler is a
+/// consistent snapshot, never a mutation.
 ///
 /// Endpoints:
 ///   /healthz   liveness + uptime + plane status            (JSON)
@@ -50,12 +51,6 @@ class ObsServer {
   /// Routes one request path (query strings ignored) to its endpoint.
   /// The pure core of the server, used directly by tests.
   static ObsResponse Dispatch(const std::string& path);
-
-  /// Starts the server when BD_OBS_PORT is set to a valid port number.
-  /// Also enables the TraceRecorder (so /explain has open spans to render)
-  /// and the sampling profiler at its default rate (so /profilez is never
-  /// empty). Returns true when the server is running afterwards.
-  static bool StartFromEnv();
 
  private:
   ObsServer() = default;

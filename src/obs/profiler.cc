@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 
-#include "common/logging.h"
 #include "common/metrics_registry.h"
 
 namespace bigdansing {
@@ -144,42 +141,6 @@ void Profiler::ResetSamples() {
   samples_.clear();
   idle_samples_ = 0;
   total_samples_ = 0;
-}
-
-double Profiler::DefaultHz() {
-  if (const char* env = std::getenv("BD_PROFILE_HZ")) {
-    char* end = nullptr;
-    const double value = std::strtod(env, &end);
-    if (end != env && value > 0.0) return value;
-  }
-  return 97.0;
-}
-
-void Profiler::StartFromEnv() {
-  const char* hz = std::getenv("BD_PROFILE_HZ");
-  const char* folded = std::getenv("BD_PROFILE_FOLDED");
-  const bool want = (hz != nullptr && *hz != '\0') ||
-                    (folded != nullptr && *folded != '\0');
-  if (want) Instance().Start(DefaultHz());
-}
-
-bool Profiler::WriteFoldedFromEnv() {
-  const char* path = std::getenv("BD_PROFILE_FOLDED");
-  if (path == nullptr || *path == '\0') return true;
-  const std::string text = Instance().FoldedStacks();
-  const std::string target(path);
-  if (target == "-" || target == "stdout") {
-    std::fwrite(text.data(), 1, text.size(), stdout);
-    std::fflush(stdout);
-    return true;
-  }
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    BD_LOG(Warning) << "failed to write folded profile to " << target;
-    return false;
-  }
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  return std::fclose(f) == 0 && written == text.size();
 }
 
 ScopedActivity::ScopedActivity(const ActivityDesc* desc)

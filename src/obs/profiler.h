@@ -74,19 +74,6 @@ class Profiler {
 
   void ResetSamples();
 
-  /// BD_PROFILE_HZ when set to a positive number, else 97 (an off-beat
-  /// prime, so the sampler does not alias with millisecond-periodic work).
-  static double DefaultHz();
-
-  /// Starts the profiler when BD_PROFILE_HZ or BD_PROFILE_FOLDED is set
-  /// (rate from DefaultHz()). Safe to call repeatedly.
-  static void StartFromEnv();
-
-  /// Writes FoldedStacks() to the path named by BD_PROFILE_FOLDED ("-" or
-  /// "stdout" print instead); no-op when the variable is unset. Returns
-  /// false on I/O failure.
-  static bool WriteFoldedFromEnv();
-
  private:
   friend class ScopedActivity;
   friend ActivitySlot* ThisThreadActivitySlot();

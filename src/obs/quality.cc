@@ -1,7 +1,5 @@
 #include "obs/quality.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <string>
 
@@ -387,30 +385,6 @@ std::string QualityRecorder::ToJsonl() const {
     out += "\n";
   }
   return out;
-}
-
-bool QualityRecorder::WriteJsonl(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string text = ToJsonl();
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const bool ok = written == text.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-void QualityRecorder::WriteJsonlFromEnv() {
-  const char* path = std::getenv("BD_QUALITY_JSONL");
-  if (path == nullptr || path[0] == '\0') return;
-  QualityRecorder& recorder = Instance();
-  if (std::string(path) == "-" || std::string(path) == "stdout") {
-    const std::string text = recorder.ToJsonl();
-    std::fwrite(text.data(), 1, text.size(), stdout);
-    return;
-  }
-  if (!recorder.WriteJsonl(path)) {
-    std::fprintf(stderr, "bigdansing: failed to write quality jsonl to %s\n",
-                 path);
-  }
 }
 
 bool ProvenanceTrackingEnabled() {

@@ -139,13 +139,6 @@ class QualityRecorder {
   /// Completed runs, one strict-JSON object per line (run order).
   std::string ToJsonl() const;
 
-  /// Writes ToJsonl() to `path`; false on I/O failure.
-  bool WriteJsonl(const std::string& path) const;
-
-  /// Honors BD_QUALITY_JSONL: unset -> no-op, "-"/"stdout" -> print the
-  /// JSONL to stdout, anything else -> write it to that path.
-  static void WriteJsonlFromEnv();
-
  private:
   QualityRecorder() = default;
 

@@ -169,20 +169,6 @@ TEST(Dataset, CoGroupCollectsBothSides) {
   EXPECT_EQ(sizes[3], (std::pair<size_t, size_t>{0, 1}));
 }
 
-TEST(Dataset, HadoopBackendProducesSameResults) {
-  std::vector<std::pair<int, int>> records;
-  for (int i = 0; i < 200; ++i) records.emplace_back(i % 5, i);
-  auto run = [&](Backend backend) {
-    ExecutionContext ctx(4, backend);
-    auto ds = Dataset<std::pair<int, int>>::FromVector(&ctx, records);
-    auto reduced = ReduceByKey(ds, [](int a, int b) { return a + b; });
-    std::map<int, int> out;
-    for (const auto& [k, v] : reduced.Collect()) out[k] = v;
-    return out;
-  };
-  EXPECT_EQ(run(Backend::kSpark), run(Backend::kHadoop));
-}
-
 TEST(Dataset, MetricsTrackShuffles) {
   ExecutionContext ctx(2);
   std::vector<std::pair<int, int>> records;

@@ -16,6 +16,7 @@
 
 #include "core/bigdansing.h"
 #include "datagen/datagen.h"
+#include "obs/bootstrap.h"
 #include "repair/quality.h"
 #include "rules/parser.h"
 #include "strict_json_test_util.h"
@@ -132,7 +133,7 @@ TEST(LineageIntegration, Fig9aFdCleanseReconcilesLedgerWithReport) {
   // JSONL round-trip: every line is strict JSON and the re-parsed applied
   // counts agree with the in-memory rollup.
   const std::string path = testing::TempDir() + "bd_lineage_test.jsonl";
-  ASSERT_TRUE(lineage.WriteJsonl(path));
+  ASSERT_TRUE(WriteOutput(path, lineage.ToJsonl()));
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());
   std::map<std::string, uint64_t> parsed_fixes;

@@ -1,15 +1,26 @@
 // Tests for the live observability plane: the HTTP endpoint dispatch
 // (strict JSON / Prometheus lint), live /stages snapshots including
-// in-flight stages, the sampling profiler's attribution, per-stage
-// resource accounting, and the non-finite JSON regression.
+// in-flight stages, the env-driven bootstrap (every variable, every
+// endpoint over a real socket, every export file, checked writes), the
+// sampling profiler's attribution, per-stage resource accounting, and the
+// non-finite JSON regression.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
+#include <map>
 #include <mutex>
+#include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #ifndef _WIN32
@@ -20,18 +31,23 @@
 
 #include <gtest/gtest.h>
 
+#include "common/lineage.h"
+#include "common/logging.h"
 #include "common/metrics_registry.h"
 #include "common/trace.h"
 #include "core/bigdansing.h"
 #include "core/rule_engine.h"
+#include "core/stream_session.h"
 #include "datagen/datagen.h"
 #include "dataflow/context.h"
 #include "dataflow/stage_executor.h"
+#include "obs/bootstrap.h"
 #include "obs/http_server.h"
 #include "obs/profiler.h"
 #include "obs/quality.h"
 #include "obs/resource_accounting.h"
 #include "obs/stage_directory.h"
+#include "obs/stream_stats.h"
 #include "prom_lint_test_util.h"
 #include "rules/parser.h"
 #include "strict_json_test_util.h"
@@ -207,6 +223,38 @@ TEST(ObsDispatchTest, ExplainEndpointRendersOpenSpans) {
 }
 
 #ifndef _WIN32
+/// One GET against the loopback server: the raw response (status line,
+/// headers, body), or "" when the connection fails.
+std::string HttpGet(uint16_t port, const std::string& path) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return "";
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  std::string response;
+  const std::string request =
+      "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+      ::send(fd, request.data(), request.size(), 0) ==
+          static_cast<ssize_t>(request.size())) {
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+      response.append(buf, static_cast<size_t>(n));
+    }
+  }
+  ::close(fd);
+  return response;
+}
+
+/// The body of a raw HTTP response ("" without a header terminator).
+std::string HttpBody(const std::string& response) {
+  const size_t at = response.find("\r\n\r\n");
+  return at == std::string::npos ? "" : response.substr(at + 4);
+}
+
 TEST(ObsServerTest, ServesRealHttpRoundTrip) {
   ObsServer& server = ObsServer::Instance();
   ASSERT_TRUE(server.Start(0));  // ephemeral port
@@ -214,35 +262,14 @@ TEST(ObsServerTest, ServesRealHttpRoundTrip) {
   const uint16_t port = server.port();
   ASSERT_NE(port, 0);
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  const char* request = "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n";
-  ASSERT_EQ(::send(fd, request, std::strlen(request), 0),
-            static_cast<ssize_t>(std::strlen(request)));
-  std::string response;
-  char buf[512];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-
+  const std::string response = HttpGet(port, "/healthz");
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(response.find("Content-Type: application/json"),
             std::string::npos);
-  const size_t body_at = response.find("\r\n\r\n");
-  ASSERT_NE(body_at, std::string::npos);
   JsonValue doc;
   std::string error;
-  ASSERT_TRUE(ParsesStrictly(response.substr(body_at + 4), &doc, &error))
-      << error;
+  ASSERT_TRUE(ParsesStrictly(HttpBody(response), &doc, &error))
+      << error << ": " << response;
   EXPECT_EQ(doc.Find("status")->str, "ok");
 
   server.Stop();
@@ -250,6 +277,329 @@ TEST(ObsServerTest, ServesRealHttpRoundTrip) {
   // Stop/Start cycle works (fresh ephemeral port).
   ASSERT_TRUE(server.Start(0));
   server.Stop();
+}
+
+/// Reads a whole file ("" when it cannot be opened).
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Non-empty lines of `text`.
+std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty()) lines.push_back(line);
+  }
+  return lines;
+}
+
+/// Runs each bootstrap test with every observability variable unset and
+/// puts the process-global plane back afterwards: the variables, the
+/// recorder toggles and the logger threshold are restored, the server and
+/// sampler stopped, and the spans, ledger, quality runs, samples, stream
+/// records and temp files the test produced are dropped.
+class ObsBootstrapTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_FALSE(ObsServer::Instance().running());
+    ASSERT_FALSE(Profiler::Instance().running());
+    for (const char* name :
+         {"BD_TRACE_JSON", "BD_EXPLAIN", "BD_LINEAGE_JSONL", "BD_QUALITY_JSONL",
+          "BD_METRICS_JSON", "BD_METRICS_PROM", "BD_OBS_PORT", "BD_PROFILE_HZ",
+          "BD_PROFILE_FOLDED"}) {
+      const char* value = std::getenv(name);
+      saved_env_.emplace_back(name, value == nullptr
+                                        ? std::nullopt
+                                        : std::optional<std::string>(value));
+      ::unsetenv(name);
+    }
+  }
+
+  void TearDown() override {
+    ObsServer::Instance().Stop();
+    Profiler::Instance().Stop();
+    Profiler::Instance().ResetSamples();
+    TraceRecorder::Instance().set_enabled(trace_on_);
+    TraceRecorder::Instance().Clear();
+    LineageRecorder::Instance().set_enabled(lineage_on_);
+    LineageRecorder::Instance().Clear();
+    QualityRecorder::Instance().set_enabled(quality_on_);
+    QualityRecorder::Instance().Clear();
+    StreamDirectory::Instance().Clear();
+    Logger::Instance().set_min_level(log_level_);
+    for (const auto& [name, value] : saved_env_) {
+      if (value.has_value()) {
+        ::setenv(name.c_str(), value->c_str(), 1);
+      } else {
+        ::unsetenv(name.c_str());
+      }
+    }
+    for (const std::string& path : temp_files_) std::remove(path.c_str());
+  }
+
+  /// A fresh path in the test temp directory, removed on teardown.
+  std::string TempPath(const std::string& name) {
+    temp_files_.push_back(::testing::TempDir() + "bd_bootstrap_" +
+                          std::to_string(::getpid()) + "_" + name);
+    return temp_files_.back();
+  }
+
+  static void SetEnv(const char* name, const std::string& value) {
+    ::setenv(name, value.c_str(), 1);
+  }
+
+  static bool HaveDevFull() { return ::access("/dev/full", W_OK) == 0; }
+
+ private:
+  const bool trace_on_ = TraceRecorder::Instance().enabled();
+  const bool lineage_on_ = LineageRecorder::Instance().enabled();
+  const bool quality_on_ = QualityRecorder::Instance().enabled();
+  const LogLevel log_level_ = Logger::Instance().min_level();
+  std::vector<std::pair<std::string, std::optional<std::string>>> saved_env_;
+  std::vector<std::string> temp_files_;
+};
+
+TEST_F(ObsBootstrapTest, WriteOutputTruncatesAndReportsOpenFailure) {
+  const std::string path = TempPath("write_output.txt");
+  ASSERT_TRUE(WriteOutput(path, "a longer first text\n"));
+  ASSERT_TRUE(WriteOutput(path, "second\n"));
+  EXPECT_EQ(ReadFile(path), "second\n");
+  EXPECT_FALSE(
+      WriteOutput(::testing::TempDir() + "bd-no-such-dir/out.txt", "text"));
+}
+
+TEST_F(ObsBootstrapTest, WriteOutputReportsFailedClose) {
+  if (!HaveDevFull()) GTEST_SKIP() << "/dev/full is absent";
+  // 100 bytes fit the stdio buffer: fwrite succeeds, and only fclose's
+  // flush meets the full device.
+  EXPECT_FALSE(WriteOutput("/dev/full", std::string(100, 'x')));
+}
+
+TEST_F(ObsBootstrapTest, FlushReportsFailedMetricsWrite) {
+  EXPECT_TRUE(FlushObservability()) << "nothing requested, nothing failed";
+  if (!HaveDevFull()) GTEST_SKIP() << "/dev/full is absent";
+  SetEnv("BD_METRICS_JSON", "/dev/full");
+  EXPECT_FALSE(FlushObservability());
+}
+
+TEST_F(ObsBootstrapTest, MalformedNumbersAreIgnored) {
+  // A numeric prefix is not a number: neither value may start anything.
+  SetEnv("BD_OBS_PORT", "8080x");
+  SetEnv("BD_PROFILE_HZ", "97x");
+  InitObservabilityFromEnv();
+  EXPECT_FALSE(ObsServer::Instance().running());
+  EXPECT_FALSE(Profiler::Instance().running());
+
+  SetEnv("BD_PROFILE_HZ", "997");
+  InitObservabilityFromEnv();
+  EXPECT_TRUE(Profiler::Instance().running());
+  EXPECT_EQ(Profiler::Instance().hz(), 997.0);
+  EXPECT_FALSE(ObsServer::Instance().running());
+}
+
+TEST_F(ObsBootstrapTest, EnvVariablesDriveEveryPlane) {
+  // Every file variable points into the temp directory and port 0 asks
+  // for an ephemeral port: the environment-only wiring of the demos.
+  const std::string trace_path = TempPath("trace.json");
+  const std::string lineage_path = TempPath("lineage.jsonl");
+  const std::string quality_path = TempPath("quality.jsonl");
+  const std::string metrics_path = TempPath("metrics.json");
+  const std::string prom_path = TempPath("metrics.prom");
+  const std::string folded_path = TempPath("profile.folded");
+  SetEnv("BD_TRACE_JSON", trace_path);
+  SetEnv("BD_LINEAGE_JSONL", lineage_path);
+  SetEnv("BD_QUALITY_JSONL", quality_path);
+  SetEnv("BD_METRICS_JSON", metrics_path);
+  SetEnv("BD_METRICS_PROM", prom_path);
+  SetEnv("BD_PROFILE_FOLDED", folded_path);
+  SetEnv("BD_PROFILE_HZ", "997");
+  SetEnv("BD_OBS_PORT", "0");
+  InitObservabilityFromEnv();
+  ObsServer& server = ObsServer::Instance();
+  ASSERT_TRUE(server.running());
+  ASSERT_NE(server.port(), 0);
+  EXPECT_TRUE(Profiler::Instance().running());
+  EXPECT_EQ(Profiler::Instance().hz(), 997.0);
+  EXPECT_TRUE(TraceRecorder::Instance().enabled());
+  EXPECT_TRUE(LineageRecorder::Instance().enabled());
+  EXPECT_TRUE(QualityRecorder::Instance().enabled());
+
+  // One Clean() and one named stream session, scraped while it is open.
+  const RulePtr rule = *ParseRule("phi1: FD: zipcode -> city");
+  const auto data = GenerateTaxA(3000, 0.1, /*seed=*/17);
+  ExecutionContext ctx(4);
+  BigDansing system(&ctx);
+  Table working = data.dirty;
+  auto report = system.Clean(&working, {rule});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  const std::string session_name = "bootstrap-stream";
+  Table streamed(data.dirty.schema());
+  StreamOptions options;
+  options.session_name = session_name;
+  options.batch_rows = 500;
+  auto session = system.OpenStream(&streamed, {rule}, options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const std::vector<Row>& rows = data.dirty.rows();
+  for (size_t begin = 0; begin < rows.size(); begin += 500) {
+    const size_t end = std::min(begin + 500, rows.size());
+    ASSERT_TRUE(
+        (*session)->Append(std::vector<Row>(rows.begin() + begin,
+                                            rows.begin() + end))
+            .ok());
+    auto window = (*session)->Poll();
+    ASSERT_TRUE(window.ok()) << window.status().ToString();
+  }
+
+  std::map<std::string, std::string> bodies;
+  for (const char* path : {"/healthz", "/metrics", "/stages", "/explain",
+                           "/quality", "/profile", "/streams", "/profilez"}) {
+    const std::string response = HttpGet(server.port(), path);
+    ASSERT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos)
+        << path << ": " << response;
+    bodies[path] = HttpBody(response);
+  }
+  std::map<std::string, JsonValue> docs;
+  for (const char* path : {"/healthz", "/stages", "/explain", "/quality",
+                           "/profile", "/streams"}) {
+    std::string error;
+    ASSERT_TRUE(ParsesStrictly(bodies[path], &docs[path], &error))
+        << path << ": " << error;
+  }
+  EXPECT_EQ(docs["/healthz"].Find("status")->str, "ok");
+  EXPECT_GE(docs["/stages"].Find("live_contexts")->number, 1.0);
+  size_t stage_reports = 0;
+  for (const JsonValue& context : docs["/stages"].Find("contexts")->array) {
+    const JsonValue* reports = context.Find("stage_reports");
+    if (reports == nullptr) continue;
+    for (const JsonValue& report : reports->array) {
+      ++stage_reports;
+      for (const char* key :
+           {"alloc_bytes", "rss_delta_bytes", "steals", "in_flight"}) {
+        EXPECT_NE(report.Find(key), nullptr) << key;
+      }
+    }
+  }
+  EXPECT_GT(stage_reports, 0u) << "no stage reports in the live /stages";
+  EXPECT_TRUE(docs["/explain"].Find("enabled")->boolean);
+  EXPECT_GT(docs["/explain"].Find("spans")->number, 0.0);
+  EXPECT_NE(bodies["/profilez"].find("bigdansing;"), std::string::npos);
+
+  std::vector<std::string> lint_errors;
+  EXPECT_TRUE(
+      testing::ValidatePrometheusExposition(bodies["/metrics"], &lint_errors))
+      << (lint_errors.empty() ? std::string() : lint_errors.front());
+  EXPECT_NE(bodies["/metrics"].find("# TYPE quality_"), std::string::npos)
+      << "no quality_* families in /metrics";
+
+  const JsonValue& profile = docs["/profile"];
+  ASSERT_TRUE(profile.Find("has_profile")->boolean);
+  const JsonValue* columns = profile.Find("profile")->Find("columns");
+  ASSERT_FALSE(columns->array.empty());
+  for (const JsonValue& col : columns->array) {
+    EXPECT_NE(col.Find("null_rate"), nullptr) << col.Find("name")->str;
+    EXPECT_NE(col.Find("top"), nullptr) << col.Find("name")->str;
+  }
+
+  const JsonValue& quality = docs["/quality"];
+  EXPECT_TRUE(quality.Find("enabled")->boolean);
+  size_t completed = 0;
+  size_t session_runs = 0;
+  bool session_violations = false;
+  for (const JsonValue& run : quality.Find("runs")->array) {
+    if (run.Find("in_progress")->boolean) continue;
+    ++completed;
+    const double violations = run.Find("violations")->number;
+    const double fixes = run.Find("fixes")->number;
+    EXPECT_GE(violations, fixes);
+    EXPECT_GE(fixes, 0.0);
+    EXPECT_EQ(static_cast<double>(run.Find("curve")->array.size()),
+              run.Find("iterations")->number);
+    if (run.Find("session")->str != session_name) continue;
+    ++session_runs;
+    session_violations = session_violations || violations > 0;
+  }
+  EXPECT_GE(completed, 2u) << "the Clean() run and the session's windows";
+  EXPECT_GT(session_runs, 0u) << "no completed run tagged " << session_name;
+  EXPECT_TRUE(session_violations) << "no window detected any violations";
+
+  EXPECT_GE(docs["/streams"].Find("live_sessions")->number, 1.0);
+  const JsonValue* stream = nullptr;
+  for (const JsonValue& record : docs["/streams"].Find("records")->array) {
+    if (record.Find("name")->str == session_name) stream = &record;
+  }
+  ASSERT_NE(stream, nullptr) << bodies["/streams"];
+  EXPECT_TRUE(stream->Find("open")->boolean);
+  for (const char* counter : {"appended_rows", "batches_processed",
+                              "index_blocks", "index_rows", "fixes_applied"}) {
+    EXPECT_GT(stream->Find(counter)->number, 0.0) << counter;
+  }
+  EXPECT_LE(stream->Find("rows")->number,
+            stream->Find("appended_rows")->number);
+
+  // Every export file, written by one flush while the plane keeps running.
+  ASSERT_TRUE((*session)->Flush().ok());
+  ASSERT_TRUE(FlushObservability());
+
+  JsonValue trace;
+  std::string error;
+  ASSERT_TRUE(ParsesStrictly(ReadFile(trace_path), &trace, &error)) << error;
+  std::set<std::string> categories;
+  for (const JsonValue& event : trace.Find("traceEvents")->array) {
+    const JsonValue* cat = event.Find("cat");
+    if (cat != nullptr && event.Find("ph")->str == "X") {
+      categories.insert(cat->str);
+    }
+  }
+  for (const char* want : {"job", "rule", "operator", "stage", "task"}) {
+    EXPECT_EQ(categories.count(want), 1u) << "no " << want << " spans";
+  }
+
+  size_t lineage_fixes = 0;
+  for (const std::string& line : Lines(ReadFile(lineage_path))) {
+    JsonValue rec;
+    ASSERT_TRUE(ParsesStrictly(line, &rec, &error)) << error << ": " << line;
+    if (rec.Find("kind")->str != "fix") continue;
+    ++lineage_fixes;
+    for (const char* key : {"row_id", "column", "new_value", "strategy"}) {
+      EXPECT_NE(rec.Find(key), nullptr) << key << ": " << line;
+    }
+  }
+  EXPECT_GT(lineage_fixes, 0u);
+
+  const std::vector<std::string> quality_lines =
+      Lines(ReadFile(quality_path));
+  EXPECT_FALSE(quality_lines.empty());
+  for (const std::string& line : quality_lines) {
+    JsonValue rec;
+    ASSERT_TRUE(ParsesStrictly(line, &rec, &error)) << error << ": " << line;
+    EXPECT_FALSE(rec.Find("in_progress")->boolean) << line;
+    EXPECT_GE(rec.Find("violations")->number, rec.Find("fixes")->number)
+        << line;
+  }
+
+  JsonValue metrics;
+  EXPECT_TRUE(ParsesStrictly(ReadFile(metrics_path), &metrics, &error))
+      << error;
+  lint_errors.clear();
+  EXPECT_TRUE(
+      testing::ValidatePrometheusExposition(ReadFile(prom_path), &lint_errors))
+      << (lint_errors.empty() ? std::string() : lint_errors.front());
+
+  const std::vector<std::string> folded = Lines(ReadFile(folded_path));
+  EXPECT_FALSE(folded.empty());
+  for (const std::string& line : folded) {
+    EXPECT_EQ(line.rfind("bigdansing;", 0), 0u) << line;
+  }
+
+  ASSERT_TRUE((*session)->Close().ok());
+  EXPECT_TRUE(ShutdownObservability());
+  EXPECT_FALSE(server.running());
+  EXPECT_FALSE(Profiler::Instance().running());
 }
 #endif
 

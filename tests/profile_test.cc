@@ -1,12 +1,14 @@
 // Column profiler tests: known-table statistics (null rate, distinct,
-// min/max, top-k with deterministic tie-breaks), byte-identical output
-// between the dictionary-encoded path and the raw-value scan path, strict
-// JSON rendering, and the profile stages publishing through the metrics
-// plane like any other engine stage.
+// min/max, top-k with deterministic tie-breaks), the inline and the
+// dictionary-encoded path each matching a brute-force reference profile,
+// strict JSON rendering, and the profile stages publishing through the
+// metrics plane like any other engine stage.
 #include "data/profile.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,63 @@ Table MakeMixedTable() {
   t.AppendRow({Value("lima"), Value(int64_t{50})});
   t.AppendRow({Value("paris"), Value(int64_t{200})});
   return t;
+}
+
+/// `rows` rows over a string, an int and a double column with nulls,
+/// repeated values and count ties, so top-k truncation and both
+/// tie-breaks are exercised.
+Table MakeSkewedTable(size_t rows) {
+  Table t(Schema({"city", "salary", "rate"}));
+  for (size_t i = 0; i < rows; ++i) {
+    std::string city_name = "c";
+    city_name += std::to_string(i % 7 == 0 ? 0 : i % 13);
+    const Value city = i % 11 == 0 ? Value() : Value(city_name);
+    const Value salary =
+        i % 17 == 0 ? Value() : Value(static_cast<int64_t>(i % 23) * 100);
+    const Value rate(static_cast<double>(i % 9) / 4.0);
+    t.AppendRow({city, salary, rate});
+  }
+  return t;
+}
+
+/// Brute-force reference: std::map counts per column (so value-ascending),
+/// then a stable count-descending sort for the top-k.
+TableProfile ReferenceProfile(const Table& t) {
+  TableProfile out;
+  out.rows = t.num_rows();
+  for (size_t c = 0; c < t.schema().num_attributes(); ++c) {
+    ColumnProfile prof;
+    prof.name = t.schema().attribute(c);
+    prof.index = c;
+    prof.rows = out.rows;
+    std::map<Value, uint64_t> counts;
+    for (const Row& row : t.rows()) {
+      if (row.value(c).is_null()) {
+        ++prof.nulls;
+      } else {
+        ++counts[row.value(c)];
+      }
+    }
+    prof.distinct = counts.size();
+    if (!counts.empty()) {
+      prof.min = counts.begin()->first;
+      prof.max = counts.rbegin()->first;
+    }
+    for (const auto& [v, n] : counts) prof.top.push_back({v, n});
+    std::stable_sort(
+        prof.top.begin(), prof.top.end(),
+        [](const TopValue& a, const TopValue& b) { return a.count > b.count; });
+    if (prof.top.size() > kProfileTopK) prof.top.resize(kProfileTopK);
+    out.columns.push_back(std::move(prof));
+  }
+  return out;
+}
+
+bool RanStage(const ExecutionContext& ctx, const std::string& name) {
+  for (const StageReport& r : ctx.metrics().StageReports()) {
+    if (r.name == name) return true;
+  }
+  return false;
 }
 
 TEST(ColumnProfiler, ProfilesKnownTable) {
@@ -78,33 +137,29 @@ TEST(ColumnProfiler, TopKTruncates) {
       t.AppendRow({Value(int64_t{i})});
     }
   }
-  ProfileOptions options;
-  options.top_k = 3;
-  TableProfile profile = ProfileTable(&ctx, t, options);
+  TableProfile profile = ProfileTable(&ctx, t);
   ASSERT_EQ(profile.columns.size(), 1u);
-  ASSERT_EQ(profile.columns[0].top.size(), 3u);
+  ASSERT_EQ(profile.columns[0].top.size(), 5u);
   EXPECT_EQ(profile.columns[0].top[0].value, Value(int64_t{9}));
   EXPECT_EQ(profile.columns[0].top[0].count, 10u);
-  EXPECT_EQ(profile.columns[0].top[2].value, Value(int64_t{7}));
+  EXPECT_EQ(profile.columns[0].top[4].value, Value(int64_t{5}));
+  EXPECT_EQ(profile.columns[0].top[4].count, 6u);
   EXPECT_EQ(profile.columns[0].distinct, 10u);
 }
 
-TEST(ColumnProfiler, AllThreePathsRenderIdentically) {
-  ExecutionContext ctx(4);
-  const Table t = MakeMixedTable();
-  ProfileOptions encoded;
-  encoded.use_encoding = true;
-  encoded.encode_min_rows = 0;
-  encoded.stage_min_rows = 0;
-  ProfileOptions scan;
-  scan.use_encoding = false;
-  scan.stage_min_rows = 0;
-  ProfileOptions inline_path;  // tiny table -> driver-side loop
-  // Byte-identical JSON, not just equal stats: the fallback paths must be
-  // indistinguishable to every downstream consumer (drift diff, JSONL).
-  const std::string expected = ProfileTable(&ctx, t, encoded).ToJson();
-  EXPECT_EQ(expected, ProfileTable(&ctx, t, scan).ToJson());
-  EXPECT_EQ(expected, ProfileTable(&ctx, t, inline_path).ToJson());
+TEST(ColumnProfiler, BothPathsMatchBruteForceProfile) {
+  // No option forces a path: one row under the cutoff takes the inline
+  // loop, the cutoff itself the encoded stages. Byte-identical JSON, not
+  // just equal stats: the paths must be indistinguishable to every
+  // downstream consumer (drift diff, JSONL).
+  for (const size_t rows : {kProfileInlineRows - 1, kProfileInlineRows}) {
+    ExecutionContext ctx(4);
+    const Table t = MakeSkewedTable(rows);
+    EXPECT_EQ(ProfileTable(&ctx, t).ToJson(), ReferenceProfile(t).ToJson())
+        << rows << " rows";
+    EXPECT_EQ(RanStage(ctx, "profile:histogram"), rows >= kProfileInlineRows)
+        << rows << " rows";
+  }
 }
 
 TEST(ColumnProfiler, EmptyTableAndNullContext) {
@@ -150,11 +205,8 @@ TEST(ColumnProfiler, ToJsonIsStrictAndTyped) {
 
 TEST(ColumnProfiler, PublishesProfileStages) {
   ExecutionContext ctx(4);
-  const Table t = MakeMixedTable();
-  ProfileOptions encoded;
-  encoded.encode_min_rows = 0;  // tiny table would auto-pick inline/scan
-  encoded.stage_min_rows = 0;
-  ProfileTable(&ctx, t, encoded);
+  const Table t = MakeSkewedTable(kProfileInlineRows);
+  ProfileTable(&ctx, t);
   bool saw_histogram = false;
   for (const StageReport& r : ctx.metrics().StageReports()) {
     if (r.name == "profile:histogram") {
@@ -166,16 +218,6 @@ TEST(ColumnProfiler, PublishesProfileStages) {
     }
   }
   EXPECT_TRUE(saw_histogram);
-
-  ProfileOptions scan;
-  scan.use_encoding = false;
-  scan.stage_min_rows = 0;
-  ProfileTable(&ctx, t, scan);
-  bool saw_scan = false;
-  for (const StageReport& r : ctx.metrics().StageReports()) {
-    saw_scan = saw_scan || r.name == "profile:scan";
-  }
-  EXPECT_TRUE(saw_scan);
 }
 
 }  // namespace

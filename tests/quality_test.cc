@@ -22,6 +22,7 @@
 #include "data/csv.h"
 #include "data/profile.h"
 #include "datagen/datagen.h"
+#include "obs/bootstrap.h"
 #include "rules/parser.h"
 #include "strict_json_test_util.h"
 
@@ -372,7 +373,7 @@ TEST(QualityRecorder, JsonlMatchesSnapshotByteExactly) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
   const std::string path = testing::TempDir() + "bd_quality_test.jsonl";
-  ASSERT_TRUE(quality.WriteJsonl(path));
+  ASSERT_TRUE(WriteOutput(path, quality.ToJsonl()));
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());
   std::string line, last;

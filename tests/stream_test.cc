@@ -398,6 +398,27 @@ TEST(Stream, DuplicateAndMalformedAppendsAreRejected) {
   EXPECT_FALSE((*session)->Poll().ok());
 }
 
+TEST(Stream, ZeroBatchRowsOrInflightBoundIsRejected) {
+  // Both are plain field defaults. A zero batch size would divide by zero
+  // in Append() and a zero bound would reject every non-blocking Append(),
+  // so OpenStream rejects either.
+  EXPECT_EQ(StreamOptions{}.batch_rows, 4096u);
+  EXPECT_EQ(StreamOptions{}.max_inflight_batches, 4u);
+  auto table = ReadCsvString("a,b\n1,2\n", CsvOptions{});
+  ASSERT_TRUE(table.ok());
+  ExecutionContext ctx(2);
+  BigDansing system(&ctx);
+  const RulePtr rule = *ParseRule("f: FD: a -> b");
+  StreamOptions zero_rows;
+  zero_rows.batch_rows = 0;
+  EXPECT_EQ(system.OpenStream(&*table, {rule}, zero_rows).status().code(),
+            StatusCode::kInvalidArgument);
+  StreamOptions zero_inflight;
+  zero_inflight.max_inflight_batches = 0;
+  EXPECT_EQ(system.OpenStream(&*table, {rule}, zero_inflight).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(Stream, StatsAndStreamsJsonTrackTheSession) {
   StreamDirectory::Instance().Clear();
   auto data = GenerateTaxA(800, 0.1, /*seed=*/55);
