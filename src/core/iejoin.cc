@@ -8,21 +8,6 @@ namespace bigdansing {
 
 namespace {
 
-bool EvalOrdering(const Value& a, CmpOp op, const Value& b) {
-  switch (op) {
-    case CmpOp::kLt:
-      return a < b;
-    case CmpOp::kGt:
-      return a > b;
-    case CmpOp::kLeq:
-      return a <= b;
-    case CmpOp::kGeq:
-      return a >= b;
-    default:
-      return false;
-  }
-}
-
 bool AscendingFor(CmpOp op) { return op == CmpOp::kLt || op == CmpOp::kLeq; }
 
 }  // namespace
@@ -31,35 +16,37 @@ bool IEJoinApplicable(const std::vector<OrderingCondition>& conditions) {
   return conditions.size() >= 2;
 }
 
-std::vector<RowPair> IEJoin(ExecutionContext* ctx,
-                            const std::vector<Row>& rows,
-                            const std::vector<OrderingCondition>& conditions,
-                            IEJoinStats* stats) {
+std::vector<RowIndexPair> IEJoin(ExecutionContext* ctx,
+                                 const Dataset<Row>& rows,
+                                 const std::vector<OrderingCondition>& conditions,
+                                 IEJoinStats* stats) {
   IEJoinStats local;
-  std::vector<RowPair> results;
+  std::vector<RowIndexPair> results;
   if (stats != nullptr) *stats = local;
-  if (!IEJoinApplicable(conditions) || rows.empty()) return results;
+  if (!IEJoinApplicable(conditions)) return results;
+  const size_t n = rows.Count();
+  if (n == 0) return results;
 
   ScopedSpan span("iejoin", "operator");
-  span.Annotate("rows", static_cast<uint64_t>(rows.size()));
+  span.Annotate("rows", static_cast<uint64_t>(n));
   span.Annotate("conditions", static_cast<uint64_t>(conditions.size()));
 
+  const ConditionCodes codes = EncodeConditionColumns(rows, conditions);
   const OrderingCondition& c1 = conditions[0];  // t1.A op1 t2.B
   const OrderingCondition& c2 = conditions[1];  // t1.C op2 t2.D
+  const std::vector<uint32_t>& a = codes.at(c1.left_column);
+  const std::vector<uint32_t>& b = codes.at(c1.right_column);
+  const std::vector<uint32_t>& c = codes.at(c2.left_column);
+  const std::vector<uint32_t>& d = codes.at(c2.right_column);
+  constexpr uint32_t kNull = ValuePool::kNullCode;
 
   // Candidate (t1) side needs non-null A and C; target (t2) side non-null
   // B and D. A row may qualify for one role only.
-  std::vector<uint32_t> candidates;  // Row indices usable as t1.
-  std::vector<uint32_t> targets;     // Row indices usable as t2.
-  for (uint32_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    if (!r.value(c1.left_column).is_null() && !r.value(c2.left_column).is_null()) {
-      candidates.push_back(i);
-    }
-    if (!r.value(c1.right_column).is_null() &&
-        !r.value(c2.right_column).is_null()) {
-      targets.push_back(i);
-    }
+  std::vector<uint32_t> candidates;  // Row positions usable as t1.
+  std::vector<uint32_t> targets;     // Row positions usable as t2.
+  for (uint32_t i = 0; i < n; ++i) {
+    if (a[i] != kNull && c[i] != kNull) candidates.push_back(i);
+    if (b[i] != kNull && d[i] != kNull) targets.push_back(i);
   }
   local.rows_joined = candidates.size();
   if (candidates.empty() || targets.empty()) {
@@ -71,14 +58,13 @@ std::vector<RowPair> IEJoin(ExecutionContext* ctx,
   // this order, so the set {t1 : t1.A op1 t2.B} is one contiguous range
   // found by binary search.
   std::vector<uint32_t> by_a = candidates;
-  std::sort(by_a.begin(), by_a.end(), [&](uint32_t x, uint32_t y) {
-    return rows[x].value(c1.left_column) < rows[y].value(c1.left_column);
-  });
-  std::vector<Value> a_values;
-  a_values.reserve(by_a.size());
-  for (uint32_t i : by_a) a_values.push_back(rows[i].value(c1.left_column));
-  // Permutation: candidate row index -> its position in the A order.
-  std::vector<uint32_t> pos_in_a(rows.size(), 0);
+  std::sort(by_a.begin(), by_a.end(),
+            [&](uint32_t x, uint32_t y) { return a[x] < a[y]; });
+  std::vector<uint32_t> a_codes;
+  a_codes.reserve(by_a.size());
+  for (uint32_t i : by_a) a_codes.push_back(a[i]);
+  // Permutation: candidate row position -> its position in the A order.
+  std::vector<uint32_t> pos_in_a(n, 0);
   for (uint32_t p = 0; p < by_a.size(); ++p) pos_in_a[by_a[p]] = p;
 
   // Order 2: candidates sorted by C in the direction that makes the
@@ -87,17 +73,22 @@ std::vector<RowPair> IEJoin(ExecutionContext* ctx,
   const bool ascending = AscendingFor(c2.op);
   std::vector<uint32_t> by_c = candidates;
   std::sort(by_c.begin(), by_c.end(), [&](uint32_t x, uint32_t y) {
-    const Value& vx = rows[x].value(c2.left_column);
-    const Value& vy = rows[y].value(c2.left_column);
-    return ascending ? vx < vy : vy < vx;
+    return ascending ? c[x] < c[y] : c[y] < c[x];
   });
   std::vector<uint32_t> target_order = targets;
   std::sort(target_order.begin(), target_order.end(),
             [&](uint32_t x, uint32_t y) {
-              const Value& vx = rows[x].value(c2.right_column);
-              const Value& vy = rows[y].value(c2.right_column);
-              return ascending ? vx < vy : vy < vx;
+              return ascending ? d[x] < d[y] : d[y] < d[x];
             });
+
+  // Code arrays of the residual conditions beyond the two that drive the
+  // join.
+  std::vector<const uint32_t*> residual_left;
+  std::vector<const uint32_t*> residual_right;
+  for (size_t j = 2; j < conditions.size(); ++j) {
+    residual_left.push_back(codes.at(conditions[j].left_column).data());
+    residual_right.push_back(codes.at(conditions[j].right_column).data());
+  }
 
   // Bit array over A positions, plus the envelope of set positions so
   // emission never scans regions that are provably all-zero (the win on
@@ -109,13 +100,11 @@ std::vector<RowPair> IEJoin(ExecutionContext* ctx,
   size_t insert_ptr = 0;
   size_t bitmap_probes = 0;
 
-  for (uint32_t t_idx : target_order) {
-    const Row& t2 = rows[t_idx];
-    const Value& d = t2.value(c2.right_column);
+  for (uint32_t t2 : target_order) {
     // Insert every candidate whose C satisfies op2 against this D; the
     // visit order makes this set monotone, so the pointer never rewinds.
     while (insert_ptr < by_c.size() &&
-           EvalOrdering(rows[by_c[insert_ptr]].value(c2.left_column), c2.op, d)) {
+           CodesSatisfy(c[by_c[insert_ptr]], c2.op, d[t2])) {
       uint32_t p = pos_in_a[by_c[insert_ptr]];
       bits[p >> 6] |= uint64_t{1} << (p & 63);
       min_set = std::min(min_set, static_cast<size_t>(p));
@@ -124,29 +113,25 @@ std::vector<RowPair> IEJoin(ExecutionContext* ctx,
     }
     if (min_set >= max_set) continue;  // Nothing inserted yet.
     // Qualifying A range for condition 1.
-    const Value& b = t2.value(c1.right_column);
+    const uint32_t key = b[t2];
     size_t lo = 0;
-    size_t hi = a_values.size();
+    size_t hi = a_codes.size();
     switch (c1.op) {
       case CmpOp::kGt:  // t1.A > b: suffix after upper_bound.
-        lo = static_cast<size_t>(
-            std::upper_bound(a_values.begin(), a_values.end(), b) -
-            a_values.begin());
+        lo = std::upper_bound(a_codes.begin(), a_codes.end(), key) -
+             a_codes.begin();
         break;
       case CmpOp::kGeq:
-        lo = static_cast<size_t>(
-            std::lower_bound(a_values.begin(), a_values.end(), b) -
-            a_values.begin());
+        lo = std::lower_bound(a_codes.begin(), a_codes.end(), key) -
+             a_codes.begin();
         break;
       case CmpOp::kLt:  // t1.A < b: prefix before lower_bound.
-        hi = static_cast<size_t>(
-            std::lower_bound(a_values.begin(), a_values.end(), b) -
-            a_values.begin());
+        hi = std::lower_bound(a_codes.begin(), a_codes.end(), key) -
+             a_codes.begin();
         break;
       case CmpOp::kLeq:
-        hi = static_cast<size_t>(
-            std::upper_bound(a_values.begin(), a_values.end(), b) -
-            a_values.begin());
+        hi = std::upper_bound(a_codes.begin(), a_codes.end(), key) -
+             a_codes.begin();
         break;
       default:
         continue;
@@ -168,20 +153,14 @@ std::vector<RowPair> IEJoin(ExecutionContext* ctx,
       while (mask != 0) {
         unsigned bit = static_cast<unsigned>(__builtin_ctzll(mask));
         mask &= mask - 1;
-        const Row& t1 = rows[by_a[base + bit]];
-        if (t1.id() == t2.id()) continue;
-        // Residual conditions beyond the two that drove the join.
+        const uint32_t t1 = by_a[base + bit];
+        if (t1 == t2) continue;
         bool all = true;
-        for (size_t j = 2; j < conditions.size(); ++j) {
-          const auto& cj = conditions[j];
-          const Value& lv = t1.value(cj.left_column);
-          const Value& rv = t2.value(cj.right_column);
-          if (lv.is_null() || rv.is_null() || !EvalOrdering(lv, cj.op, rv)) {
-            all = false;
-            break;
-          }
+        for (size_t j = 0; j < residual_left.size() && all; ++j) {
+          all = CodesSatisfy(residual_left[j][t1], conditions[j + 2].op,
+                             residual_right[j][t2]);
         }
-        if (all) results.push_back(RowPair{t1, t2});
+        if (all) results.push_back({t1, t2});
       }
     }
   }

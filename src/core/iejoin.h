@@ -3,9 +3,7 @@
 
 #include <vector>
 
-#include "data/row.h"
-#include "dataflow/context.h"
-#include "rules/rule.h"
+#include "core/ocjoin.h"
 
 namespace bigdansing {
 
@@ -30,12 +28,14 @@ struct IEJoinStats {
 /// so pairs failing either condition are never touched. Residual
 /// conditions beyond the first two are evaluated per emitted pair.
 ///
-/// Returns all ordered pairs (t1, t2), t1 != t2, satisfying every
+/// Like OCJoin, it runs on the shared-pool codes of
+/// EncodeConditionColumns and returns row positions in `rows`' collect
+/// order: all ordered pairs (t1, t2), t1 != t2, satisfying every
 /// condition. Rows with nulls in any condition attribute never join.
-std::vector<RowPair> IEJoin(ExecutionContext* ctx,
-                            const std::vector<Row>& rows,
-                            const std::vector<OrderingCondition>& conditions,
-                            IEJoinStats* stats = nullptr);
+std::vector<RowIndexPair> IEJoin(ExecutionContext* ctx,
+                                 const Dataset<Row>& rows,
+                                 const std::vector<OrderingCondition>& conditions,
+                                 IEJoinStats* stats = nullptr);
 
 /// True when `conditions` fits IEJoin (at least two ordering conditions;
 /// the first two drive the join).

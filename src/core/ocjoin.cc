@@ -5,8 +5,6 @@
 #include <unordered_map>
 
 #include "common/hash.h"
-#include "common/logging.h"
-#include "common/stopwatch.h"
 #include "common/trace.h"
 #include "dataflow/stage_executor.h"
 
@@ -14,88 +12,169 @@ namespace bigdansing {
 
 namespace {
 
-/// Evaluates `a op b` for an ordering comparison. Callers guarantee a and b
-/// are non-null.
-bool EvalOrdering(const Value& a, CmpOp op, const Value& b) {
-  switch (op) {
-    case CmpOp::kLt:
-      return a < b;
-    case CmpOp::kGt:
-      return a > b;
-    case CmpOp::kLeq:
-      return a <= b;
-    case CmpOp::kGeq:
-      return a >= b;
-    default:
-      return false;
-  }
-}
+constexpr uint32_t kNull = ValuePool::kNullCode;
 
-/// Per-partition state after the sorting phase: row storage, one sorted
-/// index per condition column (nulls excluded), and min/max per column.
-struct PartitionState {
-  std::vector<Row> rows;
-  /// column -> indices of rows with non-null values, sorted ascending.
-  std::unordered_map<size_t, std::vector<uint32_t>> sorted;
-  /// column -> (min, max) over non-null values; absent if all null.
-  std::unordered_map<size_t, std::pair<Value, Value>> range;
+/// [lo, hi] over a partition's non-null codes of one column; empty (lo >
+/// hi) when every cell is null.
+struct CodeRange {
+  uint32_t lo = kNull;
+  uint32_t hi = 0;
+  bool empty() const { return lo > hi; }
 };
 
-/// True when some value in [t1_range] op [t2_range] can hold.
-bool RangesCanSatisfy(const std::pair<Value, Value>& t1_range, CmpOp op,
-                      const std::pair<Value, Value>& t2_range) {
+/// True when some code in `t1` op some code in `t2` can hold.
+bool RangesCanSatisfy(const CodeRange& t1, CmpOp op, const CodeRange& t2) {
   switch (op) {
     case CmpOp::kLt:
-      return t1_range.first < t2_range.second;
+      return t1.lo < t2.hi;
     case CmpOp::kLeq:
-      return t1_range.first <= t2_range.second;
+      return t1.lo <= t2.hi;
     case CmpOp::kGt:
-      return t1_range.second > t2_range.first;
+      return t1.hi > t2.lo;
     case CmpOp::kGeq:
-      return t1_range.second >= t2_range.first;
+      return t1.hi >= t2.lo;
     default:
       return true;
   }
 }
 
+/// A row position keyed by one of its codes: the element the sort phase
+/// orders.
+struct Keyed {
+  uint32_t key;
+  uint32_t row;
+};
+
+/// The rows of `members` with a non-null code in `codes`, in member order,
+/// sorted ascending by code. Code order is Value order, so std::sort sees
+/// the comparator outcomes a sort of the rows' Values would see and returns
+/// the same permutation, ties included.
+std::vector<Keyed> SortedOn(const std::vector<uint32_t>& members,
+                            const std::vector<uint32_t>& codes) {
+  std::vector<Keyed> out;
+  out.reserve(members.size());
+  for (uint32_t r : members) {
+    if (codes[r] != kNull) out.push_back({codes[r], r});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const Keyed& a, const Keyed& b) { return a.key < b.key; });
+  return out;
+}
+
+/// One range partition after the sorting phase. The t1 side holds the rows
+/// with a non-null first-condition left code, the t2 side those with a
+/// non-null first-condition right code, each ascending by that code.
+struct PartitionState {
+  std::vector<uint32_t> members;  ///< Row positions, ascending.
+  std::vector<Keyed> t1;
+  std::vector<uint32_t> t2_keys;
+  /// The t2 rows whose residual right codes are all non-null (the only
+  /// ones that can join), in t2 order, with one code array per residual
+  /// condition. `t2_dense[b]` counts those among the first b t2 rows, so a
+  /// qualifying t2 range [lo, hi) scans positions [t2_dense[lo],
+  /// t2_dense[hi]) of these arrays.
+  std::vector<uint32_t> t2_rows;
+  std::vector<std::vector<uint32_t>> t2_residuals;
+  std::vector<uint32_t> t2_dense;
+  /// Code range per condition column.
+  std::unordered_map<size_t, CodeRange> ranges;
+};
+
+/// Appends (t1_row, t2_rows[d]) for every d in [lo, hi) whose residual
+/// conditions hold: `first` decides the first residual over its contiguous
+/// code array, and only its hits check the rest. `left` holds t1's
+/// non-null residual left codes. Hits are rare, so the scan tests blocks of
+/// codes with a branch-free reduction (which the compiler vectorizes) and
+/// revisits only blocks that hold one.
+template <typename Cmp>
+void ScanResiduals(Cmp first, const PartitionState& p2, size_t lo, size_t hi,
+                   uint32_t t1_row, const std::vector<uint32_t>& left,
+                   const std::vector<OrderingCondition>& conds,
+                   std::vector<RowIndexPair>* out) {
+  const uint32_t l0 = left[0];
+  const uint32_t* r0 = p2.t2_residuals[0].data();
+  auto emit_hits = [&](size_t begin, size_t end) {
+    for (size_t d = begin; d < end; ++d) {
+      if (!first(l0, r0[d])) continue;
+      bool all = true;
+      for (size_t j = 1; j < left.size() && all; ++j) {
+        all = CodesSatisfy(left[j], conds[j + 1].op, p2.t2_residuals[j][d]);
+      }
+      if (all && p2.t2_rows[d] != t1_row) {
+        out->push_back({t1_row, p2.t2_rows[d]});
+      }
+    }
+  };
+  constexpr size_t kBlock = 32;
+  size_t d = lo;
+  for (; d + kBlock <= hi; d += kBlock) {
+    uint32_t any = 0;
+    for (size_t k = 0; k < kBlock; ++k) any |= first(l0, r0[d + k]);
+    if (any != 0) emit_hits(d, d + kBlock);
+  }
+  emit_hits(d, hi);
+}
+
 }  // namespace
 
-std::vector<RowPair> OCJoin(ExecutionContext* ctx,
-                            const std::vector<Row>& rows,
-                            const std::vector<OrderingCondition>& conditions,
-                            const OCJoinOptions& options, OCJoinStats* stats) {
+ConditionCodes EncodeConditionColumns(
+    const Dataset<Row>& rows, const std::vector<OrderingCondition>& conditions) {
+  std::vector<size_t> columns;
+  for (const auto& c : conditions) {
+    for (size_t col : {c.left_column, c.right_column}) {
+      if (std::find(columns.begin(), columns.end(), col) == columns.end()) {
+        columns.push_back(col);
+      }
+    }
+  }
+  EncodedColumnSet encoded = EncodeColumns(rows, {columns});
+  ConditionCodes out;
+  for (size_t col : columns) {
+    std::vector<uint32_t>& flat = out[col];
+    flat.reserve(encoded.rows);
+    for (const auto& part : encoded.columns.at(col).codes) {
+      flat.insert(flat.end(), part.begin(), part.end());
+    }
+  }
+  return out;
+}
+
+std::vector<RowIndexPair> OCJoin(ExecutionContext* ctx,
+                                 const Dataset<Row>& rows,
+                                 const std::vector<OrderingCondition>& conditions,
+                                 const OCJoinOptions& options,
+                                 OCJoinStats* stats) {
   OCJoinStats local_stats;
-  std::vector<RowPair> results;
+  std::vector<RowIndexPair> results;
   if (stats != nullptr) *stats = local_stats;
-  if (rows.empty() || conditions.empty()) return results;
+  const size_t n = rows.Count();
+  if (n == 0 || conditions.empty()) return results;
 
   ScopedSpan span("ocjoin", "operator");
-  span.Annotate("rows", static_cast<uint64_t>(rows.size()));
+  span.Annotate("rows", static_cast<uint64_t>(n));
   span.Annotate("conditions", static_cast<uint64_t>(conditions.size()));
+
+  const ConditionCodes codes = EncodeConditionColumns(rows, conditions);
 
   // --- Optional condition ordering by estimated selectivity (§4.3) ---
   // The first condition drives the merge and determines the candidate
   // count, so the most selective one (fewest satisfying pairs on a random
   // pair sample) should run first.
-  std::vector<OrderingCondition> ordered = conditions;
-  const std::vector<OrderingCondition>& conds = ordered;
+  std::vector<OrderingCondition> conds = conditions;
   size_t primary_condition = 0;
-  if (options.order_conditions_by_selectivity && conds.size() > 1 &&
-      rows.size() >= 2) {
+  if (options.order_conditions_by_selectivity && conds.size() > 1 && n >= 2) {
     std::vector<size_t> hits(conds.size(), 0);
-    uint64_t state = 0x5EEDF00DULL ^ rows.size();
-    auto next_index = [&state, &rows]() {
+    uint64_t state = 0x5EEDF00DULL ^ n;
+    auto next_index = [&state, n]() {
       state = StableHashUint64(state + 1);
-      return static_cast<size_t>(state % rows.size());
+      return static_cast<size_t>(state % n);
     };
     for (size_t s = 0; s < options.selectivity_sample_pairs; ++s) {
-      const Row& a = rows[next_index()];
-      const Row& b = rows[next_index()];
+      const size_t a = next_index();
+      const size_t b = next_index();
       for (size_t j = 0; j < conds.size(); ++j) {
-        const Value& l = a.value(conds[j].left_column);
-        const Value& r = b.value(conds[j].right_column);
-        if (!l.is_null() && !r.is_null() &&
-            EvalOrdering(l, conds[j].op, r)) {
+        if (CodesSatisfy(codes.at(conds[j].left_column)[a], conds[j].op,
+                         codes.at(conds[j].right_column)[b])) {
           ++hits[j];
         }
       }
@@ -103,85 +182,96 @@ std::vector<RowPair> OCJoin(ExecutionContext* ctx,
     for (size_t j = 1; j < conds.size(); ++j) {
       if (hits[j] < hits[primary_condition]) primary_condition = j;
     }
-    if (primary_condition != 0) {
-      std::swap(ordered[0], ordered[primary_condition]);
-    }
+    if (primary_condition != 0) std::swap(conds[0], conds[primary_condition]);
   }
   local_stats.primary_condition = primary_condition;
+  const OrderingCondition& c0 = conds[0];
+  const std::vector<uint32_t>& c0_left = codes.at(c0.left_column);
+  const std::vector<uint32_t>& c0_right = codes.at(c0.right_column);
 
   // --- Partitioning phase (Algorithm 2 lines 1-2) ---
   // PartAtt: the primary attribute of the first condition.
-  const size_t part_col = conds[0].left_column;
   size_t np = options.num_partitions;
   if (np == 0) {
-    np = std::max<size_t>(ctx->num_workers() * 2, rows.size() / 4096);
+    np = std::max<size_t>(ctx->num_workers() * 2, n / 4096);
     np = std::min<size_t>(np, 256);
     if (np == 0) np = 1;
   }
 
   // Quantile boundaries from a strided sample of PartAtt.
-  std::vector<Value> sample;
-  size_t stride = std::max<size_t>(1, rows.size() / 65536);
-  for (size_t i = 0; i < rows.size(); i += stride) {
-    const Value& v = rows[i].value(part_col);
-    if (!v.is_null()) sample.push_back(v);
+  std::vector<uint32_t> sample;
+  const size_t stride = std::max<size_t>(1, n / 65536);
+  for (size_t i = 0; i < n; i += stride) {
+    if (c0_left[i] != kNull) sample.push_back(c0_left[i]);
   }
   std::sort(sample.begin(), sample.end());
-  std::vector<Value> boundaries;
+  std::vector<uint32_t> boundaries;
   for (size_t k = 1; k < np && !sample.empty(); ++k) {
     boundaries.push_back(sample[k * sample.size() / np]);
   }
 
   std::vector<PartitionState> parts(np);
-  for (const Row& row : rows) {
-    const Value& v = row.value(part_col);
+  for (uint32_t r = 0; r < n; ++r) {
     size_t p = 0;
-    if (!v.is_null() && !boundaries.empty()) {
+    if (c0_left[r] != kNull && !boundaries.empty()) {
       p = static_cast<size_t>(
-          std::upper_bound(boundaries.begin(), boundaries.end(), v) -
+          std::upper_bound(boundaries.begin(), boundaries.end(), c0_left[r]) -
           boundaries.begin());
     }
-    parts[p].rows.push_back(row);
+    parts[p].members.push_back(r);
   }
-  ctx->metrics().AddShuffledRecords(rows.size());
+  ctx->metrics().AddShuffledRecords(n);
   ctx->metrics().AddStage();
 
-  // Distinct columns appearing in conditions (for sorting and ranges).
-  std::vector<size_t> columns;
-  for (const auto& c : conds) {
-    for (size_t col : {c.left_column, c.right_column}) {
-      if (std::find(columns.begin(), columns.end(), col) == columns.end()) {
-        columns.push_back(col);
-      }
-    }
+  // Code arrays of each residual condition's t1 (left) and t2 (right) side.
+  const size_t num_residuals = conds.size() - 1;
+  std::vector<const uint32_t*> residual_left;
+  std::vector<const uint32_t*> residual_right;
+  for (size_t j = 1; j < conds.size(); ++j) {
+    residual_left.push_back(codes.at(conds[j].left_column).data());
+    residual_right.push_back(codes.at(conds[j].right_column).data());
   }
 
-  // --- Sorting phase (lines 4-5): local, one sorted list per condition
-  // attribute per partition. ---
+  // --- Sorting phase (lines 4-5): local to each partition. Both sides of
+  // the first condition are sorted; the t2 side is laid out as contiguous
+  // code arrays for the merge, and every condition column gets its range.
   StageExecutor executor(ctx);
   Status sort_status = executor.Run("ocjoin:sort", np, [&](size_t p, TaskContext& tc) {
     PartitionState& part = parts[p];
-    tc.records_in = part.rows.size();
-    for (size_t col : columns) {
-      std::vector<uint32_t> idx;
-      idx.reserve(part.rows.size());
-      for (uint32_t i = 0; i < part.rows.size(); ++i) {
-        if (!part.rows[i].value(col).is_null()) idx.push_back(i);
+    tc.records_in = part.members.size();
+    part.t1 = SortedOn(part.members, c0_left);
+    const std::vector<Keyed> t2 = c0.left_column == c0.right_column
+                                      ? part.t1
+                                      : SortedOn(part.members, c0_right);
+    part.t2_keys.reserve(t2.size());
+    part.t2_dense.reserve(t2.size() + 1);
+    part.t2_residuals.resize(num_residuals);
+    for (const Keyed& k : t2) {
+      part.t2_keys.push_back(k.key);
+      part.t2_dense.push_back(static_cast<uint32_t>(part.t2_rows.size()));
+      bool joinable = true;
+      for (size_t j = 0; j < num_residuals && joinable; ++j) {
+        joinable = residual_right[j][k.row] != kNull;
       }
-      std::sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t b) {
-        return part.rows[a].value(col) < part.rows[b].value(col);
-      });
-      if (!idx.empty()) {
-        part.range.emplace(col,
-                           std::make_pair(part.rows[idx.front()].value(col),
-                                          part.rows[idx.back()].value(col)));
+      if (!joinable) continue;
+      part.t2_rows.push_back(k.row);
+      for (size_t j = 0; j < num_residuals; ++j) {
+        part.t2_residuals[j].push_back(residual_right[j][k.row]);
       }
-      part.sorted.emplace(col, std::move(idx));
+    }
+    part.t2_dense.push_back(static_cast<uint32_t>(part.t2_rows.size()));
+    for (const auto& [column, col] : codes) {
+      CodeRange& range = part.ranges[column];
+      for (uint32_t r : part.members) {
+        if (col[r] == kNull) continue;
+        range.lo = std::min(range.lo, col[r]);
+        range.hi = std::max(range.hi, col[r]);
+      }
     }
   });
   if (!sort_status.ok()) throw StageError(std::move(sort_status));
 
-  // --- Pruning phase (line 7): drop partition pairs whose min/max ranges
+  // --- Pruning phase (line 7): drop partition pairs whose code ranges
   // cannot satisfy some condition. ---
   struct PartPair {
     size_t t1;
@@ -191,15 +281,14 @@ std::vector<RowPair> OCJoin(ExecutionContext* ctx,
   local_stats.num_partitions = np;
   local_stats.partition_pairs_total = np * np;
   for (size_t i = 0; i < np; ++i) {
-    if (parts[i].rows.empty()) continue;
+    if (parts[i].members.empty()) continue;
     for (size_t l = 0; l < np; ++l) {
-      if (parts[l].rows.empty()) continue;
+      if (parts[l].members.empty()) continue;
       bool possible = true;
       for (const auto& c : conds) {
-        auto r1 = parts[i].range.find(c.left_column);
-        auto r2 = parts[l].range.find(c.right_column);
-        if (r1 == parts[i].range.end() || r2 == parts[l].range.end() ||
-            !RangesCanSatisfy(r1->second, c.op, r2->second)) {
+        const CodeRange& r1 = parts[i].ranges.at(c.left_column);
+        const CodeRange& r2 = parts[l].ranges.at(c.right_column);
+        if (r1.empty() || r2.empty() || !RangesCanSatisfy(r1, c.op, r2)) {
           possible = false;
           break;
         }
@@ -210,83 +299,91 @@ std::vector<RowPair> OCJoin(ExecutionContext* ctx,
   local_stats.partition_pairs_after_pruning = surviving.size();
 
   // --- Joining phase (lines 9-14): sort-merge join on the first condition,
-  // residual conditions evaluated per candidate pair. The per-pair merge is
-  // split into morsels over the t1 sort order: each morsel rescans its
-  // boundary from scratch (the boundary is a pure function of v1, so the
-  // rescan lands exactly where the sequential scan would), making morsels
-  // independent while piece-order concatenation reproduces the sequential
-  // output order bit-identically.
+  // residual conditions decided per candidate pair. For < / <= the
+  // qualifying t2 rows form a suffix of the t2 order and t1 walks
+  // ascending; for > / >= a prefix and t1 walks descending. Each t1 finds
+  // its boundary by binary search, so the per-pair merge splits into
+  // independent morsels over the t1 walk, and piece-order concatenation
+  // reproduces the sequential output order bit-identically.
   std::atomic<size_t> candidate_pairs{0};
-  const OrderingCondition& c0 = conds[0];
-  auto join_result = executor.RunMorsels<std::vector<RowPair>>(
+  const bool ascending = c0.op == CmpOp::kLt || c0.op == CmpOp::kLeq;
+  auto join_result = executor.RunMorsels<std::vector<RowIndexPair>>(
       "ocjoin:join", surviving.size(),
       [&](size_t t) -> size_t {
-        const PartitionState& p1 = parts[surviving[t].t1];
-        const PartitionState& p2 = parts[surviving[t].t2];
-        if (p2.sorted.at(c0.right_column).empty()) return 0;
-        return p1.sorted.at(c0.left_column).size();
+        if (parts[surviving[t].t2].t2_keys.empty()) return 0;
+        return parts[surviving[t].t1].t1.size();
       },
       [&](size_t t, size_t begin, size_t end_unit, TaskContext& tc) {
         const PartitionState& p1 = parts[surviving[t].t1];
         const PartitionState& p2 = parts[surviving[t].t2];
-        const auto& s1 = p1.sorted.at(c0.left_column);   // t1 side, ascending.
-        const auto& s2 = p2.sorted.at(c0.right_column);  // t2 side, ascending.
-        std::vector<RowPair> out;
+        const bool same_partition = surviving[t].t1 == surviving[t].t2;
+        const std::vector<uint32_t>& keys = p2.t2_keys;
+        std::vector<RowIndexPair> out;
+        std::vector<uint32_t> left(num_residuals);
         size_t local_candidates = 0;
-        auto residuals_hold = [&](const Row& t1, const Row& t2) {
-          for (size_t j = 1; j < conds.size(); ++j) {
-            const auto& cj = conds[j];
-            const Value& lv = t1.value(cj.left_column);
-            const Value& rv = t2.value(cj.right_column);
-            if (lv.is_null() || rv.is_null() || !EvalOrdering(lv, cj.op, rv)) {
-              return false;
-            }
+        for (size_t k = begin; k < end_unit; ++k) {
+          const Keyed& t1 = p1.t1[ascending ? k : p1.t1.size() - 1 - k];
+          size_t lo = 0;
+          size_t hi = keys.size();
+          switch (c0.op) {
+            case CmpOp::kLt:  // key > v1
+              lo = std::upper_bound(keys.begin(), keys.end(), t1.key) -
+                   keys.begin();
+              break;
+            case CmpOp::kLeq:  // key >= v1
+              lo = std::lower_bound(keys.begin(), keys.end(), t1.key) -
+                   keys.begin();
+              break;
+            case CmpOp::kGt:  // key < v1
+              hi = std::lower_bound(keys.begin(), keys.end(), t1.key) -
+                   keys.begin();
+              break;
+            case CmpOp::kGeq:  // key <= v1
+              hi = std::upper_bound(keys.begin(), keys.end(), t1.key) -
+                   keys.begin();
+              break;
+            default:
+              hi = 0;
           }
-          return true;
-        };
-        // For < / <= the qualifying t2 form a suffix of s2; for > / >= a
-        // prefix. The boundary moves monotonically as t1 advances through
-        // its iteration order, giving the merge its linear scan structure.
-        const bool suffix = c0.op == CmpOp::kLt || c0.op == CmpOp::kLeq;
-        if (suffix) {
-          // t1 ascending over s1 positions [begin, end_unit); qualifying
-          // t2 = {b : v1 op b} is a suffix whose start moves right as v1
-          // grows.
-          size_t start = 0;
-          for (size_t a = begin; a < end_unit; ++a) {
-            const Row& t1 = p1.rows[s1[a]];
-            const Value& v1 = t1.value(c0.left_column);
-            while (start < s2.size() &&
-                   !EvalOrdering(v1, c0.op,
-                                 p2.rows[s2[start]].value(c0.right_column))) {
-              ++start;
+          if (lo >= hi) continue;
+          // The t1 row is itself in the range iff it sits on the t2 side of
+          // this partition and satisfies the condition against itself.
+          const bool self =
+              same_partition && CodesSatisfy(t1.key, c0.op, c0_right[t1.row]);
+          local_candidates += hi - lo - (self ? 1 : 0);
+          const size_t dlo = p2.t2_dense[lo];
+          const size_t dhi = p2.t2_dense[hi];
+          if (num_residuals == 0) {
+            for (size_t d = dlo; d < dhi; ++d) {
+              if (p2.t2_rows[d] != t1.row) out.push_back({t1.row, p2.t2_rows[d]});
             }
-            for (size_t b = start; b < s2.size(); ++b) {
-              const Row& t2 = p2.rows[s2[b]];
-              if (t1.id() == t2.id()) continue;
-              ++local_candidates;
-              if (residuals_hold(t1, t2)) out.push_back(RowPair{t1, t2});
-            }
+            continue;
           }
-        } else {
-          // t1 descending; iteration step k covers a = n-1-k, so the
-          // morsel [begin, end_unit) walks s1 from the top down and the
-          // qualifying t2 prefix end moves left as v1 shrinks.
-          size_t end = s2.size();
-          for (size_t k = begin; k < end_unit; ++k) {
-            const Row& t1 = p1.rows[s1[s1.size() - 1 - k]];
-            const Value& v1 = t1.value(c0.left_column);
-            while (end > 0 &&
-                   !EvalOrdering(v1, c0.op,
-                                 p2.rows[s2[end - 1]].value(c0.right_column))) {
-              --end;
-            }
-            for (size_t b = 0; b < end; ++b) {
-              const Row& t2 = p2.rows[s2[b]];
-              if (t1.id() == t2.id()) continue;
-              ++local_candidates;
-              if (residuals_hold(t1, t2)) out.push_back(RowPair{t1, t2});
-            }
+          bool joinable = true;
+          for (size_t j = 0; j < num_residuals && joinable; ++j) {
+            left[j] = residual_left[j][t1.row];
+            joinable = left[j] != kNull;
+          }
+          if (!joinable) continue;
+          switch (conds[1].op) {
+            case CmpOp::kLt:
+              ScanResiduals([](uint32_t l, uint32_t r) { return l < r; }, p2,
+                            dlo, dhi, t1.row, left, conds, &out);
+              break;
+            case CmpOp::kLeq:
+              ScanResiduals([](uint32_t l, uint32_t r) { return l <= r; }, p2,
+                            dlo, dhi, t1.row, left, conds, &out);
+              break;
+            case CmpOp::kGt:
+              ScanResiduals([](uint32_t l, uint32_t r) { return l > r; }, p2,
+                            dlo, dhi, t1.row, left, conds, &out);
+              break;
+            case CmpOp::kGeq:
+              ScanResiduals([](uint32_t l, uint32_t r) { return l >= r; }, p2,
+                            dlo, dhi, t1.row, left, conds, &out);
+              break;
+            default:
+              break;
           }
         }
         candidate_pairs += local_candidates;
@@ -294,26 +391,23 @@ std::vector<RowPair> OCJoin(ExecutionContext* ctx,
         tc.records_out = out.size();
         return out;
       },
-      [](size_t, std::vector<std::vector<RowPair>>&& pieces) {
+      [](size_t, std::vector<std::vector<RowIndexPair>>&& pieces) {
         size_t total = 0;
         for (const auto& piece : pieces) total += piece.size();
-        std::vector<RowPair> merged;
+        std::vector<RowIndexPair> merged;
         merged.reserve(total);
-        for (auto& piece : pieces) {
-          merged.insert(merged.end(), std::make_move_iterator(piece.begin()),
-                        std::make_move_iterator(piece.end()));
+        for (const auto& piece : pieces) {
+          merged.insert(merged.end(), piece.begin(), piece.end());
         }
         return merged;
       });
   if (!join_result.ok()) throw StageError(join_result.status());
-  std::vector<std::vector<RowPair>> task_results = std::move(*join_result);
 
   size_t total = 0;
-  for (const auto& tr : task_results) total += tr.size();
+  for (const auto& tr : *join_result) total += tr.size();
   results.reserve(total);
-  for (auto& tr : task_results) {
-    results.insert(results.end(), std::make_move_iterator(tr.begin()),
-                   std::make_move_iterator(tr.end()));
+  for (const auto& tr : *join_result) {
+    results.insert(results.end(), tr.begin(), tr.end());
   }
   local_stats.candidate_pairs = candidate_pairs.load();
   local_stats.result_pairs = results.size();

@@ -2,10 +2,14 @@
 #define BIGDANSING_CORE_OCJOIN_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
+#include "data/dictionary.h"
 #include "data/row.h"
 #include "dataflow/context.h"
+#include "dataflow/dataset.h"
 #include "rules/rule.h"
 
 namespace bigdansing {
@@ -38,22 +42,58 @@ struct OCJoinStats {
   size_t primary_condition = 0;
 };
 
-/// The self-join over ordering comparisons of §4.3 (Algorithm 2):
-/// 1. range-partitions `rows` on the first condition's primary attribute,
-/// 2. sorts each partition once per condition attribute,
-/// 3. prunes partition pairs whose [min, max] ranges cannot satisfy the
-///    conditions, and
+/// The condition columns of a join input (column -> codes by row position
+/// in collect order), dictionary-encoded against one shared,
+/// order-preserving ValuePool. Because every column shares the pool,
+/// `a op b` over two non-null cells, within or across columns, is
+/// `code(a) op code(b)`. Null cells hold ValuePool::kNullCode.
+using ConditionCodes = std::unordered_map<size_t, std::vector<uint32_t>>;
+
+/// Encodes every column the conditions read, through EncodeColumns' two
+/// stages with all of them in one pool group.
+ConditionCodes EncodeConditionColumns(
+    const Dataset<Row>& rows, const std::vector<OrderingCondition>& conditions);
+
+/// True when `left op right` holds for two codes of one shared pool; a null
+/// code never satisfies a condition.
+inline bool CodesSatisfy(uint32_t left, CmpOp op, uint32_t right) {
+  if (left == ValuePool::kNullCode || right == ValuePool::kNullCode) {
+    return false;
+  }
+  switch (op) {
+    case CmpOp::kLt:
+      return left < right;
+    case CmpOp::kGt:
+      return left > right;
+    case CmpOp::kLeq:
+      return left <= right;
+    case CmpOp::kGeq:
+      return left >= right;
+    default:
+      return false;
+  }
+}
+
+/// The self-join over ordering comparisons of §4.3 (Algorithm 2), run on the
+/// u32 codes of EncodeConditionColumns:
+/// 1. range-partitions the rows on the first condition's primary attribute,
+/// 2. sorts each partition's two sides on the first condition's attributes,
+///    laying the t2 side out as contiguous code arrays,
+/// 3. prunes partition pairs whose [min, max] code ranges cannot satisfy
+///    the conditions, and
 /// 4. sort-merge joins the surviving pairs in parallel.
 ///
-/// Returns every ordered pair (t1, t2) satisfying all conditions, where a
-/// condition reads t1.left_column op t2.right_column. Rows with a null
-/// value in any condition attribute never join. `stats` (optional) receives
+/// Returns every ordered pair (t1, t2) of row positions in `rows`' collect
+/// order satisfying all conditions, where a condition reads
+/// t1.left_column op t2.right_column. Rows are distinct units: a position
+/// never pairs with itself. Rows with a null value in any condition
+/// attribute never join. Fewer than 2^32 rows. `stats` (optional) receives
 /// execution counters.
-std::vector<RowPair> OCJoin(ExecutionContext* ctx,
-                            const std::vector<Row>& rows,
-                            const std::vector<OrderingCondition>& conditions,
-                            const OCJoinOptions& options,
-                            OCJoinStats* stats = nullptr);
+std::vector<RowIndexPair> OCJoin(ExecutionContext* ctx,
+                                 const Dataset<Row>& rows,
+                                 const std::vector<OrderingCondition>& conditions,
+                                 const OCJoinOptions& options,
+                                 OCJoinStats* stats = nullptr);
 
 }  // namespace bigdansing
 

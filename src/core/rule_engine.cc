@@ -424,30 +424,43 @@ Result<std::vector<DetectionResult>> RuleEngine::DetectAllImpl(
       continue;
     }
 
-    // OCJoin enhancer: global inequality self-join (no blocking key).
+    // OCJoin enhancer: global inequality self-join (no blocking key). The
+    // join encodes its condition columns straight from the base rows, so
+    // the conditions are mapped to base columns; it returns row positions,
+    // which index the scoped rows as well (scope is a per-row Map).
     const bool has_blocking =
         !plan.blocking_columns.empty() || static_cast<bool>(plan.block_key_fn);
     if (plan.strategy == IterateStrategy::kOCJoin && !has_blocking) {
-      std::vector<Row> rows;
+      std::vector<const Row*> rows;
       {
         std::optional<ScopedSpan> op_span;
         if (trace.enabled()) op_span.emplace("scope", "operator");
-        rows = scoped.Collect();
+        rows.reserve(scoped.Count());
+        for (const auto& part : scoped.partitions()) {
+          for (const Row& row : part) rows.push_back(&row);
+        }
       }
-      std::vector<RowPair> pairs;
-      if (options_.use_iejoin && IEJoinApplicable(plan.ocjoin_conditions)) {
-        pairs = IEJoin(ctx_, rows, plan.ocjoin_conditions,
-                       &result.iejoin_stats);
+      std::vector<OrderingCondition> conditions = plan.ocjoin_conditions;
+      if (!plan.scope_columns.empty()) {
+        for (auto& c : conditions) {
+          c.left_column = plan.scope_columns[c.left_column];
+          c.right_column = plan.scope_columns[c.right_column];
+        }
+      }
+      std::vector<RowIndexPair> pairs;
+      if (options_.use_iejoin && IEJoinApplicable(conditions)) {
+        pairs = IEJoin(ctx_, base, conditions, &result.iejoin_stats);
       } else {
         OCJoinOptions oc_options;
         oc_options.order_conditions_by_selectivity =
             options_.ocjoin_selectivity_ordering;
-        pairs = OCJoin(ctx_, rows, plan.ocjoin_conditions, oc_options,
+        pairs = OCJoin(ctx_, base, conditions, oc_options,
                        &result.ocjoin_stats);
       }
       std::optional<ScopedSpan> op_span;
       if (trace.enabled()) op_span.emplace("detect|genfix", "operator");
-      Dataset<RowPair> pair_ds = Dataset<RowPair>::FromVector(ctx_, std::move(pairs));
+      Dataset<RowIndexPair> pair_ds =
+          Dataset<RowIndexPair>::FromVector(ctx_, std::move(pairs));
       const auto& parts = pair_ds.partitions();
       std::vector<TaskOutput> tasks = pair_ds.RunStageMorsels<TaskOutput>(
           "detect|genfix:ocjoin-pairs",
@@ -455,8 +468,8 @@ Result<std::vector<DetectionResult>> RuleEngine::DetectAllImpl(
           [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
             TaskOutput out;
             for (size_t i = begin; i < end; ++i) {
-              const RowPair& pr = parts[p][i];
-              Probe(*plan.rule, pr.left, pr.right, &out);
+              const RowIndexPair& pr = parts[p][i];
+              Probe(*plan.rule, *rows[pr.left], *rows[pr.right], &out);
             }
             tc.records_in = end - begin;
             tc.records_out = out.violations.size();

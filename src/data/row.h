@@ -61,6 +61,13 @@ struct RowPair {
   Row right;
 };
 
+/// The positions of a (t1, t2) pair in a join's input; the inequality joins
+/// (OCJoin, IEJoin) emit these so Detect reads both rows in place.
+struct RowIndexPair {
+  uint32_t left;
+  uint32_t right;
+};
+
 }  // namespace bigdansing
 
 #endif  // BIGDANSING_DATA_ROW_H_

@@ -71,13 +71,17 @@ int Value::Compare(const Value& other) const {
     if (is_null() && other.is_null()) return 0;
     return is_null() ? -1 : 1;
   }
-  // Cross-numeric comparison.
+  // Cross-numeric comparison. NaN sorts after every other number and
+  // equals only NaN (PostgreSQL's float rule), keeping the order total.
   if (is_numeric() && other.is_numeric()) {
     double a = AsNumber();
     double b = other.AsNumber();
     if (a < b) return -1;
     if (a > b) return 1;
-    return 0;
+    if (a == b) return 0;
+    const bool a_nan = std::isnan(a);
+    if (a_nan == std::isnan(b)) return 0;
+    return a_nan ? 1 : -1;
   }
   // Numerics sort before strings.
   if (is_numeric() != other.is_numeric()) return is_numeric() ? -1 : 1;
@@ -93,6 +97,8 @@ uint64_t Value::Hash() const {
       return StableHashUint64(static_cast<uint64_t>(as_int()));
     case ValueType::kDouble: {
       double d = as_double();
+      // Every NaN is one value under Compare, whatever its sign or payload.
+      if (std::isnan(d)) return 0x4E614E4E614EULL;  // "NaNNaN"
       // Integral doubles hash like ints so 1 == 1.0 implies equal hashes.
       if (d == std::floor(d) && std::abs(d) < 9.2e18) {
         return StableHashUint64(static_cast<uint64_t>(static_cast<int64_t>(d)));

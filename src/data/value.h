@@ -18,7 +18,8 @@ const char* ValueTypeName(ValueType type);
 
 /// A dynamically typed cell value: null, 64-bit integer, double, or string.
 /// Values form a total order (null < numerics < strings; int and double
-/// compare numerically against each other) so they can key sorted joins.
+/// compare numerically against each other; NaN sorts after every other
+/// number and equals only NaN) so they can key sorted joins.
 class Value {
  public:
   /// Null value.

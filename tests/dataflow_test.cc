@@ -394,10 +394,10 @@ uint64_t BurnHash(uint64_t x) {
 
 TEST(MorselScheduling, SkewedPartitionStopsDominatingUnderMorsels) {
   // One partition 100x the size of the others. At partition granularity the
-  // big partition is one task and dominates the stage (straggler ratio =
-  // max/mean task time well above the even-split value); at morsel
-  // granularity the same rows become many same-sized work units and the
-  // quantile spread collapses. Outputs must match bit-for-bit either way.
+  // big partition is one work unit and holds most of the stage's CPU time;
+  // at morsel granularity the same rows become many same-sized units the
+  // scheduler spreads across workers. Outputs must match bit-for-bit either
+  // way.
   std::vector<std::vector<uint64_t>> parts(9);
   uint64_t next = 0;
   for (size_t p = 0; p < parts.size(); ++p) {
@@ -427,20 +427,28 @@ TEST(MorselScheduling, SkewedPartitionStopsDominatingUnderMorsels) {
 
   EXPECT_EQ(partition_out, morsel_out);
 
-  // Partition granularity: 9 tasks of one morsel each; the 10000-row task
-  // dominates (ideal ratio 10000 / (10800/9) = 8.3).
+  // The check is the largest unit's share of the stage's summed per-unit
+  // CPU time, not a ratio of two single-unit timings: every unit does the
+  // same work per row, so the share tracks the row split (10000/10800 =
+  // 0.93 for the partition run, 100/10800 = 0.009 for the morsel run), and
+  // one unit slowed by a loaded host moves it far less than it moves a
+  // max/p50 ratio.
+  auto largest_unit_share = [](const StageReport& r) {
+    return r.busy_seconds > 0.0 ? r.TaskMaxSeconds() / r.busy_seconds : 1.0;
+  };
+
+  // Partition granularity: 9 units, the 10000-row one dominates.
   EXPECT_EQ(partition_report.tasks, 9u);
   EXPECT_EQ(partition_report.morsels, 9u);
-  EXPECT_GT(partition_report.StragglerRatio(), 3.0);
+  EXPECT_GT(largest_unit_share(partition_report), 0.5);
 
-  // Morsel path: 100-row units, so the heavy partition becomes 100 units
-  // the scheduler spreads across workers. Every unit does the same work,
-  // so max/p50 busy time sits near 1 (3.0 leaves slack for timer jitter).
+  // Morsel path: 100-row units, so the heavy partition becomes 100 of the
+  // 108 units. No unit may hold more than a quarter of the stage's CPU
+  // time (ideal: under 1%).
   EXPECT_EQ(morsel_report.tasks, 9u);
   EXPECT_EQ(morsel_report.morsels, 108u);
-  ASSERT_GT(morsel_report.TaskP50Seconds(), 0.0);
-  EXPECT_LT(morsel_report.TaskMaxSeconds() / morsel_report.TaskP50Seconds(),
-            3.0);
+  ASSERT_GT(morsel_report.busy_seconds, 0.0);
+  EXPECT_LT(largest_unit_share(morsel_report), 0.25);
 }
 
 TEST(MorselScheduling, MorselPathMatchesPartitionPathOnChains) {

@@ -2,77 +2,30 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <tuple>
 
-#include "common/random.h"
+#include "join_test_util.h"
 
 namespace bigdansing {
 namespace {
 
+using join_test::AsDataset;
+using join_test::AsSet;
+using join_test::BruteForce;
+using join_test::Cond;
+using join_test::IntRows;
+using join_test::MixedRows;
+
 std::vector<Row> RandomRows(size_t n, size_t cols, uint64_t seed,
                             double null_rate = 0.0) {
-  Random rng(seed);
-  std::vector<Row> rows;
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<Value> values;
-    for (size_t c = 0; c < cols; ++c) {
-      if (rng.NextBool(null_rate)) {
-        values.push_back(Value::Null());
-      } else {
-        values.push_back(Value(static_cast<int64_t>(rng.NextBounded(40))));
-      }
-    }
-    rows.emplace_back(static_cast<RowId>(i), std::move(values));
-  }
-  return rows;
+  return IntRows(n, cols, seed, /*bound=*/40, null_rate);
 }
 
-bool EvalCondition(const Row& a, const Row& b, const OrderingCondition& c) {
-  const Value& l = a.value(c.left_column);
-  const Value& r = b.value(c.right_column);
-  if (l.is_null() || r.is_null()) return false;
-  switch (c.op) {
-    case CmpOp::kLt:
-      return l < r;
-    case CmpOp::kGt:
-      return l > r;
-    case CmpOp::kLeq:
-      return l <= r;
-    case CmpOp::kGeq:
-      return l >= r;
-    default:
-      return false;
-  }
-}
-
-std::set<std::pair<RowId, RowId>> BruteForce(
-    const std::vector<Row>& rows,
-    const std::vector<OrderingCondition>& conditions) {
-  std::set<std::pair<RowId, RowId>> out;
-  for (const auto& a : rows) {
-    for (const auto& b : rows) {
-      if (a.id() == b.id()) continue;
-      bool all = true;
-      for (const auto& c : conditions) all = all && EvalCondition(a, b, c);
-      if (all) out.insert({a.id(), b.id()});
-    }
-  }
-  return out;
-}
-
-std::set<std::pair<RowId, RowId>> AsSet(const std::vector<RowPair>& pairs) {
-  std::set<std::pair<RowId, RowId>> out;
-  for (const auto& p : pairs) out.insert({p.left.id(), p.right.id()});
-  return out;
-}
-
-OrderingCondition Cond(size_t left, CmpOp op, size_t right) {
-  OrderingCondition c;
-  c.left_column = left;
-  c.op = op;
-  c.right_column = right;
-  return c;
+std::vector<RowIndexPair> Join(ExecutionContext* ctx,
+                               const std::vector<Row>& rows,
+                               const std::vector<OrderingCondition>& conditions,
+                               IEJoinStats* stats = nullptr) {
+  return IEJoin(ctx, AsDataset(ctx, rows), conditions, stats);
 }
 
 class IEJoinProperty
@@ -85,7 +38,7 @@ TEST_P(IEJoinProperty, MatchesBruteForce) {
                                                Cond(1, op2, 2)};
   ExecutionContext ctx(2);
   IEJoinStats stats;
-  auto pairs = IEJoin(&ctx, rows, conditions, &stats);
+  auto pairs = Join(&ctx, rows, conditions, &stats);
   EXPECT_EQ(AsSet(pairs), BruteForce(rows, conditions));
   EXPECT_EQ(stats.result_pairs, pairs.size());
 }
@@ -97,12 +50,44 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(CmpOp::kLt, CmpOp::kGt, CmpOp::kLeq, CmpOp::kGeq),
         ::testing::Values(0.0, 0.15)));
 
+/// Mixed-type sweep: int/double ties, strings, NaN and nulls; every
+/// operator pair on the two driving conditions, same- and cross-column
+/// (which only a pool shared across columns can decide), with and without
+/// a residual third condition.
+class IEJoinMixedProperty
+    : public ::testing::TestWithParam<std::tuple<CmpOp, CmpOp, bool, bool>> {};
+
+TEST_P(IEJoinMixedProperty, MatchesBruteForce) {
+  auto [op1, op2, cross_column, residual] = GetParam();
+  const std::vector<Row> rows =
+      MixedRows(220, 3, /*seed=*/static_cast<uint64_t>(op1) * 13 +
+                             static_cast<uint64_t>(op2),
+                /*null_rate=*/0.08);
+  std::vector<OrderingCondition> conditions = {
+      Cond(0, op1, cross_column ? 1 : 0), Cond(1, op2, cross_column ? 2 : 1)};
+  if (residual) conditions.push_back(Cond(2, op1, cross_column ? 0 : 2));
+  ExecutionContext ctx(2);
+  IEJoinStats stats;
+  const auto pairs = Join(&ctx, rows, conditions, &stats);
+  const auto expected = BruteForce(rows, conditions);
+  EXPECT_EQ(AsSet(pairs), expected);
+  EXPECT_EQ(pairs.size(), expected.size());  // No pair twice.
+  EXPECT_EQ(stats.result_pairs, pairs.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MixedTypes, IEJoinMixedProperty,
+    ::testing::Combine(
+        ::testing::Values(CmpOp::kLt, CmpOp::kGt, CmpOp::kLeq, CmpOp::kGeq),
+        ::testing::Values(CmpOp::kLt, CmpOp::kGt, CmpOp::kLeq, CmpOp::kGeq),
+        ::testing::Bool(), ::testing::Bool()));
+
 TEST(IEJoin, ResidualThirdCondition) {
   std::vector<Row> rows = RandomRows(150, 3, 29);
   std::vector<OrderingCondition> conditions = {
       Cond(0, CmpOp::kGt, 0), Cond(1, CmpOp::kLt, 1), Cond(2, CmpOp::kLeq, 2)};
   ExecutionContext ctx(2);
-  auto pairs = IEJoin(&ctx, rows, conditions);
+  auto pairs = Join(&ctx, rows, conditions);
   EXPECT_EQ(AsSet(pairs), BruteForce(rows, conditions));
 }
 
@@ -111,23 +96,23 @@ TEST(IEJoin, SingleConditionNotApplicable) {
   EXPECT_TRUE(IEJoinApplicable({Cond(0, CmpOp::kLt, 0), Cond(1, CmpOp::kGt, 1)}));
   ExecutionContext ctx(1);
   std::vector<Row> rows = RandomRows(10, 2, 3);
-  EXPECT_TRUE(IEJoin(&ctx, rows, {Cond(0, CmpOp::kLt, 0)}).empty());
+  EXPECT_TRUE(Join(&ctx, rows, {Cond(0, CmpOp::kLt, 0)}).empty());
 }
 
 TEST(IEJoin, EmptyAndDegenerateInputs) {
   ExecutionContext ctx(1);
   std::vector<OrderingCondition> conditions = {Cond(0, CmpOp::kLt, 0),
                                                Cond(1, CmpOp::kGt, 1)};
-  EXPECT_TRUE(IEJoin(&ctx, {}, conditions).empty());
+  EXPECT_TRUE(Join(&ctx, {}, conditions).empty());
   // One row cannot pair with itself.
   std::vector<Row> one = RandomRows(1, 2, 5);
-  EXPECT_TRUE(IEJoin(&ctx, one, conditions).empty());
+  EXPECT_TRUE(Join(&ctx, one, conditions).empty());
   // All-null column joins nothing.
   std::vector<Row> nulls;
   for (int i = 0; i < 10; ++i) {
     nulls.emplace_back(i, std::vector<Value>{Value::Null(), Value::Null()});
   }
-  EXPECT_TRUE(IEJoin(&ctx, nulls, conditions).empty());
+  EXPECT_TRUE(Join(&ctx, nulls, conditions).empty());
 }
 
 TEST(IEJoin, HeavyDuplicatesMatchBruteForce) {
@@ -141,7 +126,7 @@ TEST(IEJoin, HeavyDuplicatesMatchBruteForce) {
       std::vector<OrderingCondition> conditions = {Cond(0, op1, 0),
                                                    Cond(1, op2, 1)};
       ExecutionContext ctx(2);
-      auto pairs = IEJoin(&ctx, rows, conditions);
+      auto pairs = Join(&ctx, rows, conditions);
       EXPECT_EQ(AsSet(pairs), BruteForce(rows, conditions))
           << CmpOpName(op1) << " " << CmpOpName(op2);
     }
@@ -158,7 +143,7 @@ TEST(IEJoin, MonotoneDataProducesNoPairsCheaply) {
                                                Cond(1, CmpOp::kLt, 1)};
   ExecutionContext ctx(2);
   IEJoinStats stats;
-  auto pairs = IEJoin(&ctx, rows, conditions, &stats);
+  auto pairs = Join(&ctx, rows, conditions, &stats);
   EXPECT_TRUE(pairs.empty());
   // Word-skipping keeps probing near-linear, far below n²/64 words.
   EXPECT_LT(stats.bitmap_probes, 20000u * 20000u / 64 / 8);

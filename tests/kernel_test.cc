@@ -155,6 +155,36 @@ TEST(ValuePoolTest, CodesPreserveOrderEqualityAndHashes) {
   }
 }
 
+TEST(ValuePoolTest, EncodeColumnsSharesOnePoolAcrossAGroup) {
+  // Three partitions with overlapping, unordered values, ties across
+  // physical types and nulls, in a group of two columns sharing one pool
+  // (the inequality joins encode every condition column this way).
+  auto row = [](RowId id, Value a, Value b) {
+    return Row(id, std::vector<Value>{std::move(a), std::move(b)});
+  };
+  std::vector<std::vector<Row>> parts = {
+      {row(0, Value("b"), Value(2.0)), row(1, Value(int64_t{3}), Value::Null())},
+      {row(2, Value(int64_t{2}), Value(0.5)), row(3, Value("a"), Value("b"))},
+      {row(4, Value(3.0), Value(int64_t{3})), row(5, Value::Null(), Value(9.5))},
+  };
+  ExecutionContext ctx(2);
+  EncodedColumnSet set = EncodeColumns(Dataset<Row>(&ctx, parts), {{0, 1}});
+  ASSERT_EQ(set.rows, 6u);
+  const ValuePool& pool = *set.columns.at(0).pool;
+  EXPECT_EQ(set.columns.at(1).pool.get(), &pool);
+  // Sorted, one code per equality class: 0.5 < 2 < 3 < 9.5 < "a" < "b".
+  ASSERT_EQ(pool.size(), 6u);
+  for (uint32_t c = 1; c < pool.size(); ++c) {
+    EXPECT_LT(pool.value(c - 1), pool.value(c));
+  }
+  EXPECT_EQ(set.columns.at(0).codes[0],
+            (std::vector<uint32_t>{5, 2}));
+  EXPECT_EQ(set.columns.at(1).codes[0],
+            (std::vector<uint32_t>{1, ValuePool::kNullCode}));
+  EXPECT_EQ(set.columns.at(0).codes[2],
+            (std::vector<uint32_t>{2, ValuePool::kNullCode}));
+}
+
 TEST(KernelRegistryTest, CompilesDeclarativeRulesRejectsUdfAndSimilarity) {
   Table table = PaperTable();
   auto fd = *ParseRule("f: FD: zipcode -> city");

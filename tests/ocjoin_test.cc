@@ -2,80 +2,52 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <set>
+#include <string>
 #include <tuple>
 
-#include "common/random.h"
+#include "core/rule_engine.h"
+#include "join_test_util.h"
+#include "rules/parser.h"
 
 namespace bigdansing {
 namespace {
 
-/// Random rows with `cols` numeric columns (occasionally null).
+using join_test::AsDataset;
+using join_test::AsSet;
+using join_test::BruteForce;
+using join_test::BruteForceCount;
+using join_test::Cond;
+using join_test::IntRows;
+using join_test::MixedRows;
+
 std::vector<Row> RandomRows(size_t n, size_t cols, uint64_t seed,
                             double null_rate = 0.0) {
-  Random rng(seed);
-  std::vector<Row> rows;
-  rows.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<Value> values;
-    for (size_t c = 0; c < cols; ++c) {
-      if (rng.NextBool(null_rate)) {
-        values.push_back(Value::Null());
-      } else {
-        values.push_back(Value(static_cast<int64_t>(rng.NextBounded(50))));
-      }
-    }
-    rows.emplace_back(static_cast<RowId>(i), std::move(values));
+  return IntRows(n, cols, seed, /*bound=*/50, null_rate);
+}
+
+std::vector<RowIndexPair> Join(ExecutionContext* ctx,
+                               const std::vector<Row>& rows,
+                               const std::vector<OrderingCondition>& conditions,
+                               const OCJoinOptions& options = OCJoinOptions(),
+                               OCJoinStats* stats = nullptr) {
+  return OCJoin(ctx, AsDataset(ctx, rows), conditions, options, stats);
+}
+
+/// Checks `candidate_pairs` against the brute-force count of pairs
+/// satisfying the first condition. Pruning drops a partition pair when any
+/// condition's code ranges rule it out, so with residual conditions over
+/// several partitions the join may skip pairs that satisfy the first
+/// condition alone; the count is exact with one partition or one condition.
+void ExpectCandidateCount(const OCJoinStats& stats,
+                          const std::vector<Row>& rows,
+                          const std::vector<OrderingCondition>& conditions) {
+  const size_t first_condition_pairs = BruteForceCount(rows, conditions[0]);
+  if (stats.num_partitions == 1 || conditions.size() == 1) {
+    EXPECT_EQ(stats.candidate_pairs, first_condition_pairs);
+  } else {
+    EXPECT_LE(stats.candidate_pairs, first_condition_pairs);
   }
-  return rows;
-}
-
-bool EvalCondition(const Row& a, const Row& b, const OrderingCondition& c) {
-  const Value& l = a.value(c.left_column);
-  const Value& r = b.value(c.right_column);
-  if (l.is_null() || r.is_null()) return false;
-  switch (c.op) {
-    case CmpOp::kLt:
-      return l < r;
-    case CmpOp::kGt:
-      return l > r;
-    case CmpOp::kLeq:
-      return l <= r;
-    case CmpOp::kGeq:
-      return l >= r;
-    default:
-      return false;
-  }
-}
-
-std::set<std::pair<RowId, RowId>> BruteForce(
-    const std::vector<Row>& rows,
-    const std::vector<OrderingCondition>& conditions) {
-  std::set<std::pair<RowId, RowId>> out;
-  for (const auto& a : rows) {
-    for (const auto& b : rows) {
-      if (a.id() == b.id()) continue;
-      bool all = true;
-      for (const auto& c : conditions) all = all && EvalCondition(a, b, c);
-      if (all) out.insert({a.id(), b.id()});
-    }
-  }
-  return out;
-}
-
-std::set<std::pair<RowId, RowId>> AsSet(const std::vector<RowPair>& pairs) {
-  std::set<std::pair<RowId, RowId>> out;
-  for (const auto& p : pairs) out.insert({p.left.id(), p.right.id()});
-  return out;
-}
-
-OrderingCondition Cond(size_t left, CmpOp op, size_t right) {
-  OrderingCondition c;
-  c.left_column = left;
-  c.op = op;
-  c.right_column = right;
-  return c;
+  EXPECT_GE(stats.candidate_pairs, stats.result_pairs);
 }
 
 /// Property sweep: every operator combination over random data must match
@@ -92,9 +64,10 @@ TEST_P(OCJoinProperty, MatchesBruteForce) {
   OCJoinOptions options;
   options.num_partitions = num_partitions;
   OCJoinStats stats;
-  auto pairs = OCJoin(&ctx, rows, conditions, options, &stats);
+  auto pairs = Join(&ctx, rows, conditions, options, &stats);
   EXPECT_EQ(AsSet(pairs), BruteForce(rows, conditions));
   EXPECT_EQ(stats.result_pairs, pairs.size());
+  ExpectCandidateCount(stats, rows, conditions);
   EXPECT_LE(stats.partition_pairs_after_pruning, stats.partition_pairs_total);
 }
 
@@ -106,11 +79,100 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(size_t{1}, size_t{4}, size_t{13}),
         ::testing::Values(0.0, 0.1)));
 
+constexpr CmpOp kOps[] = {CmpOp::kLt, CmpOp::kGt, CmpOp::kLeq, CmpOp::kGeq};
+
+/// 1-3 conditions: the first uses `op0`, residual j cycles through the
+/// other operators. Cross-column conditions compare different columns on
+/// the two sides, which only a pool shared across columns can decide.
+std::vector<OrderingCondition> MixedConditions(size_t op0, size_t count,
+                                               bool cross_column) {
+  std::vector<OrderingCondition> conditions;
+  for (size_t j = 0; j < count; ++j) {
+    conditions.push_back(Cond(j, kOps[(op0 + j) % 4],
+                              cross_column ? (j + 1) % 3 : j));
+  }
+  return conditions;
+}
+
+/// Mixed-type sweep: int/double ties, strings, NaN and nulls, all four
+/// operators in the driving and residual positions, 1-3 conditions, same-
+/// and cross-column. The pair set and the result count must match brute
+/// force over Value comparisons, and so must the candidate count where
+/// pruning cannot skip first-condition pairs.
+class OCJoinMixedProperty
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t, bool, size_t>> {
+};
+
+TEST_P(OCJoinMixedProperty, MatchesBruteForce) {
+  auto [op0, count, cross_column, num_partitions] = GetParam();
+  const std::vector<Row> rows =
+      MixedRows(220, 3, /*seed=*/op0 * 31 + count, /*null_rate=*/0.08);
+  const auto conditions = MixedConditions(op0, count, cross_column);
+  ExecutionContext ctx(4);
+  OCJoinOptions options;
+  options.num_partitions = num_partitions;
+  OCJoinStats stats;
+  const auto pairs = Join(&ctx, rows, conditions, options, &stats);
+  const auto expected = BruteForce(rows, conditions);
+  EXPECT_EQ(AsSet(pairs), expected);
+  EXPECT_EQ(pairs.size(), expected.size());  // No pair twice.
+  EXPECT_EQ(stats.result_pairs, pairs.size());
+  ExpectCandidateCount(stats, rows, conditions);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MixedTypes, OCJoinMixedProperty,
+    ::testing::Combine(::testing::Values(size_t{0}, size_t{1}, size_t{2},
+                                         size_t{3}),
+                       ::testing::Values(size_t{1}, size_t{2}, size_t{3}),
+                       ::testing::Bool(),
+                       ::testing::Values(size_t{0}, size_t{1}, size_t{7})));
+
+/// Detect through OCJoin and through IEJoin (the check the repository
+/// benchmark makes on TaxB) must report the same violations, cells and
+/// fixes, on mixed-type data.
+class DetectJoinAgreement
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t, bool>> {};
+
+TEST_P(DetectJoinAgreement, OCJoinAndIEJoinFingerprintsMatch) {
+  auto [op0, count, cross_column] = GetParam();
+  const std::vector<std::string> names = {"a", "b", "c"};
+  Table table(Schema(names),
+              MixedRows(180, 3, /*seed=*/op0 * 7 + count + 3, 0.05));
+  std::string rule = "phi: DC: ";
+  for (const auto& c : MixedConditions(op0, count, cross_column)) {
+    if (rule.back() != ' ') rule += " & ";
+    rule += "t1." + names[c.left_column] + " " + CmpOpName(c.op) + " t2." +
+            names[c.right_column];
+  }
+  ExecutionContext ctx(4);
+  auto ocjoin = RuleEngine(&ctx).Detect(table, *ParseRule(rule));
+  ASSERT_TRUE(ocjoin.ok()) << ocjoin.status().ToString();
+  EXPECT_NE(ocjoin->plan_description.find("OCJoin"), std::string::npos);
+  PlannerOptions ie;
+  ie.use_iejoin = true;
+  auto iejoin = RuleEngine(&ctx, ie).Detect(table, *ParseRule(rule));
+  ASSERT_TRUE(iejoin.ok()) << iejoin.status().ToString();
+  EXPECT_GT(iejoin->iejoin_stats.rows_joined, 0u);
+  EXPECT_EQ(ocjoin->violations.size(), iejoin->violations.size()) << rule;
+  EXPECT_EQ(join_test::ViolationFingerprint(*ocjoin),
+            join_test::ViolationFingerprint(*iejoin))
+      << rule;
+  EXPECT_EQ(ocjoin->detect_calls, iejoin->detect_calls);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MixedTypes, DetectJoinAgreement,
+    ::testing::Combine(::testing::Values(size_t{0}, size_t{1}, size_t{2},
+                                         size_t{3}),
+                       ::testing::Values(size_t{2}, size_t{3}),
+                       ::testing::Bool()));
+
 TEST(OCJoin, SingleConditionMatchesBruteForce) {
   std::vector<Row> rows = RandomRows(200, 2, 3);
   std::vector<OrderingCondition> conditions = {Cond(0, CmpOp::kGt, 1)};
   ExecutionContext ctx(2);
-  auto pairs = OCJoin(&ctx, rows, conditions, OCJoinOptions());
+  auto pairs = Join(&ctx, rows, conditions);
   EXPECT_EQ(AsSet(pairs), BruteForce(rows, conditions));
 }
 
@@ -119,15 +181,15 @@ TEST(OCJoin, ThreeConditions) {
   std::vector<OrderingCondition> conditions = {
       Cond(0, CmpOp::kGt, 0), Cond(1, CmpOp::kLt, 1), Cond(2, CmpOp::kLeq, 2)};
   ExecutionContext ctx(2);
-  auto pairs = OCJoin(&ctx, rows, conditions, OCJoinOptions());
+  auto pairs = Join(&ctx, rows, conditions);
   EXPECT_EQ(AsSet(pairs), BruteForce(rows, conditions));
 }
 
 TEST(OCJoin, EmptyInputs) {
   ExecutionContext ctx(2);
-  EXPECT_TRUE(OCJoin(&ctx, {}, {Cond(0, CmpOp::kLt, 0)}, OCJoinOptions()).empty());
+  EXPECT_TRUE(Join(&ctx, {}, {Cond(0, CmpOp::kLt, 0)}).empty());
   std::vector<Row> rows = RandomRows(10, 2, 7);
-  EXPECT_TRUE(OCJoin(&ctx, rows, {}, OCJoinOptions()).empty());
+  EXPECT_TRUE(Join(&ctx, rows, {}).empty());
 }
 
 TEST(OCJoin, AllNullColumnProducesNothing) {
@@ -136,7 +198,7 @@ TEST(OCJoin, AllNullColumnProducesNothing) {
     rows.emplace_back(i, std::vector<Value>{Value::Null(), Value::Null()});
   }
   ExecutionContext ctx(2);
-  auto pairs = OCJoin(&ctx, rows, {Cond(0, CmpOp::kLt, 1)}, OCJoinOptions());
+  auto pairs = Join(&ctx, rows, {Cond(0, CmpOp::kLt, 1)});
   EXPECT_TRUE(pairs.empty());
 }
 
@@ -155,7 +217,7 @@ TEST(OCJoin, PruningActuallyPrunesOnSortedData) {
   OCJoinOptions options;
   options.num_partitions = 16;
   OCJoinStats stats;
-  auto pairs = OCJoin(&ctx, rows, conditions, options, &stats);
+  auto pairs = Join(&ctx, rows, conditions, options, &stats);
   EXPECT_TRUE(pairs.empty());
   EXPECT_EQ(stats.num_partitions, 16u);
   // Only near-diagonal partition pairs can survive the min/max check.
@@ -172,7 +234,7 @@ TEST(OCJoin, DuplicateValuesHandled) {
   std::vector<OrderingCondition> conditions = {Cond(0, CmpOp::kLeq, 0),
                                                Cond(1, CmpOp::kGt, 1)};
   ExecutionContext ctx(3);
-  auto pairs = OCJoin(&ctx, rows, conditions, OCJoinOptions());
+  auto pairs = Join(&ctx, rows, conditions);
   EXPECT_EQ(AsSet(pairs), BruteForce(rows, conditions));
 }
 
@@ -188,14 +250,13 @@ TEST(OCJoin, SelectivityOrderingPicksRareCondition) {
                                                Cond(1, CmpOp::kLt, 1)};
   ExecutionContext ctx(2);
 
-  OCJoinOptions plain;
   OCJoinStats plain_stats;
-  auto plain_pairs = OCJoin(&ctx, rows, conditions, plain, &plain_stats);
+  auto plain_pairs = Join(&ctx, rows, conditions, OCJoinOptions(), &plain_stats);
 
   OCJoinOptions ordered;
   ordered.order_conditions_by_selectivity = true;
   OCJoinStats ordered_stats;
-  auto ordered_pairs = OCJoin(&ctx, rows, conditions, ordered, &ordered_stats);
+  auto ordered_pairs = Join(&ctx, rows, conditions, ordered, &ordered_stats);
 
   // Same (empty) result either way; far fewer candidates when ordered.
   EXPECT_EQ(AsSet(plain_pairs), AsSet(ordered_pairs));
@@ -210,7 +271,7 @@ TEST(OCJoin, SelectivityOrderingPreservesResults) {
   ExecutionContext ctx(2);
   OCJoinOptions ordered;
   ordered.order_conditions_by_selectivity = true;
-  auto pairs = OCJoin(&ctx, rows, conditions, ordered);
+  auto pairs = Join(&ctx, rows, conditions, ordered);
   EXPECT_EQ(AsSet(pairs), BruteForce(rows, conditions));
 }
 
@@ -220,7 +281,7 @@ TEST(OCJoin, StatsCandidateCountBoundsResults) {
                                                Cond(1, CmpOp::kLt, 1)};
   ExecutionContext ctx(4);
   OCJoinStats stats;
-  OCJoin(&ctx, rows, conditions, OCJoinOptions(), &stats);
+  Join(&ctx, rows, conditions, OCJoinOptions(), &stats);
   EXPECT_GE(stats.candidate_pairs, stats.result_pairs);
 }
 

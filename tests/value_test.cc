@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
+
+#include "data/dictionary.h"
 
 namespace bigdansing {
 namespace {
@@ -114,6 +118,87 @@ TEST_P(ValueOrderProperty, CompareIsAntisymmetricAndTransitive) {
 
 INSTANTIATE_TEST_SUITE_P(Rotations, ValueOrderProperty,
                          ::testing::Range(0, 5));
+
+TEST(ValueNaN, ParseGivesADoubleNaN) {
+  for (const char* text : {"nan", "NaN", "-nan"}) {
+    const Value v = Value::Parse(text);
+    ASSERT_TRUE(v.is_double()) << text;
+    EXPECT_TRUE(std::isnan(v.as_double())) << text;
+  }
+}
+
+TEST(ValueNaN, SortsAfterEveryNumberAndEqualsOnlyNaN) {
+  const Value nan = Value::Parse("nan");
+  const Value other_nan(-std::numeric_limits<double>::quiet_NaN());
+  const Value inf(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(nan.Compare(other_nan), 0);
+  EXPECT_EQ(nan, other_nan);
+  for (const Value& number :
+       {Value(1.5), Value(2.5), inf, Value(-inf.as_double()),
+        Value(static_cast<int64_t>(7))}) {
+    EXPECT_GT(nan, number) << number.ToString();
+    EXPECT_LT(number, nan) << number.ToString();
+    EXPECT_NE(nan, number) << number.ToString();
+  }
+  // Still a number: after null, before every string.
+  EXPECT_GT(nan, Value::Null());
+  EXPECT_LT(nan, Value(""));
+}
+
+TEST(ValueNaN, CompareStaysTransitiveAndHashAgreesWithEquality) {
+  const std::vector<Value> pool = {
+      Value::Null(),
+      Value(1.5),
+      Value::Parse("nan"),
+      Value(2.5),
+      Value(-std::numeric_limits<double>::quiet_NaN()),
+      Value(static_cast<int64_t>(2)),
+      Value(2.0),
+      Value(std::numeric_limits<double>::infinity()),
+      Value("nan"),
+  };
+  for (const auto& a : pool) {
+    for (const auto& b : pool) {
+      const int ab = a.Compare(b);
+      EXPECT_EQ(ab > 0, b.Compare(a) < 0);
+      EXPECT_EQ(ab == 0, a == b);
+      if (a == b) {
+        EXPECT_EQ(a.Hash(), b.Hash()) << a.ToString() << " " << b.ToString();
+      }
+      for (const auto& c : pool) {
+        if (ab <= 0 && b.Compare(c) <= 0) {
+          EXPECT_LE(a.Compare(c), 0)
+              << a.ToString() << " " << b.ToString() << " " << c.ToString();
+        }
+        if (ab == 0 && b.Compare(c) == 0) {
+          EXPECT_EQ(a.Compare(c), 0);
+        }
+      }
+    }
+  }
+}
+
+TEST(ValueNaN, PoolCodesAgreeWithValueOrder) {
+  // EncodeColumns sorts its distinct values with Compare; NaN must get one
+  // code, after 2.5, and every spelling of NaN must find it.
+  ValuePool pool({Value(1.5), Value(2.5), Value::Parse("nan")});
+  EXPECT_EQ(pool.CodeOf(Value(1.5)), 0u);
+  EXPECT_EQ(pool.CodeOf(Value(2.5)), 1u);
+  EXPECT_EQ(pool.CodeOf(Value::Parse("nan")), 2u);
+  EXPECT_EQ(pool.CodeOf(Value(-std::numeric_limits<double>::quiet_NaN())),
+            2u);
+  EXPECT_EQ(pool.LowerBound(Value::Parse("nan")), 2u);
+  EXPECT_EQ(pool.UpperBound(Value(2.5)), 2u);
+  EXPECT_EQ(pool.UpperBound(Value::Parse("nan")), 3u);
+
+  std::vector<Value> values = {Value::Parse("nan"), Value(2.5), Value(1.5),
+                               Value::Parse("nan")};
+  std::sort(values.begin(), values.end());
+  EXPECT_EQ(values[0], Value(1.5));
+  EXPECT_EQ(values[1], Value(2.5));
+  EXPECT_TRUE(std::isnan(values[2].as_double()));
+  EXPECT_TRUE(std::isnan(values[3].as_double()));
+}
 
 TEST(Value, HashIsStableAcrossRuns) {
   // Pinned values guard against accidental hash-function changes, which
