@@ -6,7 +6,10 @@
 // pass per batch. The figure of merit is the simulated-wall ratio between
 // one full re-detect at the final table size and the average streamed
 // window — the regression gate (check_regression.py) requires it to stay
-// above the min_speedup recorded in the config.
+// above the min_speedup recorded in the config. The same ratio in real
+// wall time (wall_speedup) is reported beside it without a gate: the
+// simulated ratio counts only stage CPU, so it cannot see the driver-side
+// index work each window does.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -90,6 +93,9 @@ int Run() {
   });
   const double full_sim = full_ctx.metrics().SimulatedWallSeconds();
   const double speedup = per_batch_sim > 0 ? full_sim / per_batch_sim : 0.0;
+  const double per_batch_wall = windows > 0 ? ingest_wall / windows : 0.0;
+  const double wall_speedup =
+      per_batch_wall > 0 ? full_wall / per_batch_wall : 0.0;
 
   bench::BenchRecord record("stream_ingest", "rows=" + std::to_string(rows) +
                                                  ",batch=1pct");
@@ -104,14 +110,14 @@ int Run() {
   const bool gated = rows >= 20000;
   record.AddConfig("min_speedup", gated ? 5.0 : 0.0);
   record.AddMetric("wall_seconds", ingest_wall);
-  record.AddMetric("per_batch_wall_seconds",
-                   windows > 0 ? ingest_wall / windows : 0.0);
+  record.AddMetric("per_batch_wall_seconds", per_batch_wall);
   record.AddMetric("max_batch_wall_seconds", max_batch_wall);
   record.AddMetric("flush_wall_seconds", flush_wall);
   record.AddMetric("per_batch_simulated_seconds", per_batch_sim);
   record.AddMetric("full_redetect_wall_seconds", full_wall);
   record.AddMetric("full_redetect_simulated_seconds", full_sim);
   record.AddMetric("speedup", speedup);
+  record.AddMetric("wall_speedup", wall_speedup);
   record.AddMetric("violations", stats.violations_found);
   record.AddMetric("fixes", stats.fixes_applied);
   record.CaptureMetrics((*session)->metrics());
@@ -134,9 +140,11 @@ int Run() {
                     {"metric", "seconds"});
   char buf[32];
   table.AddRow({"ingest wall (all batches)", Secs(ingest_wall)});
-  table.AddRow({"avg batch wall",
-                Secs(windows > 0 ? ingest_wall / windows : 0.0)});
+  table.AddRow({"avg batch wall", Secs(per_batch_wall)});
   table.AddRow({"max batch wall", Secs(max_batch_wall)});
+  table.AddRow({"full re-detect wall", Secs(full_wall)});
+  std::snprintf(buf, sizeof(buf), "%.1fx", wall_speedup);
+  table.AddRow({"speedup (wall)", buf});
   table.AddRow({"avg batch simulated", Secs(per_batch_sim)});
   table.AddRow({"full re-detect simulated", Secs(full_sim)});
   std::snprintf(buf, sizeof(buf), "%.1fx", speedup);

@@ -213,37 +213,44 @@ bool StreamSession::KeyOf(const RuleIndex& ri, size_t pos,
   return true;
 }
 
-void StreamSession::IndexRemove(RowId id) {
-  for (auto& ri : indexes_) {
-    if (!ri.blocked) continue;
-    auto it = ri.row_key.find(id);
-    if (it == ri.row_key.end()) continue;
-    auto block = ri.blocks.find(it->second);
-    if (block != ri.blocks.end()) {
-      block->second.erase(id);
-      if (block->second.empty()) ri.blocks.erase(block);
-    }
-    ri.dirty.insert(it->second);
-    ri.row_key.erase(it);
-  }
+void StreamSession::JoinBlock(RuleIndex* ri, size_t pos, uint64_t key) {
+  Block& block = *ri->blocks.try_emplace(key).first;
+  std::vector<uint32_t>& members = block.second;
+  const auto p = static_cast<uint32_t>(pos);
+  members.insert(std::lower_bound(members.begin(), members.end(), p), p);
+  ri->block_of[pos] = &block;
+  ri->dirty.insert(key);
+  ++index_rows_;
+}
+
+void StreamSession::LeaveBlock(RuleIndex* ri, size_t pos) {
+  Block* block = ri->block_of[pos];
+  if (block == nullptr) return;
+  const uint64_t key = block->first;
+  std::vector<uint32_t>& members = block->second;
+  members.erase(std::lower_bound(members.begin(), members.end(),
+                                 static_cast<uint32_t>(pos)));
+  ri->block_of[pos] = nullptr;
+  ri->dirty.insert(key);
+  --index_rows_;
+  if (members.empty()) ri->blocks.erase(key);
 }
 
 void StreamSession::IndexRows(const std::vector<size_t>& positions) {
   for (auto& col : code_cols_) {
     col.resize(table_->num_rows(), ValuePool::kNullCode);
   }
+  for (auto& ri : indexes_) {
+    if (ri.blocked) ri.block_of.resize(table_->num_rows(), nullptr);
+  }
   GrowPools(positions);
   for (size_t pos : positions) {
     EncodeRow(pos);
-    const RowId id = table_->row(pos).id();
-    IndexRemove(id);
     for (auto& ri : indexes_) {
       if (!ri.blocked) continue;
+      LeaveBlock(&ri, pos);
       uint64_t key = 0;
-      if (!KeyOf(ri, pos, &key)) continue;
-      ri.blocks[key].insert(id);
-      ri.row_key[id] = key;
-      ri.dirty.insert(key);
+      if (KeyOf(ri, pos, &key)) JoinBlock(&ri, pos, key);
     }
   }
 }
@@ -331,7 +338,15 @@ Status StreamSession::Retract(const std::vector<RowId>& row_ids) {
     // Unknown, already retracted, or repeated within this call.
     auto pos = row_pos_.find(id);
     if (pos == row_pos_.end()) continue;
-    IndexRemove(id);
+    for (auto& ri : indexes_) {
+      if (ri.blocked) LeaveBlock(&ri, pos->second);
+    }
+    // A later row may reuse the id: it must start with no update counts
+    // and no frozen cells (the oscillating count stays cumulative).
+    for (size_t c = 0; c < table_->schema().num_attributes(); ++c) {
+      freeze_.update_counts.erase(CellRef{id, c});
+      freeze_.frozen.erase(CellRef{id, c});
+    }
     pending_changed_.erase(id);
     positions.push_back(pos->second);
     row_pos_.erase(pos);
@@ -340,7 +355,9 @@ Status StreamSession::Retract(const std::vector<RowId>& row_ids) {
   if (!positions.empty()) {
     // One stable compaction pass from the first retracted position: the
     // survivors behind it slide down over the gaps together with their
-    // codes, and only they get a new position.
+    // codes and block handles, and only they get a new position. The move
+    // keeps table order, so rewriting a survivor's entry in its block in
+    // place keeps every block ascending.
     std::sort(positions.begin(), positions.end());
     auto& rows = table_->mutable_rows();
     auto gap = positions.begin();
@@ -352,11 +369,24 @@ Status StreamSession::Retract(const std::vector<RowId>& row_ids) {
       }
       rows[write] = std::move(rows[read]);
       for (auto& col : code_cols_) col[write] = col[read];
+      for (auto& ri : indexes_) {
+        if (!ri.blocked) continue;
+        Block* block = ri.block_of[read];
+        ri.block_of[write] = block;
+        if (block == nullptr) continue;
+        std::vector<uint32_t>& members = block->second;
+        *std::lower_bound(members.begin(), members.end(),
+                          static_cast<uint32_t>(read)) =
+            static_cast<uint32_t>(write);
+      }
       row_pos_[rows[write].id()] = write;
       ++write;
     }
     rows.erase(rows.begin() + write, rows.end());
     for (auto& col : code_cols_) col.resize(write);
+    for (auto& ri : indexes_) {
+      if (ri.blocked) ri.block_of.resize(write);
+    }
   }
   PushStats();
   return Status::OK();
@@ -387,18 +417,19 @@ void StreamSession::EnsureKernelBound(RuleIndex* ri) {
   }
 }
 
-bool StreamSession::BlockMayViolate(
-    const RuleIndex& ri, const std::vector<const uint32_t*>& cols,
-    const std::vector<size_t>& positions) const {
+bool StreamSession::BlockMayViolate(const RuleIndex& ri,
+                                    const std::vector<const uint32_t*>& cols,
+                                    const std::vector<uint32_t>& members,
+                                    std::vector<CodeTuple>* tuples) const {
   if (!ri.kernel) return true;
-  const bool symmetric = ri.plan.rule->IsSymmetric();
-  const size_t n = positions.size();
+  tuples->clear();
+  for (uint32_t pos : members) tuples->push_back({cols.data(), pos});
+  const CodeTuple* t = tuples->data();
+  const size_t n = tuples->size();
+  if (ri.plan.rule->IsSymmetric()) return ri.kernel->AnyMatchUpper(t, n);
   for (size_t i = 0; i < n; ++i) {
-    const CodeTuple a{cols.data(), positions[i]};
     for (size_t j = i + 1; j < n; ++j) {
-      const CodeTuple b{cols.data(), positions[j]};
-      if (ri.kernel->Matches(a, b) ||
-          (!symmetric && ri.kernel->Matches(b, a))) {
+      if (ri.kernel->Matches(t[i], t[j]) || ri.kernel->Matches(t[j], t[i])) {
         return true;
       }
     }
@@ -415,31 +446,23 @@ Table StreamSession::BuildCandidateTable(RuleIndex* ri, size_t* candidates) {
   for (size_t slot : ri->kernel_slots) {
     kernel_cols.push_back(code_cols_[slot].data());
   }
-  std::vector<size_t> positions;
-  std::vector<size_t> block_positions;
+  std::vector<CodeTuple> tuples;
+  std::vector<uint32_t> positions;
   for (uint64_t key : ri->dirty) {
     auto block = ri->blocks.find(key);
     if (block == ri->blocks.end() || block->second.size() < 2) continue;
-    block_positions.clear();
-    block_positions.reserve(block->second.size());
-    for (RowId id : block->second) {
-      auto pos = row_pos_.find(id);
-      if (pos != row_pos_.end()) block_positions.push_back(pos->second);
-    }
-    if (block_positions.size() < 2) continue;
-    // Table order inside the block, so detection enumerates candidate pairs
+    // Members are in table order, so detection enumerates candidate pairs
     // exactly as a full pass over the base table would.
-    std::sort(block_positions.begin(), block_positions.end());
-    if (!BlockMayViolate(*ri, kernel_cols, block_positions)) continue;
-    positions.insert(positions.end(), block_positions.begin(),
-                     block_positions.end());
+    const std::vector<uint32_t>& members = block->second;
+    if (!BlockMayViolate(*ri, kernel_cols, members, &tuples)) continue;
+    positions.insert(positions.end(), members.begin(), members.end());
   }
   std::sort(positions.begin(), positions.end());
   positions.erase(std::unique(positions.begin(), positions.end()),
                   positions.end());
   *candidates = positions.size();
   Table sub(table_->schema());
-  for (size_t pos : positions) sub.AppendRowWithId(table_->row(pos));
+  for (uint32_t pos : positions) sub.AppendRowWithId(table_->row(pos));
   return sub;
 }
 
@@ -630,13 +653,9 @@ StreamSessionStats StreamSession::stats() const {
   s.pending_batches = pending_.size();
   s.open = !closed_;
   size_t blocks = 0;
-  size_t rows = 0;
-  for (const auto& ri : indexes_) {
-    blocks += ri.blocks.size();
-    rows += ri.row_key.size();
-  }
+  for (const auto& ri : indexes_) blocks += ri.blocks.size();
   s.index_blocks = blocks;
-  s.index_rows = rows;
+  s.index_rows = index_rows_;
   size_t pool_values = 0;
   for (const auto& pool : pools_) pool_values += pool->size();
   s.pool_values = pool_values;
@@ -657,8 +676,10 @@ StreamSession::IndexFingerprints() const {
     uint64_t h = 0x5EED;
     for (uint64_t key : keys) {
       h = StableHashUint64(h ^ key);
-      const auto& members = ri.blocks.at(key);
-      std::vector<RowId> ids(members.begin(), members.end());
+      std::vector<RowId> ids;
+      for (uint32_t pos : ri.blocks.at(key)) {
+        ids.push_back(table_->row(pos).id());
+      }
       std::sort(ids.begin(), ids.end());
       for (RowId id : ids) {
         h = StableHashUint64(h ^ static_cast<uint64_t>(id));

@@ -81,9 +81,10 @@ struct StreamFlushReport {
 /// Append() in bounded micro-batches, leave via Retract(), and each Poll()
 /// processes one window — encode the batch against the session's persistent
 /// ValuePools, update the per-rule incremental violation index
-/// (blocking-key -> candidate row set), detect only inside the blocks the
-/// window touched, and run repair as a windowed fix-point seeded by the
-/// engine's incremental detection path. Created by BigDansing::OpenStream.
+/// (blocking-key -> member table positions), detect only inside the
+/// blocks the window touched, and run repair as a windowed fix-point
+/// seeded by the engine's incremental detection path. Created by
+/// BigDansing::OpenStream.
 ///
 /// Thread-compatible like RuleEngine: one caller thread at a time; the
 /// session parallelizes internally and publishes snapshots to the /streams
@@ -112,7 +113,8 @@ class StreamSession {
   /// are re-verified by the next processed window. Unknown ids are ignored
   /// (retracting twice is not an error), and an id repeated within one call
   /// retracts its row once and counts once. Costs O(rows after the first
-  /// retracted position) besides the index updates.
+  /// retracted position) besides the index updates: each moved row's entry
+  /// in its block of every rule is rewritten in place.
   Status Retract(const std::vector<RowId>& row_ids);
 
   /// Processes one pending window (the oldest queued batch plus any
@@ -144,6 +146,13 @@ class StreamSession {
  private:
   friend class BigDansing;
 
+  /// blocking-key -> member table positions, ascending: the candidate
+  /// sets detection reads. A block is erased when its last member leaves.
+  using Blocks = std::unordered_map<uint64_t, std::vector<uint32_t>>;
+  /// A block handle. Map nodes never move, so a handle stays valid until
+  /// its block is erased, and by then no position refers to it.
+  using Block = Blocks::value_type;
+
   /// Per-rule incremental violation index state.
   struct RuleIndex {
     PhysicalRulePlan plan;
@@ -153,10 +162,11 @@ class StreamSession {
     bool blocked = false;
     /// Code columns (indexed slots) forming the key (empty for UDF keys).
     std::vector<size_t> key_slots;
-    /// blocking-key -> member rows; the candidate sets detection reads.
-    std::unordered_map<uint64_t, std::unordered_set<RowId>> blocks;
-    /// Reverse map for retraction and repair-driven block moves.
-    std::unordered_map<RowId, uint64_t> row_key;
+    Blocks blocks;
+    /// Block handle per table position (null: the row joins no block),
+    /// aligned with table_->rows() like code_cols_; empty for unblocked
+    /// rules.
+    std::vector<Block*> block_of;
     /// Kernel prescreen (null when the rule is not kernelizable): bound
     /// against the session pools, rebound whenever a pool it reads grows.
     std::shared_ptr<const KernelTemplate> tmpl;
@@ -190,12 +200,16 @@ class StreamSession {
   /// a null key component (the row joins no block).
   bool KeyOf(const RuleIndex& ri, size_t pos, uint64_t* key) const;
 
-  /// Removes one live row from every rule index, marking its blocks dirty.
-  void IndexRemove(RowId id);
-  /// Extends code_cols_ over rows appended to the table, grows the pools
-  /// over the rows at `positions`, encodes them and (re)joins each to its
-  /// current block of every rule index; the blocks a row leaves and joins
-  /// become dirty.
+  /// Adds table position `pos` to rule index `ri`'s block `key` (created
+  /// when absent), keeping the block ascending, and marks the block dirty.
+  void JoinBlock(RuleIndex* ri, size_t pos, uint64_t key);
+  /// Removes table position `pos` from its block of rule index `ri` (a
+  /// no-op when it has none), marking the block dirty.
+  void LeaveBlock(RuleIndex* ri, size_t pos);
+  /// Extends code_cols_ and the block handles over rows appended to the
+  /// table, grows the pools over the rows at `positions`, encodes them and
+  /// (re)joins each to its current block of every rule index; the blocks a
+  /// row leaves and joins become dirty.
   void IndexRows(const std::vector<size_t>& positions);
 
   /// True when a window has anything to do.
@@ -203,15 +217,18 @@ class StreamSession {
 
   /// Rebinds rule `ri`'s kernel when a pool it reads grew since last bind.
   void EnsureKernelBound(RuleIndex* ri);
-  /// Kernel prescreen of one block (rows given as table positions): false
+  /// Kernel prescreen of one block (its member table positions): false
   /// only when the compiled kernel proves no ordered pair in the block can
   /// violate — exact, so skipping the block drops nothing. `cols` holds
   /// the code_cols_ data of the rule's kernel slots, so each tuple points
-  /// straight into them (tuple row = table position); the pair loop stops
-  /// at the first match and tries both orders only for asymmetric rules.
+  /// straight into them (tuple row = table position); `tuples` is a buffer
+  /// the caller reuses across blocks. A symmetric rule is decided by one
+  /// AnyMatchUpper call; an asymmetric one by a pair loop that tries both
+  /// orders and stops at the first match.
   bool BlockMayViolate(const RuleIndex& ri,
                        const std::vector<const uint32_t*>& cols,
-                       const std::vector<size_t>& positions) const;
+                       const std::vector<uint32_t>& members,
+                       std::vector<CodeTuple>* tuples) const;
 
   /// Processes one window: moves the oldest batch (if any) into the table
   /// and runs the windowed detect/repair fix-point over the dirty blocks.
@@ -273,6 +290,8 @@ class StreamSession {
   uint64_t pool_epoch_ = 0;
 
   std::vector<RuleIndex> indexes_;
+  /// Block members summed over every rule index (stats().index_rows).
+  size_t index_rows_ = 0;
   /// Rows appended/repaired since the last processed window (seeds the
   /// incremental fallback path for unindexed rules).
   std::unordered_set<RowId> pending_changed_;

@@ -1,10 +1,10 @@
 #include "obs/resource_accounting.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <new>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <fcntl.h>
 #include <unistd.h>
 #endif
 
@@ -32,14 +32,20 @@ ThreadAllocCounters ThreadAllocations() {
 
 uint64_t CurrentRssBytes() {
 #if defined(__linux__)
-  // statm field 2 is resident pages; reading it is one small pread — cheap
-  // enough for stage boundaries.
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  unsigned long long total = 0, resident = 0;
-  const int matched = std::fscanf(f, "%llu %llu", &total, &resident);
-  std::fclose(f);
-  if (matched != 2) return 0;
+  // statm field 2 is resident pages. The file is opened once and each call
+  // is one small pread of it, cheap enough for every stage boundary.
+  static const int fd = open("/proc/self/statm", O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return 0;
+  char buf[128];
+  const ssize_t n = pread(fd, buf, sizeof(buf) - 1, 0);
+  if (n <= 0) return 0;
+  buf[n] = '\0';
+  char* total_end = nullptr;
+  std::strtoull(buf, &total_end, 10);  // field 1: total program size
+  char* resident_end = nullptr;
+  const unsigned long long resident =
+      std::strtoull(total_end, &resident_end, 10);
+  if (total_end == buf || resident_end == total_end) return 0;
   static const long page = sysconf(_SC_PAGESIZE);
   return static_cast<uint64_t>(resident) *
          static_cast<uint64_t>(page > 0 ? page : 4096);

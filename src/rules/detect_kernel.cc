@@ -58,6 +58,35 @@ class FdKernel : public DetectKernel {
     DetectKernel::MatchUpper(tuples, n, matches);
   }
 
+  bool AnyMatchUpper(const CodeTuple* tuples, size_t n) const override {
+    // In a block keyed by the LHS (hash collisions aside) every tuple with
+    // a non-null LHS carries the first such tuple's LHS. A pair then
+    // violates iff some tuple's RHS differs from that first tuple's, and
+    // the pair (first, that tuple) is one. Any other LHS in the block sends
+    // it to the pair loop.
+    auto has_null_lhs = [this](const CodeTuple& t) {
+      for (uint16_t s : lhs_) {
+        if (t.code(s) == ValuePool::kNullCode) return true;
+      }
+      return false;
+    };
+    size_t first = 0;
+    while (first < n && has_null_lhs(tuples[first])) ++first;
+    for (size_t j = first + 1; j < n; ++j) {
+      const CodeTuple& t = tuples[j];
+      if (has_null_lhs(t)) continue;
+      for (uint16_t s : lhs_) {
+        if (t.code(s) != tuples[first].code(s)) {
+          return DetectKernel::AnyMatchUpper(tuples, n);
+        }
+      }
+      for (uint16_t s : rhs_) {
+        if (t.code(s) != tuples[first].code(s)) return true;
+      }
+    }
+    return false;
+  }
+
  private:
   std::vector<uint16_t> lhs_;
   std::vector<uint16_t> rhs_;
@@ -379,6 +408,15 @@ void DetectKernel::MatchUpper(
       if (Matches(tuples[i], tuples[j])) matches->emplace_back(i, j);
     }
   }
+}
+
+bool DetectKernel::AnyMatchUpper(const CodeTuple* tuples, size_t n) const {
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      if (Matches(tuples[i], tuples[j])) return true;
+    }
+  }
+  return false;
 }
 
 uint16_t KernelTemplate::SlotFor(size_t column) {

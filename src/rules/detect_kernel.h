@@ -100,6 +100,11 @@ class DetectKernel {
   virtual void MatchUpper(
       const CodeTuple* tuples, size_t n,
       std::vector<std::pair<uint32_t, uint32_t>>* matches) const;
+  /// Batched upper-triangle existence test over the same block: true iff
+  /// MatchUpper would append at least one pair. The default runs the pair
+  /// loop and stops at the first match; the FD kernel decides a block whose
+  /// non-null-LHS tuples all share one LHS in a single pass.
+  virtual bool AnyMatchUpper(const CodeTuple* tuples, size_t n) const;
 };
 
 /// A schema-bound but pool-free kernel for one rule: names the columns to

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -201,6 +202,87 @@ TEST(KernelRegistryTest, CompilesDeclarativeRulesRejectsUdfAndSimilarity) {
   DcRule sim_rule("s", {sim});
   EXPECT_EQ(KernelRegistry::Instance().Compile(sim_rule, table.schema()),
             nullptr);
+}
+
+/// Compiles `rule` over `schema` and binds every kernel slot to `pool`.
+std::unique_ptr<DetectKernel> BindKernel(const Rule& rule,
+                                         const Schema& schema,
+                                         const ValuePool& pool) {
+  auto tmpl = KernelRegistry::Instance().Compile(rule, schema);
+  EXPECT_NE(tmpl, nullptr);
+  if (tmpl == nullptr) return nullptr;
+  return tmpl->Bind(std::vector<const ValuePool*>(tmpl->columns().size(),
+                                                  &pool));
+}
+
+/// Seeded random blocks of 0-40 tuples over `slots` code columns: each
+/// block draws every cell from one code or from two (two LHS codes in one
+/// block send the FD kernel to its pair loop), with or without nulls.
+/// AnyMatchUpper must agree with MatchUpper on every block, and the
+/// blocks must include both outcomes.
+void ExpectAnyMatchAgrees(const DetectKernel& kernel, size_t slots,
+                          uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  size_t matching = 0;
+  size_t clean = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const size_t n = rng() % 41;
+    const uint32_t distinct = 1 + rng() % 2;
+    const bool nulls = rng() % 2 == 0;
+    std::vector<std::vector<uint32_t>> cols(slots, std::vector<uint32_t>(n));
+    for (auto& col : cols) {
+      for (uint32_t& code : col) {
+        const bool null = nulls && rng() % 8 == 0;
+        code = null ? ValuePool::kNullCode
+                    : static_cast<uint32_t>(rng() % distinct);
+      }
+    }
+    std::vector<const uint32_t*> data;
+    for (const auto& col : cols) data.push_back(col.data());
+    std::vector<CodeTuple> tuples;
+    for (size_t i = 0; i < n; ++i) tuples.push_back({data.data(), i});
+    std::vector<std::pair<uint32_t, uint32_t>> pairs;
+    kernel.MatchUpper(tuples.data(), n, &pairs);
+    EXPECT_EQ(kernel.AnyMatchUpper(tuples.data(), n), !pairs.empty())
+        << "trial " << trial << ": " << n << " tuples, " << distinct
+        << " codes, nulls " << nulls;
+    ++(pairs.empty() ? clean : matching);
+  }
+  EXPECT_GT(matching, 0u);
+  EXPECT_GT(clean, 0u);
+}
+
+/// Only Matches (an asymmetric one): the base class's batched calls run.
+class AscendingKernel : public DetectKernel {
+ public:
+  bool Matches(const CodeTuple& t1, const CodeTuple& t2) const override {
+    return t1.code(0) != ValuePool::kNullCode &&
+           t2.code(0) != ValuePool::kNullCode && t1.code(0) < t2.code(0);
+  }
+};
+
+TEST(KernelAnyMatchUpper, AgreesWithMatchUpper) {
+  const Schema schema({"a", "b", "c"});
+  // Code 0 is "CA", the variable CFD's pattern constant.
+  const ValuePool pool({Value("CA"), Value("NY")});
+  const std::vector<std::string> specs = {
+      "fd11: FD: a -> b",
+      "fd21: FD: a, b -> c",
+      "fd12: FD: a -> b, c",  // the provider_id -> city, phone shape
+      "cfd: CFD: a=\"CA\", b -> c",
+      "dcb: DC: t1.a = t2.a & t1.b != t2.b"};
+  uint64_t seed = 1;
+  for (const std::string& spec : specs) {
+    SCOPED_TRACE(spec);
+    auto rule = ParseRule(spec);
+    ASSERT_TRUE(rule.ok()) << rule.status().ToString();
+    ASSERT_TRUE((*rule)->Bind(schema).ok());
+    auto kernel = BindKernel(**rule, schema, pool);
+    ASSERT_NE(kernel, nullptr);
+    ExpectAnyMatchAgrees(*kernel, /*slots=*/3, seed++);
+  }
+  SCOPED_TRACE("base class default");
+  ExpectAnyMatchAgrees(AscendingKernel(), /*slots=*/1, seed);
 }
 
 TEST(KernelBitEquality, FdPaperTable) {

@@ -239,15 +239,52 @@ TEST(Stream, RetractRepeatedIdRemovesOnlyThatRow) {
   EXPECT_EQ(stats.index_rows, table->num_rows());
 }
 
-/// Outcome of one scattered-retraction run (see the test below).
+TEST(Stream, RetractedIdReusedStartsUnfrozen) {
+  // Row 1's repair freezes its b cell (one update freezes). Retracting the
+  // row must take that freeze state with it, so a new row that reuses id 1
+  // is repaired exactly as Clean() repairs the same final rows.
+  const RulePtr rule = *ParseRule("f: FD: a -> b");
+  auto row = [](RowId id, const char* b) {
+    return Row(id, {Value::Parse("1"), Value::Parse(b)});
+  };
+  CleanOptions clean;
+  clean.freeze_after_updates = 1;
+  ExecutionContext ctx(2);
+  BigDansing system(&ctx, clean);
+  Table table = *ReadCsvString("a,b\n", CsvOptions{});
+  auto session = system.OpenStream(&table, {rule});
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE((*session)->Append({row(0, "x"), row(1, "y"), row(2, "x")}).ok());
+  ASSERT_TRUE((*session)->Poll().ok());
+  ASSERT_EQ(table.row(1).value(1).ToString(), "x");
+
+  ASSERT_TRUE((*session)->Retract({1}).ok());
+  ASSERT_TRUE((*session)->Append({row(1, "z")}).ok());
+  auto flush = (*session)->Flush();
+  ASSERT_TRUE(flush.ok()) << flush.status().ToString();
+  EXPECT_TRUE(flush->converged);
+
+  Table reference = *ReadCsvString("a,b\n", CsvOptions{});
+  for (Row r : {row(0, "x"), row(2, "x"), row(1, "z")}) {
+    reference.AppendRowWithId(std::move(r));
+  }
+  ExecutionContext ref_ctx(2);
+  ASSERT_TRUE(BigDansing(&ref_ctx, clean).Clean(&reference, {rule}).ok());
+  EXPECT_EQ(reference.row(2).value(1).ToString(), "x");
+  EXPECT_EQ(Fingerprint(table), Fingerprint(reference));
+}
+
+/// Outcome of one scattered-retraction run (see the tests below).
 struct ScatteredRun {
   std::vector<std::pair<size_t, size_t>> windows;  // violations, fixes
   std::string table;
   std::vector<std::pair<std::string, uint64_t>> index;
   std::vector<std::pair<std::string, uint64_t>> fresh_index;
+  size_t index_rows = 0;
+  size_t fresh_index_rows = 0;
 };
 
-/// Streams `dirty` in 10 rounds of Append(300 rows) -> Poll -> Retract the
+/// Streams `dirty` in rounds of Append(300 rows) -> Poll -> Retract the
 /// first, middle, last and one seeded-random live row, then Flushes.
 ScatteredRun RunScatteredRetraction(const Table& dirty,
                                     const std::vector<RulePtr>& rules,
@@ -296,12 +333,37 @@ ScatteredRun RunScatteredRetraction(const Table& dirty,
   }
   out.table = Fingerprint(table);
   out.index = s.IndexFingerprints();
+  out.index_rows = s.stats().index_rows;
 
   Table copy = table;
   auto fresh = system.OpenStream(&copy, rules, StreamOptions{});
   EXPECT_TRUE(fresh.ok()) << fresh.status().ToString();
-  if (fresh.ok()) out.fresh_index = (*fresh)->IndexFingerprints();
+  if (fresh.ok()) {
+    out.fresh_index = (*fresh)->IndexFingerprints();
+    out.fresh_index_rows = (*fresh)->stats().index_rows;
+  }
   return out;
+}
+
+/// Kernels on and off must see every window alike, and each run's index
+/// must equal a fresh build over its final table.
+void ExpectScatteredRetractionExact(const Table& dirty,
+                                    const std::vector<RulePtr>& rules,
+                                    uint64_t seed) {
+  const ScatteredRun kernels =
+      RunScatteredRetraction(dirty, rules, seed, /*kernels=*/true);
+  const ScatteredRun interpreted =
+      RunScatteredRetraction(dirty, rules, seed, /*kernels=*/false);
+  ASSERT_FALSE(kernels.windows.empty());
+  size_t violations = 0;
+  for (const auto& [found, fixes] : kernels.windows) violations += found;
+  EXPECT_GT(violations, 0u) << "no window found a violation";
+  EXPECT_EQ(kernels.windows, interpreted.windows);
+  EXPECT_EQ(kernels.table, interpreted.table);
+  EXPECT_EQ(kernels.index, kernels.fresh_index);
+  EXPECT_EQ(interpreted.index, interpreted.fresh_index);
+  EXPECT_EQ(kernels.index_rows, kernels.fresh_index_rows);
+  EXPECT_EQ(interpreted.index_rows, interpreted.fresh_index_rows);
 }
 
 TEST(Stream, ScatteredRetractionKeepsPrescreenExact) {
@@ -316,15 +378,22 @@ TEST(Stream, ScatteredRetractionKeepsPrescreenExact) {
   for (uint64_t seed : {71u, 72u, 73u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     auto data = GenerateHai(3000, 0.1, seed);
-    const ScatteredRun kernels =
-        RunScatteredRetraction(data.dirty, rules, seed, /*kernels=*/true);
-    const ScatteredRun interpreted =
-        RunScatteredRetraction(data.dirty, rules, seed, /*kernels=*/false);
-    ASSERT_FALSE(kernels.windows.empty());
-    EXPECT_EQ(kernels.windows, interpreted.windows);
-    EXPECT_EQ(kernels.table, interpreted.table);
-    EXPECT_EQ(kernels.index, kernels.fresh_index);
-    EXPECT_EQ(interpreted.index, interpreted.fresh_index);
+    ExpectScatteredRetractionExact(data.dirty, rules, seed);
+  }
+}
+
+TEST(Stream, ScatteredRetractionKeepsDcAndCfdPrescreenExact) {
+  // The same check for rules no FD shape covers: an asymmetric blocked DC
+  // (the prescreen's both-orders pair loop), a symmetric DC and a variable
+  // CFD (the kernels' default AnyMatchUpper).
+  const std::vector<RulePtr> rules = {
+      *ParseRule("dco: DC: t1.zipcode = t2.zipcode & t1.salary > t2.salary"),
+      *ParseRule("dcb: DC: t1.zipcode = t2.zipcode & t1.state != t2.state"),
+      *ParseRule("cfd: CFD: state=\"CA\", zipcode -> city")};
+  for (uint64_t seed : {74u, 75u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto data = GenerateTaxA(1500, 0.1, seed);
+    ExpectScatteredRetractionExact(data.dirty, rules, seed);
   }
 }
 
