@@ -6,10 +6,10 @@
 // pass per batch. The figure of merit is the simulated-wall ratio between
 // one full re-detect at the final table size and the average streamed
 // window — the regression gate (check_regression.py) requires it to stay
-// above the min_speedup recorded in the config. The same ratio in real
-// wall time (wall_speedup) is reported beside it without a gate: the
-// simulated ratio counts only stage CPU, so it cannot see the driver-side
-// index work each window does.
+// above the min_speedup recorded in the config. The simulated ratio counts
+// only stage CPU, so it cannot see the driver-side index work each window
+// does; the same ratio in real wall time (wall_speedup) is gated too, above
+// the config's min_wall_speedup.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -107,8 +107,13 @@ int Run() {
   // The 5x acceptance gate is calibrated at paper scale (>= 20K rows);
   // below that, fixed per-window stage overheads dominate the simulated
   // wall and the ratio is meaningless, so the record gates advisory-only.
+  // The real-wall floor sits below half the lowest wall_speedup of twelve
+  // runs at 200K rows on a 4-vCPU VM (EXPERIMENTS.md).
   const bool gated = rows >= 20000;
-  record.AddConfig("min_speedup", gated ? 5.0 : 0.0);
+  constexpr double kMinSpeedup = 5.0;
+  constexpr double kMinWallSpeedup = 2.0;
+  record.AddConfig("min_speedup", gated ? kMinSpeedup : 0.0);
+  record.AddConfig("min_wall_speedup", gated ? kMinWallSpeedup : 0.0);
   record.AddMetric("wall_seconds", ingest_wall);
   record.AddMetric("per_batch_wall_seconds", per_batch_wall);
   record.AddMetric("max_batch_wall_seconds", max_batch_wall);
@@ -154,18 +159,27 @@ int Run() {
               static_cast<unsigned long long>(stats.violations_found),
               static_cast<unsigned long long>(stats.fixes_applied));
 
-  if (gated && speedup < 5.0) {
-    std::fprintf(stderr,
-                 "FAIL: per-batch incremental detect only %.2fx cheaper than "
-                 "full re-detect (gate: 5x)\n",
-                 speedup);
-    return 1;
-  }
   if (!gated) {
     std::printf("note: %zu rows is below the 20K-row gate calibration; "
-                "speedup gate not enforced\n", rows);
+                "speedup gates not enforced\n", rows);
+    return 0;
   }
-  return 0;
+  int status = 0;
+  if (speedup < kMinSpeedup) {
+    std::fprintf(stderr,
+                 "FAIL: per-batch incremental detect only %.2fx cheaper than "
+                 "full re-detect in simulated wall (gate: %.1fx)\n",
+                 speedup, kMinSpeedup);
+    status = 1;
+  }
+  if (wall_speedup < kMinWallSpeedup) {
+    std::fprintf(stderr,
+                 "FAIL: per-batch window only %.2fx faster than full "
+                 "re-detect in real wall (gate: %.1fx)\n",
+                 wall_speedup, kMinWallSpeedup);
+    status = 1;
+  }
+  return status;
 }
 
 }  // namespace

@@ -13,10 +13,11 @@ BenchRecord) into a directory named by BD_BENCH_JSON_DIR. This script
 
 Besides the baseline comparison, records may carry self-describing
 invariant gates: a record whose config has min_speedup > 0 must have
-metrics.speedup >= that bound (bench_stream_ingest uses this to pin the
-incremental-index advantage at >= 5x full re-detect). Gate failures are
-correctness failures, not perf regressions — --advisory does not downgrade
-them.
+metrics.speedup >= that bound, and one whose config has min_wall_speedup
+> 0 must have metrics.wall_speedup >= that bound (bench_stream_ingest uses
+both to pin the incremental-index advantage over full re-detect: >= 5x in
+simulated wall, >= 2x in real wall). Gate failures are correctness
+failures, not perf regressions — --advisory does not downgrade them.
 
 Exit status: 0 when everything validates and no regression (or --advisory
 was given); 1 on malformed records, failed invariant gates, or when a
@@ -43,6 +44,8 @@ import sys
 
 REQUIRED_TOP_LEVEL = ("bench", "label", "config", "metrics", "registry")
 WALL_KEY = "simulated_wall_seconds"
+# Self-describing invariant gates: (config lower bound, gated metric).
+GATES = (("min_speedup", "speedup"), ("min_wall_speedup", "wall_speedup"))
 
 
 def load_records(directory):
@@ -128,21 +131,22 @@ def main():
 
     gate_failures = []
     for rec in records:
-        min_speedup = rec["config"].get("min_speedup", 0)
-        if not min_speedup:
-            continue
-        speedup = rec["metrics"].get("speedup")
-        if speedup is None:
-            gate_failures.append(
-                f"{key_of(rec)}: config.min_speedup={min_speedup} but the "
-                f"record has no metrics.speedup")
-        elif speedup < min_speedup:
-            gate_failures.append(
-                f"{key_of(rec)}: speedup {speedup:.2f}x below the bench's "
-                f"own min_speedup gate of {min_speedup:.2f}x")
-        else:
-            print(f"      GATE  {key_of(rec)}: speedup {speedup:.2f}x >= "
-                  f"{min_speedup:.2f}x")
+        for bound_key, metric_key in GATES:
+            bound = rec["config"].get(bound_key, 0)
+            if not bound:
+                continue
+            value = rec["metrics"].get(metric_key)
+            if value is None:
+                gate_failures.append(
+                    f"{key_of(rec)}: config.{bound_key}={bound} but the "
+                    f"record has no metrics.{metric_key}")
+            elif value < bound:
+                gate_failures.append(
+                    f"{key_of(rec)}: {metric_key} {value:.2f}x below the "
+                    f"bench's own {bound_key} gate of {bound:.2f}x")
+            else:
+                print(f"      GATE  {key_of(rec)}: {metric_key} "
+                      f"{value:.2f}x >= {bound:.2f}x")
     if gate_failures:
         for failure in gate_failures:
             print(f"GATE FAILED: {failure}", file=sys.stderr)

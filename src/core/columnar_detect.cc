@@ -15,6 +15,8 @@ namespace columnar {
 
 namespace {
 
+using detect::BlockScratch;
+using detect::IterateBlock;
 using detect::MaterializePair;
 using detect::MaterializeSingle;
 using detect::MergeOutputs;
@@ -24,95 +26,6 @@ using detect::TaskOutput;
 /// Per-partition arrays of per-slot code pointers, the gather structure
 /// every kernel evaluation reads through.
 using SlotPtrs = std::vector<std::vector<const uint32_t*>>;
-
-/// Materializes matched candidates exactly as the interpreted path sees
-/// them: the base row when the plan has no scope, else the on-demand
-/// projection (identical to the eager scope stage's output rows).
-class RowMaterializer {
- public:
-  RowMaterializer(const std::vector<std::vector<Row>>& bparts,
-                  const std::vector<size_t>& scope_columns)
-      : bparts_(bparts), scope_columns_(scope_columns) {}
-
-  /// Returns the detect-schema row for `ref` — a reference into the base
-  /// partition when no scope applies (no copy), else `*storage` filled with
-  /// the projection.
-  const Row& Get(const RowRef& ref, Row* storage) const {
-    return Get(bparts_[ref.part][ref.idx], storage);
-  }
-
-  const Row& Get(const Row& row, Row* storage) const {
-    if (scope_columns_.empty()) return row;
-    *storage = ScopeProject(row, scope_columns_);
-    return *storage;
-  }
-
- private:
-  const std::vector<std::vector<Row>>& bparts_;
-  const std::vector<size_t>& scope_columns_;
-};
-
-/// Reused per-task buffers for the batched block decision.
-struct BlockScratch {
-  std::vector<CodeTuple> tuples;
-  std::vector<std::pair<uint32_t, uint32_t>> matches;
-};
-
-/// Kernel analogue of IterateBlock: identical pair enumeration order, with
-/// the kernel deciding each pair and the rule materializing only matches.
-void IterateBlockKernel(const PhysicalRulePlan& plan,
-                        const DetectKernel& kernel,
-                        const std::vector<RowRef>& block,
-                        const RowMaterializer& rows, const SlotPtrs& slot_ptrs,
-                        BlockScratch* scratch, TaskOutput* out) {
-  const Rule& rule = *plan.rule;
-  auto materialize = [&](const RowRef& a, const RowRef& b) {
-    Row sa, sb;
-    MaterializePair(rule, rows.Get(a, &sa), rows.Get(b, &sb), out);
-  };
-  auto eval = [&](const RowRef& a, const RowRef& b) {
-    ++out->detect_calls;
-    const CodeTuple ta{slot_ptrs[a.part].data(), a.idx};
-    const CodeTuple tb{slot_ptrs[b.part].data(), b.idx};
-    if (kernel.Matches(ta, tb)) materialize(a, b);
-  };
-  if (plan.strategy == IterateStrategy::kUCrossProduct) {
-    if (rule.IsSymmetric()) {
-      // The hot shape (FDs, symmetric DCs): decide the whole upper
-      // triangle in one batched kernel call — a branch-light loop over
-      // contiguous codes with no per-pair virtual dispatch — then
-      // materialize matches, which MatchUpper reports in the same (i, j)
-      // order the per-pair loop would have evaluated.
-      const size_t n = block.size();
-      scratch->tuples.clear();
-      for (const RowRef& r : block) {
-        scratch->tuples.push_back(CodeTuple{slot_ptrs[r.part].data(), r.idx});
-      }
-      scratch->matches.clear();
-      out->detect_calls += n * (n - 1) / 2;
-      kernel.MatchUpper(scratch->tuples.data(), n, &scratch->matches);
-      for (const auto& [i, j] : scratch->matches) {
-        materialize(block[i], block[j]);
-      }
-      return;
-    }
-    for (size_t i = 0; i < block.size(); ++i) {
-      for (size_t j = i + 1; j < block.size(); ++j) {
-        eval(block[i], block[j]);
-        eval(block[j], block[i]);
-      }
-    }
-    return;
-  }
-  // CrossProduct order (also the within-block fallback for blocked OCJoin
-  // rules): all ordered pairs, row-major — the order the interpreted path
-  // materializes its pair list in.
-  for (size_t i = 0; i < block.size(); ++i) {
-    for (size_t j = 0; j < block.size(); ++j) {
-      if (i != j) eval(block[i], block[j]);
-    }
-  }
-}
 
 }  // namespace
 
@@ -212,7 +125,9 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
       slot_ptrs[p].push_back(enc.at(to_base(c))->codes[p].data());
     }
   }
-  const RowMaterializer rows(bparts, plan.scope_columns);
+  // Matched candidates are materialized exactly as the interpreted path
+  // sees them: the base row, or its on-demand scope projection.
+  const std::vector<size_t>& scope = plan.scope_columns;
 
   // --- Arity-1 rules: evaluate every unit against the code vectors.
   if (single) {
@@ -228,8 +143,8 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
           for (size_t i = begin; i < end; ++i) {
             ++out.detect_calls;
             if (kernel->MatchesSingle(CodeTuple{cols, i})) {
-              MaterializeSingle(*plan.rule, rows.Get(bparts[p][i], &storage),
-                                &out);
+              MaterializeSingle(*plan.rule,
+                                DetectRow(bparts[p][i], scope, &storage), &out);
             }
           }
           tc.records_in = end - begin;
@@ -315,8 +230,17 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
           TaskOutput out;
           BlockScratch scratch;
           for (size_t b = begin; b < end; ++b) {
-            IterateBlockKernel(plan, *kernel, gparts[p][b].second, rows,
-                               slot_ptrs, &scratch, &out);
+            const std::vector<RowRef>& block = gparts[p][b].second;
+            IterateBlock(
+                plan, block.size(),
+                [&](size_t i, Row* storage) -> const Row& {
+                  const RowRef& r = block[i];
+                  return DetectRow(bparts[r.part][r.idx], scope, storage);
+                },
+                &scratch, &out, kernel.get(), [&](size_t i) {
+                  const RowRef& r = block[i];
+                  return CodeTuple{slot_ptrs[r.part].data(), r.idx};
+                });
           }
           ctx->metrics().AddPairsEnumerated(out.detect_calls);
           tc.records_in = end - begin;
@@ -381,8 +305,8 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
           ++out.detect_calls;
           if (kernel->Matches(CodeTuple{cols, i}, CodeTuple{cols, j})) {
             Row sa, sb;
-            MaterializePair(*plan.rule, rows.Get(base_rows[i], &sa),
-                            rows.Get(base_rows[j], &sb), &out);
+            MaterializePair(*plan.rule, DetectRow(base_rows[i], scope, &sa),
+                            DetectRow(base_rows[j], scope, &sb), &out);
           }
         };
         for (size_t i = ibegin; i < iend; ++i) {

@@ -47,6 +47,16 @@ inline Row ScopeProject(const Row& row,
   return out;
 }
 
+/// `row` in a plan's detect schema: `row` itself when the plan has no
+/// scope (no copy), else its projection, written to `*storage`.
+inline const Row& DetectRow(const Row& row,
+                            const std::vector<size_t>& scope_columns,
+                            Row* storage) {
+  if (scope_columns.empty()) return row;
+  *storage = ScopeProject(row, scope_columns);
+  return *storage;
+}
+
 /// Per-DetectAll caches for the kernel path, keyed in base-column space so
 /// rules with different scopes still share work: encoded column sets keyed
 /// by pool-sharing group, and grouped RowRef blocks keyed by the blocking

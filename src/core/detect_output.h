@@ -1,22 +1,26 @@
 #ifndef BIGDANSING_CORE_DETECT_OUTPUT_H_
 #define BIGDANSING_CORE_DETECT_OUTPUT_H_
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "common/metrics_registry.h"
+#include "core/physical_plan.h"
 #include "core/rule_engine.h"
 #include "obs/profiler.h"
+#include "rules/detect_kernel.h"
 #include "rules/rule.h"
 
 namespace bigdansing {
 namespace detect {
 
 /// Per-task accumulation of detection output, shared by the interpreted
-/// stages (rule_engine.cc) and the columnar kernel stages
-/// (columnar_detect.cc). `detect_calls` counts candidate-pair (or unit)
-/// evaluations — for the kernel path that is kernel evaluations, so the
-/// counter stays identical to the interpreted path's Detect-call count.
+/// stages (rule_engine.cc), the columnar kernel stages (columnar_detect.cc)
+/// and the stream session's window stage (stream_session.cc).
+/// `detect_calls` counts candidate-pair (or unit) evaluations — for the
+/// kernel path that is kernel evaluations, so the counter stays identical
+/// to the interpreted path's Detect-call count.
 struct TaskOutput {
   std::vector<ViolationWithFixes> violations;
   uint64_t detect_calls = 0;
@@ -61,6 +65,107 @@ inline void MaterializeSingle(const Rule& rule, const Row& row,
     vf.violation = std::move(v);
     rule.GenFix(vf.violation, &vf.fixes);
     out->violations.push_back(std::move(vf));
+  }
+}
+
+/// Reused per-task buffers of IterateBlock.
+struct BlockScratch {
+  std::vector<CodeTuple> tuples;
+  std::vector<std::pair<uint32_t, uint32_t>> matches;
+  std::vector<const Row*> rows;
+  std::vector<Row> projected;
+};
+
+/// Tuple accessor of the interpreted path: never called.
+struct NoTuples {
+  CodeTuple operator()(size_t) const { return CodeTuple{nullptr, 0}; }
+};
+
+/// The Iterate -> Detect -> GenFix pass over one block of `n` units, shared
+/// by the engine's interpreted and kernel blocked stages and the stream
+/// session's in-place stage, so pair order and detect_calls counting live
+/// here only. `row(i, storage)` returns unit i's detect-schema row; it may
+/// fill `*storage` (an on-demand scope projection) and return it.
+///
+///  - UCrossProduct: pairs i < j in i-outer j-inner order; symmetric rules
+///    probe (i, j), asymmetric ones (i, j) then (j, i).
+///  - CrossProduct, and the within-block fallback of blocked OCJoin plans
+///    (blocks are small, so the quadratic pass stays local): every ordered
+///    pair i != j, row-major. Interpreted, this wrapper materializes its
+///    pair list before Detect runs — the overhead the enhancers avoid.
+///
+/// With a `kernel`, `tuple(i)` returns unit i's code tuple and the kernel
+/// decides each pair in the same order (a symmetric block in one batched
+/// MatchUpper call); only matches reach Rule::Detect, so the violations are
+/// byte-equal to the interpreted pass and detect_calls counts every
+/// evaluated pair either way. Without one, each unit's row is resolved
+/// once and Probe runs on every pair.
+template <typename RowAt, typename TupleAt = NoTuples>
+void IterateBlock(const PhysicalRulePlan& plan, size_t n, const RowAt& row,
+                  BlockScratch* scratch, TaskOutput* out,
+                  const DetectKernel* kernel = nullptr,
+                  const TupleAt& tuple = TupleAt()) {
+  const Rule& rule = *plan.rule;
+  const bool unordered = plan.strategy == IterateStrategy::kUCrossProduct;
+  const bool symmetric = rule.IsSymmetric();
+  if (kernel == nullptr) {
+    auto& rows = scratch->rows;
+    if (scratch->projected.size() < n) scratch->projected.resize(n);
+    rows.clear();
+    for (size_t i = 0; i < n; ++i) {
+      rows.push_back(&row(i, &scratch->projected[i]));
+    }
+    if (unordered) {
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = i + 1; j < n; ++j) {
+          Probe(rule, *rows[i], *rows[j], out);
+          if (!symmetric) Probe(rule, *rows[j], *rows[i], out);
+        }
+      }
+      return;
+    }
+    std::vector<std::pair<const Row*, const Row*>> pairs;
+    pairs.reserve(n * n);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) {
+        if (i != j) pairs.emplace_back(rows[i], rows[j]);
+      }
+    }
+    for (const auto& [a, b] : pairs) Probe(rule, *a, *b, out);
+    return;
+  }
+
+  auto& tuples = scratch->tuples;
+  tuples.clear();
+  for (size_t i = 0; i < n; ++i) tuples.push_back(tuple(i));
+  auto materialize = [&](size_t i, size_t j) {
+    Row a, b;
+    MaterializePair(rule, row(i, &a), row(j, &b), out);
+  };
+  auto eval = [&](size_t i, size_t j) {
+    ++out->detect_calls;
+    if (kernel->Matches(tuples[i], tuples[j])) materialize(i, j);
+  };
+  if (unordered && symmetric) {
+    // The hot shape (FDs, symmetric DCs): one branch-light batched call
+    // over contiguous codes, reporting matches in (i, j) loop order.
+    scratch->matches.clear();
+    out->detect_calls += n * (n - 1) / 2;
+    kernel->MatchUpper(tuples.data(), n, &scratch->matches);
+    for (const auto& [i, j] : scratch->matches) materialize(i, j);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (unordered) {
+      for (size_t j = i + 1; j < n; ++j) {
+        eval(i, j);
+        eval(j, i);
+      }
+    } else {
+      for (size_t j = 0; j < n; ++j) {
+        if (i != j) eval(i, j);
+      }
+    }
   }
 }
 

@@ -64,45 +64,15 @@ bool ComputeBlockKey(const PhysicalRulePlan& plan, const Row& row,
   return true;
 }
 
-// Detection task accumulation and merge helpers live in detect_output.h,
-// shared with the columnar kernel path (columnar_detect.cc).
+// Detection task accumulation, the per-block pair enumeration and the merge
+// helpers live in detect_output.h, shared with the columnar kernel path
+// (columnar_detect.cc) and the stream session's window stage.
+using detect::BlockScratch;
+using detect::IterateBlock;
 using detect::MergeOutputs;
 using detect::MergeTaskPieces;
 using detect::Probe;
 using detect::TaskOutput;
-
-/// Enumerates candidate pairs inside one block according to the Iterate
-/// strategy and probes Detect on each.
-void IterateBlock(const PhysicalRulePlan& plan, const std::vector<Row>& block,
-                  TaskOutput* out) {
-  const Rule& rule = *plan.rule;
-  if (plan.strategy == IterateStrategy::kUCrossProduct) {
-    // Unordered pairs (the UCrossProduct enhancer): n(n-1)/2 enumerations.
-    // Symmetric rules need one probe per pair; asymmetric ones need both
-    // orientations but still skip the reversed-pair materialization.
-    const bool symmetric = rule.IsSymmetric();
-    for (size_t i = 0; i < block.size(); ++i) {
-      for (size_t j = i + 1; j < block.size(); ++j) {
-        Probe(rule, block[i], block[j], out);
-        if (!symmetric) Probe(rule, block[j], block[i], out);
-      }
-    }
-    return;
-  }
-  // CrossProduct wrapper (also the within-block fallback for OCJoin-style
-  // rules that block on equality predicates — blocks are small, so the
-  // quadratic pass stays local): all ordered pairs, n² - n probes. As a
-  // wrapper it materializes the Iterate output before Detect runs, which
-  // is exactly the overhead the enhancers avoid.
-  std::vector<std::pair<const Row*, const Row*>> pairs;
-  pairs.reserve(block.size() * block.size());
-  for (size_t i = 0; i < block.size(); ++i) {
-    for (size_t j = 0; j < block.size(); ++j) {
-      if (i != j) pairs.emplace_back(&block[i], &block[j]);
-    }
-  }
-  for (const auto& [a, b] : pairs) Probe(rule, *a, *b, out);
-}
 
 /// Executes the blocked pipeline: Iterate within blocks -> Detect -> GenFix.
 /// The task body accumulates into a per-attempt TaskOutput and returns it,
@@ -122,8 +92,13 @@ void RunBlocked(ExecutionContext* ctx, const PhysicalRulePlan& plan,
       [&](size_t p) { return parts[p].size(); },
       [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
         TaskOutput out;
+        BlockScratch scratch;
         for (size_t b = begin; b < end; ++b) {
-          IterateBlock(plan, parts[p][b].second, &out);
+          const std::vector<Row>& block = parts[p][b].second;
+          IterateBlock(
+              plan, block.size(),
+              [&block](size_t i, Row*) -> const Row& { return block[i]; },
+              &scratch, &out);
         }
         ctx->metrics().AddPairsEnumerated(out.detect_calls);
         tc.records_in = end - begin;

@@ -8,7 +8,9 @@
 #include "common/metrics_registry.h"
 #include "common/stopwatch.h"
 #include "core/columnar_detect.h"
+#include "core/detect_output.h"
 #include "core/rule_engine.h"
+#include "dataflow/stage_executor.h"
 #include "repair/connected_components.h"
 
 namespace bigdansing {
@@ -56,10 +58,12 @@ Status StreamSession::Init() {
   session_ctx_->set_fault_policy(parent_ctx_->fault_policy());
   session_ctx_->metrics().set_label(name_);
 
-  // Physical plans once per session; the per-window engine calls rebuild
-  // their own, but the session needs the blocking layout and detect schema
-  // to maintain its index. Indexed slots are interned in rule order: each
-  // rule's blocking key columns, then its kernel slot columns.
+  // Physical plans once per session: they give each blocked rule's index
+  // its blocking layout and detect schema, and the window stage its
+  // Iterate strategy and scope (the engine, which serves unblocked rules
+  // and Flush's verification, builds its own). Indexed slots are interned
+  // in rule order: each rule's blocking key columns, then its kernel slot
+  // columns.
   std::unordered_map<size_t, size_t> col_slot;  // base col -> slot
   auto slot_of = [&](size_t detect_col, const PhysicalRulePlan& plan) {
     const size_t base = plan.scope_columns.empty()
@@ -191,12 +195,11 @@ bool StreamSession::KeyOf(const RuleIndex& ri, size_t pos,
                           uint64_t* key) const {
   if (ri.plan.block_key_fn) {
     // UDF keys see the scoped row, exactly as the engine's blocking stage.
-    const Row& row = table_->row(pos);
-    Value v = ri.plan.scope_columns.empty()
-                  ? ri.plan.block_key_fn(ri.plan.detect_schema, row)
-                  : ri.plan.block_key_fn(
-                        ri.plan.detect_schema,
-                        columnar::ScopeProject(row, ri.plan.scope_columns));
+    Row storage;
+    const Value v = ri.plan.block_key_fn(
+        ri.plan.detect_schema,
+        columnar::DetectRow(table_->row(pos), ri.plan.scope_columns,
+                            &storage));
     if (v.is_null()) return false;
     *key = v.Hash();
     return true;
@@ -437,9 +440,10 @@ bool StreamSession::BlockMayViolate(const RuleIndex& ri,
   return false;
 }
 
-Table StreamSession::BuildCandidateTable(RuleIndex* ri, size_t* candidates) {
+Result<DetectionResult> StreamSession::DetectDirtyBlocks(RuleIndex* ri,
+                                                        size_t* candidates) {
   EnsureKernelBound(ri);
-  // The prescreen reads the kernel slots' codes in place (tuple row = table
+  // The kernel reads the kernel slots' codes in place (tuple row = table
   // position).
   std::vector<const uint32_t*> kernel_cols;
   kernel_cols.reserve(ri->kernel_slots.size());
@@ -447,23 +451,63 @@ Table StreamSession::BuildCandidateTable(RuleIndex* ri, size_t* candidates) {
     kernel_cols.push_back(code_cols_[slot].data());
   }
   std::vector<CodeTuple> tuples;
-  std::vector<uint32_t> positions;
+  std::vector<const std::vector<uint32_t>*> blocks;
   for (uint64_t key : ri->dirty) {
     auto block = ri->blocks.find(key);
     if (block == ri->blocks.end() || block->second.size() < 2) continue;
-    // Members are in table order, so detection enumerates candidate pairs
-    // exactly as a full pass over the base table would.
     const std::vector<uint32_t>& members = block->second;
     if (!BlockMayViolate(*ri, kernel_cols, members, &tuples)) continue;
-    positions.insert(positions.end(), members.begin(), members.end());
+    *candidates += members.size();
+    blocks.push_back(&members);
   }
-  std::sort(positions.begin(), positions.end());
-  positions.erase(std::unique(positions.begin(), positions.end()),
-                  positions.end());
-  *candidates = positions.size();
-  Table sub(table_->schema());
-  for (uint32_t pos : positions) sub.AppendRowWithId(table_->row(pos));
-  return sub;
+  ri->dirty.clear();
+  DetectionResult result;
+  if (blocks.empty()) return result;
+  // Blocks are disjoint and their members ascending, so ordering them by
+  // first member makes the violation order follow table order.
+  std::sort(blocks.begin(), blocks.end(),
+            [](const std::vector<uint32_t>* a, const std::vector<uint32_t>* b) {
+              return a->front() < b->front();
+            });
+
+  // Spread like the engine's blocked stage: whole blocks are the morsel
+  // units of default_partitions() tasks (here contiguous runs of the
+  // ordered blocks), and the tasks' outputs merge in task order.
+  const PhysicalRulePlan& plan = ri->plan;
+  const DetectKernel* kernel = ri->kernel.get();
+  const size_t num_tasks =
+      std::min(blocks.size(), session_ctx_->default_partitions());
+  auto first_block = [&](size_t t) { return t * blocks.size() / num_tasks; };
+  auto tasks = StageExecutor(ctx()).RunMorsels<detect::TaskOutput>(
+      "stream:iterate|detect|genfix", num_tasks,
+      [&](size_t t) { return first_block(t + 1) - first_block(t); },
+      [&](size_t t, size_t begin, size_t end, TaskContext& tc) {
+        detect::TaskOutput out;
+        detect::BlockScratch scratch;
+        for (size_t b = first_block(t) + begin; b < first_block(t) + end;
+             ++b) {
+          const std::vector<uint32_t>& members = *blocks[b];
+          detect::IterateBlock(
+              plan, members.size(),
+              [&](size_t i, Row* storage) -> const Row& {
+                return columnar::DetectRow(table_->row(members[i]),
+                                           plan.scope_columns, storage);
+              },
+              &scratch, &out, kernel, [&](size_t i) {
+                return CodeTuple{kernel_cols.data(), members[i]};
+              });
+        }
+        ctx()->metrics().AddPairsEnumerated(out.detect_calls);
+        tc.records_in = end - begin;
+        tc.records_out = out.violations.size();
+        return out;
+      },
+      [](size_t, std::vector<detect::TaskOutput>&& pieces) {
+        return detect::MergeTaskPieces(std::move(pieces));
+      });
+  if (!tasks.ok()) return tasks.status();
+  detect::MergeOutputs(&*tasks, &result);
+  return result;
 }
 
 Result<std::unordered_set<RowId>> StreamSession::RunWindow(
@@ -481,7 +525,8 @@ Result<std::unordered_set<RowId>> StreamSession::RunWindow(
   };
   // Repaired rows are re-indexed (their values may be new to the pools),
   // which re-dirties their blocks for the next iteration.
-  spec.after_apply = [this](const std::unordered_set<RowId>& changed_rows) {
+  std::unordered_set<RowId> repaired;
+  spec.after_apply = [&](const std::unordered_set<RowId>& changed_rows) {
     std::vector<size_t> positions;
     positions.reserve(changed_rows.size());
     for (RowId id : changed_rows) {
@@ -489,11 +534,18 @@ Result<std::unordered_set<RowId>> StreamSession::RunWindow(
       if (pos != row_pos_.end()) positions.push_back(pos->second);
     }
     IndexRows(positions);
+    repaired.insert(changed_rows.begin(), changed_rows.end());
   };
   spec.quality_session = name_;
   auto run = RunFixpoint(ctx(), opts_.clean, *table_, rules_.size(), spec,
                          &freeze_, std::move(changed));
-  if (!run.ok()) return run.status();
+  if (!run.ok()) {
+    // Fixes already applied stay applied; the unblocked rules' next window
+    // must still see the rows they changed (IndexRows re-dirtied their
+    // blocks for the blocked rules).
+    pending_changed_.insert(repaired.begin(), repaired.end());
+    return run.status();
+  }
 
   rep->iterations = run->iterations.size();
   rep->converged = run->converged;
@@ -545,44 +597,50 @@ Result<StreamWindowReport> StreamSession::ProcessWindow() {
     IndexRows(fresh);
   }
 
-  // Detect over only what this window touched: dirty blocks through the
-  // index for blocked rules, the engine's incremental changed-rows path
-  // for the rest.
+  // Detect over only what this window touched: the dirty blocks of blocked
+  // rules through the session's own stage, the engine's incremental
+  // changed-rows path for the rest. Every dirty key taken is kept until the
+  // window succeeds.
+  std::vector<std::vector<uint64_t>> taken(indexes_.size());
   RuleEngine engine(ctx(), opts_.clean.planner);
   auto detect = [&](const std::unordered_set<RowId>& changed)
       -> Result<std::vector<DetectionResult>> {
     std::vector<DetectionResult> found;
     for (size_t r = 0; r < rules_.size(); ++r) {
       RuleIndex& ri = indexes_[r];
-      DetectRequest req;
-      req.rules = {rules_[r]};
-      Table sub;
       if (ri.blocked) {
         if (ri.dirty.empty()) continue;
         rep.dirty_blocks += ri.dirty.size();
-        size_t candidates = 0;
-        sub = BuildCandidateTable(&ri, &candidates);
-        ri.dirty.clear();
-        rep.candidate_rows += candidates;
-        if (sub.num_rows() < 2) continue;
-        req.table = &sub;
-      } else {
-        if (changed.empty()) continue;
-        req.table = table_;
-        req.changed_rows = &changed;
+        taken[r].insert(taken[r].end(), ri.dirty.begin(), ri.dirty.end());
+        auto res = DetectDirtyBlocks(&ri, &rep.candidate_rows);
+        if (!res.ok()) return res.status();
+        found.push_back(std::move(*res));
+        continue;
       }
+      if (changed.empty()) continue;
+      DetectRequest req;
+      req.table = table_;
+      req.rules = {rules_[r]};
+      req.changed_rows = &changed;
       auto res = engine.Detect(req);
       if (!res.ok()) return res.status();
       found.push_back(std::move((*res)[0]));
     }
     return found;
   };
-  auto residual = RunWindow(detect, std::move(pending_changed_), &rep);
-  pending_changed_.clear();
-  if (!residual.ok()) return residual.status();
+  auto residual = RunWindow(detect, pending_changed_, &rep);
+  if (!residual.ok()) {
+    // pending_changed_ still holds the seed rows (RunWindow added the rows
+    // it changed); the taken keys go back to their rules.
+    for (size_t r = 0; r < indexes_.size(); ++r) {
+      indexes_[r].dirty.insert(taken[r].begin(), taken[r].end());
+    }
+    return residual.status();
+  }
   // Iteration cap: carry the residual rows into the next window so the
   // fix-point resumes instead of silently dropping them (the after-apply
   // hook already re-dirtied their blocks).
+  pending_changed_.clear();
   if (!rep.converged) pending_changed_ = std::move(*residual);
 
   MetricsRegistry::Instance().GetCounter("stream.windows_processed").Add(1);

@@ -82,8 +82,11 @@ struct StreamFlushReport {
 /// processes one window — encode the batch against the session's persistent
 /// ValuePools, update the per-rule incremental violation index
 /// (blocking-key -> member table positions), detect only inside the
-/// blocks the window touched, and run repair as a windowed fix-point
-/// seeded by the engine's incremental detection path. Created by
+/// blocks the window touched, and run repair as a windowed fix-point.
+/// Blocked rules are detected by the session's own stage, which enumerates
+/// each dirty block in place over the session's code columns and table
+/// rows; unblocked rules take the engine's changed-rows path, and Flush()'s
+/// verification the engine's full-table pass. Created by
 /// BigDansing::OpenStream.
 ///
 /// Thread-compatible like RuleEngine: one caller thread at a time; the
@@ -167,8 +170,9 @@ class StreamSession {
     /// aligned with table_->rows() like code_cols_; empty for unblocked
     /// rules.
     std::vector<Block*> block_of;
-    /// Kernel prescreen (null when the rule is not kernelizable): bound
-    /// against the session pools, rebound whenever a pool it reads grows.
+    /// Detect kernel (null when the rule is not kernelizable or kernels are
+    /// off): bound against the session pools, rebound whenever a pool it
+    /// reads grows. It prescreens dirty blocks and decides their pairs.
     std::shared_ptr<const KernelTemplate> tmpl;
     std::unique_ptr<DetectKernel> kernel;
     uint64_t kernel_pool_epoch = 0;
@@ -232,6 +236,9 @@ class StreamSession {
 
   /// Processes one window: moves the oldest batch (if any) into the table
   /// and runs the windowed detect/repair fix-point over the dirty blocks.
+  /// A window that fails puts back the dirty keys its detection took and
+  /// the rows it was seeded with or changed, so a later window redoes it;
+  /// the landed batch stays landed.
   Result<StreamWindowReport> ProcessWindow();
 
   /// Flush()'s verification: one full-table fix-point window.
@@ -240,7 +247,8 @@ class StreamSession {
   /// Runs RunFixpoint over the session (row positions, freeze state; the
   /// rows a fix touched are re-encoded, re-keyed and re-dirtied), seeded
   /// with `changed`, and folds it into `rep` and the session stats.
-  /// Returns the rows the last iteration changed.
+  /// Returns the rows the last iteration changed. On failure the rows its
+  /// applied iterations changed join pending_changed_.
   Result<std::unordered_set<RowId>> RunWindow(
       FixpointDetectFn detect, std::unordered_set<RowId> changed,
       StreamWindowReport* rep);
@@ -248,9 +256,13 @@ class StreamSession {
   /// Records one window's latency and publishes the stats.
   void EndWindow(double window_seconds);
 
-  /// Candidate sub-table of rule `ri`'s dirty blocks (kernel-prescreened),
-  /// in table row order. Returns the candidate row count via `candidates`.
-  Table BuildCandidateTable(RuleIndex* ri, size_t* candidates);
+  /// Detects rule `ri` inside its dirty blocks and clears its dirt: the
+  /// prescreen-positive blocks, in ascending order of their first member
+  /// position, run through one `stream:iterate|detect|genfix` stage that
+  /// enumerates each block in place (detect::IterateBlock, the engine's
+  /// blocked-stage routine) — codes from code_cols_, matches built from the
+  /// table rows. Adds the blocks' member count to `*candidates`.
+  Result<DetectionResult> DetectDirtyBlocks(RuleIndex* ri, size_t* candidates);
 
   void PushStats(bool closing = false);
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <random>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "datagen/datagen.h"
 #include "obs/stream_stats.h"
 #include "rules/parser.h"
+#include "rules/udf_rule.h"
 #include "strict_json_test_util.h"
 
 namespace bigdansing {
@@ -397,6 +399,245 @@ TEST(Stream, ScatteredRetractionKeepsDcAndCfdPrescreenExact) {
   }
 }
 
+/// One Append + Poll of the three-row FD conflict from the failed-poll
+/// test below: the window's (iterations, violations, fixes) and table.
+struct PollOutcome {
+  size_t iterations = 0;
+  size_t violations = 0;
+  size_t fixes = 0;
+  std::string table;
+  bool operator==(const PollOutcome&) const = default;
+};
+
+/// Appends three rows that break `fd` (a -> b, row 2) and `chk` (c < 0,
+/// row 2) and polls once. With `fault_spec` set, the first Poll runs under
+/// that schedule with no retries and must fail; the schedule is then
+/// cleared and the Poll retried. Returns the last Poll's outcome.
+PollOutcome PollThreeRowConflict(const std::string& fault_spec) {
+  InjectorGuard guard;
+  // `fd` blocks (the session's in-place stage); `chk` does not (the
+  // engine's changed-rows path, seeded by the window's changed rows).
+  const std::vector<RulePtr> rules = {*ParseRule("fd: FD: a -> b"),
+                                      *ParseRule("chk: CHECK: t1.c < 0")};
+  StreamOptions options;
+  FaultPolicy policy;
+  policy.max_attempts = 1;
+  policy.stage_retry_budget = 0;
+  options.clean.fault_policy = policy;
+  ExecutionContext ctx(2);
+  BigDansing system(&ctx);
+  Table table = *ReadCsvString("a,b,c\n", CsvOptions{});
+  auto session = system.OpenStream(&table, rules, options);
+  EXPECT_TRUE(session.ok()) << session.status().ToString();
+  if (!session.ok()) return {};
+  StreamSession& s = **session;
+  auto row = [](const char* b, int64_t c) {
+    return std::vector<Value>{Value(int64_t{1}), Value(std::string(b)),
+                              Value(c)};
+  };
+  EXPECT_TRUE(s.AppendValues({row("x", 5), row("x", 5), row("y", -1)}).ok());
+  if (!fault_spec.empty()) {
+    EXPECT_TRUE(FaultInjector::Instance().Configure(fault_spec, 1).ok());
+    EXPECT_FALSE(s.Poll().ok()) << fault_spec << " did not fail the window";
+    FaultInjector::Instance().Clear();
+  }
+  auto window = s.Poll();
+  EXPECT_TRUE(window.ok()) << window.status().ToString();
+  if (!window.ok()) return {};
+  return {window->iterations, window->violations, window->applied_fixes,
+          Fingerprint(table)};
+}
+
+TEST(Stream, FailedPollKeepsItsDirt) {
+  // A window that fails must leave its work for the next one: the dirty
+  // keys its detection took and the rows it was seeded with go back, while
+  // the landed batch stays landed. The retried Poll then does exactly what
+  // a session that never failed does in its first Poll.
+  const PollOutcome reference = PollThreeRowConflict("");
+  // fd's pairs (0, 2) and (1, 2), and chk's row 2.
+  ASSERT_GE(reference.violations, 3u) << "both rules must find violations";
+  ASSERT_GT(reference.fixes, 0u);
+  for (const char* spec : {"stage=repair:*,kind=throw,prob=1",
+                           "stage=*,kind=throw,prob=1"}) {
+    SCOPED_TRACE(spec);
+    EXPECT_EQ(PollThreeRowConflict(spec), reference);
+  }
+}
+
+/// An asymmetric UDF rule with a procedural block key: within one zipcode,
+/// the ordered pair (t1, t2) violates when t1's city sorts before t2's,
+/// and the fix sets t1's city to t2's.
+RulePtr CityOrderUdf() {
+  auto rule = std::make_shared<UdfRule>("udf");
+  rule->set_relevant_attributes({"zipcode", "city"})
+      .set_symmetric(false)
+      .set_block_key([](const Schema& schema, const Row& row) {
+        return row.value(*schema.IndexOf("zipcode"));
+      })
+      .set_detect([](const Schema& schema, const Row& a, const Row& b,
+                     std::vector<Violation>* out) {
+        const size_t zip = *schema.IndexOf("zipcode");
+        const size_t city = *schema.IndexOf("city");
+        if (a.value(zip) != b.value(zip) || !(a.value(city) < b.value(city))) {
+          return;
+        }
+        Violation v;
+        v.rule_name = "udf";
+        v.cells.push_back(UdfRule::MakeUdfCell(a, city, schema));
+        v.cells.push_back(UdfRule::MakeUdfCell(b, city, schema));
+        out->push_back(std::move(v));
+      })
+      .set_gen_fix([](const Schema&, const Violation& v,
+                      std::vector<Fix>* out) {
+        Fix fix;
+        fix.left = v.cells[0];
+        fix.op = FixOp::kEq;
+        fix.right = FixTerm::MakeCell(v.cells[1]);
+        out->push_back(std::move(fix));
+      });
+  return rule;
+}
+
+/// Streams `dirty` split into six batches by zipcode % 6 (no two batches
+/// share a blocking key) and checks that each Append + Poll window does
+/// what Clean() does to that batch alone: the same iterations, violations
+/// and fixes, and the same repaired rows.
+void ExpectWindowsMatchCleanPerBatch(const Table& dirty,
+                                     const std::vector<RulePtr>& rules,
+                                     bool kernels) {
+  const size_t zip = *dirty.schema().IndexOf("zipcode");
+  std::vector<std::vector<Row>> batches(6);
+  for (const Row& row : dirty.rows()) {
+    batches[row.value(zip).as_int() % 6].push_back(row);
+  }
+  ExecutionContext ctx(4);
+  ctx.set_kernels_enabled(kernels);
+  BigDansing system(&ctx);
+  Table streamed(dirty.schema());
+  StreamOptions options;
+  options.batch_rows = dirty.num_rows();
+  auto session = system.OpenStream(&streamed, rules, options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  StreamSession& s = **session;
+  size_t violations = 0;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    Table alone(dirty.schema());
+    for (const Row& row : batches[b]) alone.AppendRowWithId(row);
+    ExecutionContext ref_ctx(4);
+    ref_ctx.set_kernels_enabled(kernels);
+    auto report = BigDansing(&ref_ctx).Clean(&alone, rules);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    size_t clean_violations = 0;
+    size_t clean_fixes = 0;
+    for (const auto& it : report->iterations) {
+      clean_violations += it.violations;
+      clean_fixes += it.applied_fixes;
+    }
+
+    ASSERT_TRUE(s.Append(batches[b]).ok());
+    auto window = s.Poll();
+    ASSERT_TRUE(window.ok()) << window.status().ToString();
+    EXPECT_EQ(window->iterations, report->num_iterations());
+    EXPECT_EQ(window->violations, clean_violations);
+    EXPECT_EQ(window->applied_fixes, clean_fixes);
+    violations += window->violations;
+
+    Table landed(dirty.schema());
+    const size_t first = streamed.num_rows() - batches[b].size();
+    for (size_t pos = first; pos < streamed.num_rows(); ++pos) {
+      landed.AppendRowWithId(streamed.row(pos));
+    }
+    EXPECT_EQ(Fingerprint(landed), Fingerprint(alone));
+  }
+  EXPECT_GT(violations, 0u) << "no window found a violation";
+}
+
+TEST(Stream, WindowsMatchCleanPerDisjointBatch) {
+  // Every blocked-rule shape the window stage enumerates: symmetric FDs
+  // (MatchUpper), an ordering DC blocked on zipcode (blocked OCJoin: all
+  // ordered pairs), a symmetric DC, a variable CFD, and a UDF-keyed
+  // asymmetric rule (no kernel: Probe on both orders of every pair), alone
+  // and mixed, with kernels on and off.
+  // `dco` stays out of the mix: its violations have no applicable fix, and
+  // once another rule's fixes force a second iteration, Clean() counts
+  // them again in every block while a window re-detects only the blocks
+  // those fixes touched (the repaired rows still agree).
+  const RulePtr phi1 = *ParseRule("phi1: FD: zipcode -> city");
+  const RulePtr phi6 = *ParseRule("phi6: FD: zipcode -> state");
+  const RulePtr dco =
+      *ParseRule("dco: DC: t1.zipcode = t2.zipcode & t1.salary > t2.salary");
+  const RulePtr dcb =
+      *ParseRule("dcb: DC: t1.zipcode = t2.zipcode & t1.state != t2.state");
+  const RulePtr cfd = *ParseRule("cfd: CFD: state=\"CA\", zipcode -> city");
+  const RulePtr udf = CityOrderUdf();
+  const std::vector<std::pair<std::string, std::vector<RulePtr>>> sets = {
+      {"fds", {phi1, phi6}},
+      {"dco", {dco}},
+      {"dcb", {dcb}},
+      {"cfd", {cfd}},
+      {"udf", {udf}},
+      {"mix", {phi1, phi6, dcb, cfd, udf}}};
+  auto data = GenerateTaxA(3000, 0.15, /*seed=*/91);
+  for (const auto& [name, rules] : sets) {
+    for (bool kernels : {true, false}) {
+      SCOPED_TRACE(name + (kernels ? " kernels" : " interpreted"));
+      ExpectWindowsMatchCleanPerBatch(data.dirty, rules, kernels);
+    }
+  }
+}
+
+TEST(Stream, WindowDetectsInPlaceWithoutEngineStages) {
+  // A window detects its blocked rules in the session's own stage: no
+  // engine encode, block or shuffle stage runs for it. Flush's
+  // verification is still the engine's full-table pass.
+  const std::vector<RulePtr> rules = {
+      *ParseRule("phi6: FD: zipcode -> state"),
+      *ParseRule("phi7: FD: phone -> zipcode"),
+      *ParseRule("phi8: FD: provider_id -> city, phone")};
+  auto data = GenerateHai(1200, 0.1, /*seed=*/57);
+  ExecutionContext ctx(4);
+  ctx.set_kernels_enabled(true);
+  BigDansing system(&ctx);
+  Table table(data.dirty.schema());
+  auto session = system.OpenStream(&table, rules, StreamOptions{});
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  StreamSession& s = **session;
+  auto stages_since = [&s](size_t seen) {
+    std::vector<std::string> names;
+    const auto reports = s.metrics().StageReports();
+    for (size_t i = seen; i < reports.size(); ++i) {
+      names.push_back(reports[i].name);
+    }
+    return names;
+  };
+  auto has_prefix = [](const std::vector<std::string>& names,
+                       const std::string& prefix) {
+    return std::any_of(names.begin(), names.end(), [&](const std::string& n) {
+      return n.rfind(prefix, 0) == 0;
+    });
+  };
+
+  const size_t before = s.metrics().StageReports().size();
+  ASSERT_TRUE(s.Append(data.dirty.rows()).ok());
+  auto window = s.Poll();
+  ASSERT_TRUE(window.ok()) << window.status().ToString();
+  ASSERT_GT(window->violations, 0u);
+  const auto poll_stages = stages_since(before);
+  EXPECT_TRUE(has_prefix(poll_stages, "stream:iterate|detect|genfix"));
+  for (const char* engine_stage :
+       {"kernel:encode", "kernel:block", "groupByKey"}) {
+    EXPECT_FALSE(has_prefix(poll_stages, engine_stage)) << engine_stage;
+  }
+
+  const size_t before_flush = s.metrics().StageReports().size();
+  auto flush = s.Flush();
+  ASSERT_TRUE(flush.ok()) << flush.status().ToString();
+  const auto flush_stages = stages_since(before_flush);
+  EXPECT_TRUE(has_prefix(flush_stages, "kernel:encode"));
+  EXPECT_TRUE(has_prefix(flush_stages, "kernel:block"));
+}
+
 TEST(Stream, NonBlockingBackpressureRejectsWholeAppend) {
   auto data = GenerateTaxA(200, 0.0, /*seed=*/54);
   Table streamed(data.clean.schema());
@@ -510,6 +751,15 @@ TEST(Stream, StatsAndStreamsJsonTrackTheSession) {
       if (!json.empty()) ++scrapes;
     }
   });
+  // Ingest only once the scraper is live: the whole ingestion takes a few
+  // milliseconds, and under a loaded scheduler the new thread may not run
+  // before Flush returns. Bounded, so a scraper that never scrapes fails
+  // the check below instead of hanging.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (scrapes.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   std::vector<Row> all(data.dirty.rows().begin(), data.dirty.rows().end());
   ASSERT_TRUE((*session)->Append(std::move(all)).ok());
   auto flush = (*session)->Flush();
