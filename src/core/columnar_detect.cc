@@ -30,7 +30,7 @@ using SlotPtrs = std::vector<std::vector<const uint32_t*>>;
 }  // namespace
 
 bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
-                       const Dataset<Row>& base, ColumnarCaches* caches,
+                       const PartitionView<Row>& base, ColumnarCaches* caches,
                        DetectionResult* result) {
   // Eligibility — decided before any stage runs, so a false return leaves
   // the engine free to take the interpreted path untouched.
@@ -260,7 +260,11 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
   if (trace.enabled()) {
     op_span.emplace("kernel:iterate|detect|genfix", "operator");
   }
-  const std::vector<Row> base_rows = base.Collect();
+  std::vector<const Row*> base_rows;
+  base_rows.reserve(base.Count());
+  for (const auto& part : bparts) {
+    for (const Row& row : part) base_rows.push_back(&row);
+  }
   std::vector<std::vector<uint32_t>> flat(tmpl->columns().size());
   for (size_t s = 0; s < tmpl->columns().size(); ++s) {
     const EncodedColumn& col = *enc.at(to_base(tmpl->columns()[s]));
@@ -305,8 +309,8 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
           ++out.detect_calls;
           if (kernel->Matches(CodeTuple{cols, i}, CodeTuple{cols, j})) {
             Row sa, sb;
-            MaterializePair(*plan.rule, DetectRow(base_rows[i], scope, &sa),
-                            DetectRow(base_rows[j], scope, &sb), &out);
+            MaterializePair(*plan.rule, DetectRow(*base_rows[i], scope, &sa),
+                            DetectRow(*base_rows[j], scope, &sb), &out);
           }
         };
         for (size_t i = ibegin; i < iend; ++i) {

@@ -76,7 +76,7 @@ struct ColumnarCaches {
 /// kernel only decides which candidates match, and violations are
 /// materialized by the rule itself in the same enumeration order.
 bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
-                       const Dataset<Row>& base, ColumnarCaches* caches,
+                       const PartitionView<Row>& base, ColumnarCaches* caches,
                        DetectionResult* result);
 
 }  // namespace columnar

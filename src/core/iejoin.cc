@@ -17,7 +17,7 @@ bool IEJoinApplicable(const std::vector<OrderingCondition>& conditions) {
 }
 
 std::vector<RowIndexPair> IEJoin(ExecutionContext* ctx,
-                                 const Dataset<Row>& rows,
+                                 const PartitionView<Row>& rows,
                                  const std::vector<OrderingCondition>& conditions,
                                  IEJoinStats* stats) {
   IEJoinStats local;

@@ -33,7 +33,7 @@ struct IEJoinStats {
 /// order: all ordered pairs (t1, t2), t1 != t2, satisfying every
 /// condition. Rows with nulls in any condition attribute never join.
 std::vector<RowIndexPair> IEJoin(ExecutionContext* ctx,
-                                 const Dataset<Row>& rows,
+                                 const PartitionView<Row>& rows,
                                  const std::vector<OrderingCondition>& conditions,
                                  IEJoinStats* stats = nullptr);
 

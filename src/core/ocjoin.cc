@@ -118,7 +118,8 @@ void ScanResiduals(Cmp first, const PartitionState& p2, size_t lo, size_t hi,
 }  // namespace
 
 ConditionCodes EncodeConditionColumns(
-    const Dataset<Row>& rows, const std::vector<OrderingCondition>& conditions) {
+    const PartitionView<Row>& rows,
+    const std::vector<OrderingCondition>& conditions) {
   std::vector<size_t> columns;
   for (const auto& c : conditions) {
     for (size_t col : {c.left_column, c.right_column}) {
@@ -140,7 +141,7 @@ ConditionCodes EncodeConditionColumns(
 }
 
 std::vector<RowIndexPair> OCJoin(ExecutionContext* ctx,
-                                 const Dataset<Row>& rows,
+                                 const PartitionView<Row>& rows,
                                  const std::vector<OrderingCondition>& conditions,
                                  const OCJoinOptions& options,
                                  OCJoinStats* stats) {

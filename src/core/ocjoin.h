@@ -52,7 +52,8 @@ using ConditionCodes = std::unordered_map<size_t, std::vector<uint32_t>>;
 /// Encodes every column the conditions read, through EncodeColumns' two
 /// stages with all of them in one pool group.
 ConditionCodes EncodeConditionColumns(
-    const Dataset<Row>& rows, const std::vector<OrderingCondition>& conditions);
+    const PartitionView<Row>& rows,
+    const std::vector<OrderingCondition>& conditions);
 
 /// True when `left op right` holds for two codes of one shared pool; a null
 /// code never satisfies a condition.
@@ -90,7 +91,7 @@ inline bool CodesSatisfy(uint32_t left, CmpOp op, uint32_t right) {
 /// attribute never join. Fewer than 2^32 rows. `stats` (optional) receives
 /// execution counters.
 std::vector<RowIndexPair> OCJoin(ExecutionContext* ctx,
-                                 const Dataset<Row>& rows,
+                                 const PartitionView<Row>& rows,
                                  const std::vector<OrderingCondition>& conditions,
                                  const OCJoinOptions& options,
                                  OCJoinStats* stats = nullptr);

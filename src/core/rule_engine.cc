@@ -26,12 +26,46 @@ namespace {
 /// that belong together, so correctness is preserved.
 using BlockKey = uint64_t;
 
-/// Rows of `table` as a distributed dataset. The partition copy is serial
-/// driver work; published to the sampling profiler so profiled runs
-/// attribute it instead of counting idle ticks.
-Dataset<Row> LoadTable(ExecutionContext* ctx, const Table& table) {
+/// The viewed rows copied into a dataset on the view's partitions, for the
+/// interpreted stages. The copy is serial driver work; published to the
+/// sampling profiler so profiled runs attribute it instead of counting idle
+/// ticks.
+Dataset<Row> LoadTable(const PartitionView<Row>& view) {
   ScopedActivity activity(Profiler::Instance().Intern("load:table", "driver"));
-  return Dataset<Row>::FromVector(ctx, table.rows());
+  return view.Materialize();
+}
+
+/// PScope over viewed rows as one "scope" stage, without copying the base
+/// rows first: the projected rows, partitioned like `view`.
+Dataset<Row> ScopeView(const PartitionView<Row>& view,
+                       const std::vector<size_t>& scope_columns) {
+  const auto& parts = view.partitions();
+  return Dataset<Row>(
+      view.context(),
+      view.RunStageMorsels<std::vector<Row>>(
+          "scope", [&](size_t p) { return parts[p].size(); },
+          [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
+            std::vector<Row> out;
+            out.reserve(end - begin);
+            for (size_t i = begin; i < end; ++i) {
+              out.push_back(columnar::ScopeProject(parts[p][i], scope_columns));
+            }
+            tc.records_in = end - begin;
+            tc.records_out = out.size();
+            return out;
+          },
+          [](size_t, std::vector<std::vector<Row>>&& pieces) {
+            size_t total = 0;
+            for (const auto& piece : pieces) total += piece.size();
+            std::vector<Row> merged;
+            merged.reserve(total);
+            for (auto& piece : pieces) {
+              merged.insert(merged.end(),
+                            std::make_move_iterator(piece.begin()),
+                            std::make_move_iterator(piece.end()));
+            }
+            return merged;
+          }));
 }
 
 /// Applies PScope: projects each row to `scope_columns`, recording source
@@ -316,11 +350,13 @@ Result<std::vector<DetectionResult>> RuleEngine::DetectAllImpl(
     plans.push_back(std::move(*plan));
   }
 
-  // Shared scan: the base dataset is materialized once for all rules
-  // (plan consolidation, §4.2). Scoped/blocked intermediates are cached by
-  // their parameter signature so rules with equal Scope/Block params reuse
-  // one pass.
-  Dataset<Row> base = LoadTable(ctx_, table);
+  // Shared scan (plan consolidation, §4.2): every rule reads the table in
+  // place through one partitioned view. Only rules that take the
+  // interpreted stages need the rows copied into a dataset, made once on
+  // first use. Scoped/blocked intermediates are cached by their parameter
+  // signature so rules with equal Scope/Block params reuse one pass.
+  const PartitionView<Row> view = PartitionView<Row>::Split(ctx_, table.rows());
+  std::optional<Dataset<Row>> base;
   std::unordered_map<std::string, Dataset<Row>> scoped_cache;
   std::unordered_map<std::string,
                      Dataset<std::pair<BlockKey, std::vector<Row>>>>
@@ -343,15 +379,84 @@ Result<std::vector<DetectionResult>> RuleEngine::DetectAllImpl(
 
     // Columnar kernel path (default; BD_KERNELS=0 disables): declarative
     // rules with a registered kernel compiler evaluate candidates over
-    // dictionary codes encoded straight from base rows — no eager scope
-    // stage — and fall through to the interpreted stages below when not
-    // kernelizable (UDF rules, similarity predicates, global OCJoin).
+    // dictionary codes encoded straight from the table's rows — no eager
+    // scope stage — and fall through to the interpreted stages below when
+    // not kernelizable (UDF rules, similarity predicates, global OCJoin).
     // Bit-identical output either way.
     if (ctx_->kernels_enabled() &&
-        columnar::TryDetectColumnar(ctx_, plan, base, &columnar_caches,
+        columnar::TryDetectColumnar(ctx_, plan, view, &columnar_caches,
                                     &result)) {
       continue;
     }
+
+    // OCJoin enhancer: global inequality self-join (no blocking key). The
+    // join encodes its condition columns straight from the table's rows, so
+    // the conditions are mapped to base columns; it returns row positions,
+    // which index the scoped rows as well (scope is a per-row projection).
+    const bool has_blocking =
+        !plan.blocking_columns.empty() || static_cast<bool>(plan.block_key_fn);
+    if (plan.strategy == IterateStrategy::kOCJoin && !has_blocking) {
+      Dataset<Row> scoped;
+      std::vector<const Row*> rows;
+      {
+        std::optional<ScopedSpan> op_span;
+        if (trace.enabled()) op_span.emplace("scope", "operator");
+        rows.reserve(view.Count());
+        if (plan.scope_columns.empty()) {
+          for (const auto& part : view.partitions()) {
+            for (const Row& row : part) rows.push_back(&row);
+          }
+        } else {
+          scoped = ScopeView(view, plan.scope_columns);
+          for (const auto& part : scoped.partitions()) {
+            for (const Row& row : part) rows.push_back(&row);
+          }
+        }
+      }
+      std::vector<OrderingCondition> conditions = plan.ocjoin_conditions;
+      if (!plan.scope_columns.empty()) {
+        for (auto& c : conditions) {
+          c.left_column = plan.scope_columns[c.left_column];
+          c.right_column = plan.scope_columns[c.right_column];
+        }
+      }
+      std::vector<RowIndexPair> pairs;
+      if (options_.use_iejoin && IEJoinApplicable(conditions)) {
+        pairs = IEJoin(ctx_, view, conditions, &result.iejoin_stats);
+      } else {
+        OCJoinOptions oc_options;
+        oc_options.order_conditions_by_selectivity =
+            options_.ocjoin_selectivity_ordering;
+        pairs = OCJoin(ctx_, view, conditions, oc_options,
+                       &result.ocjoin_stats);
+      }
+      std::optional<ScopedSpan> op_span;
+      if (trace.enabled()) op_span.emplace("detect|genfix", "operator");
+      Dataset<RowIndexPair> pair_ds =
+          Dataset<RowIndexPair>::FromVector(ctx_, std::move(pairs));
+      const auto& parts = pair_ds.partitions();
+      std::vector<TaskOutput> tasks = pair_ds.RunStageMorsels<TaskOutput>(
+          "detect|genfix:ocjoin-pairs",
+          [&](size_t p) { return parts[p].size(); },
+          [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
+            TaskOutput out;
+            for (size_t i = begin; i < end; ++i) {
+              const RowIndexPair& pr = parts[p][i];
+              Probe(*plan.rule, *rows[pr.left], *rows[pr.right], &out);
+            }
+            tc.records_in = end - begin;
+            tc.records_out = out.violations.size();
+            return out;
+          },
+          [](size_t, std::vector<TaskOutput>&& pieces) {
+            return MergeTaskPieces(std::move(pieces));
+          });
+      MergeOutputs(&tasks, &result);
+      continue;
+    }
+
+    // Interpreted stages: the table's rows as a dataset, copied once.
+    if (!base) base = LoadTable(view);
 
     // PScope (cached across rules with identical column sets).
     std::string scope_sig;
@@ -361,7 +466,7 @@ Result<std::vector<DetectionResult>> RuleEngine::DetectAllImpl(
     auto scoped_it = scoped_cache.find(scope_sig);
     if (scoped_it == scoped_cache.end()) {
       scoped_it =
-          scoped_cache.emplace(scope_sig, ApplyScope(base, plan.scope_columns))
+          scoped_cache.emplace(scope_sig, ApplyScope(*base, plan.scope_columns))
               .first;
     }
     const Dataset<Row>& scoped = scoped_it->second;
@@ -387,64 +492,6 @@ Result<std::vector<DetectionResult>> RuleEngine::DetectAllImpl(
                 plan.rule->GenFix(vf.violation, &vf.fixes);
                 out.violations.push_back(std::move(vf));
               }
-            }
-            tc.records_in = end - begin;
-            tc.records_out = out.violations.size();
-            return out;
-          },
-          [](size_t, std::vector<TaskOutput>&& pieces) {
-            return MergeTaskPieces(std::move(pieces));
-          });
-      MergeOutputs(&tasks, &result);
-      continue;
-    }
-
-    // OCJoin enhancer: global inequality self-join (no blocking key). The
-    // join encodes its condition columns straight from the base rows, so
-    // the conditions are mapped to base columns; it returns row positions,
-    // which index the scoped rows as well (scope is a per-row Map).
-    const bool has_blocking =
-        !plan.blocking_columns.empty() || static_cast<bool>(plan.block_key_fn);
-    if (plan.strategy == IterateStrategy::kOCJoin && !has_blocking) {
-      std::vector<const Row*> rows;
-      {
-        std::optional<ScopedSpan> op_span;
-        if (trace.enabled()) op_span.emplace("scope", "operator");
-        rows.reserve(scoped.Count());
-        for (const auto& part : scoped.partitions()) {
-          for (const Row& row : part) rows.push_back(&row);
-        }
-      }
-      std::vector<OrderingCondition> conditions = plan.ocjoin_conditions;
-      if (!plan.scope_columns.empty()) {
-        for (auto& c : conditions) {
-          c.left_column = plan.scope_columns[c.left_column];
-          c.right_column = plan.scope_columns[c.right_column];
-        }
-      }
-      std::vector<RowIndexPair> pairs;
-      if (options_.use_iejoin && IEJoinApplicable(conditions)) {
-        pairs = IEJoin(ctx_, base, conditions, &result.iejoin_stats);
-      } else {
-        OCJoinOptions oc_options;
-        oc_options.order_conditions_by_selectivity =
-            options_.ocjoin_selectivity_ordering;
-        pairs = OCJoin(ctx_, base, conditions, oc_options,
-                       &result.ocjoin_stats);
-      }
-      std::optional<ScopedSpan> op_span;
-      if (trace.enabled()) op_span.emplace("detect|genfix", "operator");
-      Dataset<RowIndexPair> pair_ds =
-          Dataset<RowIndexPair>::FromVector(ctx_, std::move(pairs));
-      const auto& parts = pair_ds.partitions();
-      std::vector<TaskOutput> tasks = pair_ds.RunStageMorsels<TaskOutput>(
-          "detect|genfix:ocjoin-pairs",
-          [&](size_t p) { return parts[p].size(); },
-          [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
-            TaskOutput out;
-            for (size_t i = begin; i < end; ++i) {
-              const RowIndexPair& pr = parts[p][i];
-              Probe(*plan.rule, *rows[pr.left], *rows[pr.right], &out);
             }
             tc.records_in = end - begin;
             tc.records_out = out.violations.size();
@@ -513,7 +560,8 @@ Result<DetectionResult> RuleEngine::DetectIncrementalImpl(
                             " changed rows]";
   if (changed_rows.empty()) return result;
 
-  Dataset<Row> base = LoadTable(ctx_, table);
+  Dataset<Row> base =
+      LoadTable(PartitionView<Row>::Split(ctx_, table.rows()));
   Dataset<Row> scoped = ApplyScope(base, plan->scope_columns);
 
   // Arity-1: only the changed units can have new violations.
@@ -688,8 +736,10 @@ Result<DetectionResult> RuleEngine::DetectAcrossImpl(
       "PhysicalPlan[" + rule->name() + "]: coblock(" +
       std::to_string(blocking.size()) + " key pairs) -> iterate -> detect -> genfix";
 
-  Dataset<Row> left_ds = LoadTable(ctx_, left);
-  Dataset<Row> right_ds = LoadTable(ctx_, right);
+  Dataset<Row> left_ds =
+      LoadTable(PartitionView<Row>::Split(ctx_, left.rows()));
+  Dataset<Row> right_ds =
+      LoadTable(PartitionView<Row>::Split(ctx_, right.rows()));
 
   if (blocking.empty()) {
     // No equality link: cross product of the two datasets.

@@ -78,12 +78,14 @@ struct EncodedColumnSet {
 };
 
 /// Dictionary-encodes the given columns of `data` in two stages
-/// ("kernel:encode:pool" builds per-group pools from per-partition distinct
-/// sets, "kernel:encode:codes" encodes rows morsel-wise). Each inner vector
-/// of `groups` is a set of detect-schema column indices that share one pool
+/// ("kernel:encode:pool" collects and sorts each partition's distinct
+/// values per group, which the driver merges into one pool per group;
+/// "kernel:encode:codes" encodes rows morsel-wise). Each inner vector of
+/// `groups` is a set of detect-schema column indices that share one pool
 /// (required whenever a kernel compares codes *across* two columns); every
-/// requested column appears in exactly one group.
-EncodedColumnSet EncodeColumns(const Dataset<Row>& data,
+/// requested column appears in exactly one group. Of values that compare
+/// equal, a pool keeps the one seen first in the lowest partition.
+EncodedColumnSet EncodeColumns(const PartitionView<Row>& data,
                                const std::vector<std::vector<size_t>>& groups);
 
 /// Pool-growth policy for long-lived encodings (stream sessions): pools are

@@ -134,9 +134,9 @@ TableProfile ProfileTable(ExecutionContext* ctx, const Table& table) {
   // Encoded path: the sorted pools give distinct/min/max for free (every
   // pooled value occurs in the data, and code order is Value order); only
   // null counts and the frequency histogram need a pass, and that pass
-  // touches dense u32 codes, never a Value.
-  Dataset<Row> data = Dataset<Row>::FromVector(
-      ctx, std::vector<Row>(table.rows().begin(), table.rows().end()));
+  // touches dense u32 codes, never a Value. Reads the table in place.
+  const PartitionView<Row> data =
+      PartitionView<Row>::Split(ctx, table.rows());
   const auto& parts = data.partitions();
 
   std::vector<std::vector<size_t>> groups(num_cols);

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -19,6 +20,9 @@
 #include "dataflow/stage_executor.h"
 
 namespace bigdansing {
+
+template <typename T>
+class PartitionView;
 
 /// A partitioned, immutable, *lazily* evaluated collection — the RDD
 /// analogue of this reproduction's embedded dataflow engine.
@@ -71,21 +75,28 @@ class Dataset {
     state_->materialized = true;
   }
 
-  /// Distributes `items` round-robin over `num_partitions` partitions
-  /// (defaults to ctx->default_partitions()).
+  /// Cuts `items` into `num_partitions` contiguous runs of PartitionSize
+  /// records (defaults to ctx->default_partitions() partitions).
   static Dataset FromVector(ExecutionContext* ctx, std::vector<T> items,
                             size_t num_partitions = 0) {
     if (num_partitions == 0) num_partitions = ctx->default_partitions();
     if (num_partitions == 0) num_partitions = 1;
     std::vector<std::vector<T>> parts(num_partitions);
-    size_t per = (items.size() + num_partitions - 1) / num_partitions;
-    if (per == 0) per = 1;
+    const size_t per = PartitionSize(items.size(), num_partitions);
     for (auto& p : parts) p.reserve(per);
     for (size_t i = 0; i < items.size(); ++i) {
       parts[i / per].push_back(std::move(items[i]));
     }
     ctx->metrics().AddRecordsRead(items.size());
     return Dataset(ctx, std::move(parts));
+  }
+
+  /// Records per partition when FromVector cuts `n` records into
+  /// `num_partitions` contiguous runs: ceil(n / num_partitions), at least
+  /// 1, so trailing partitions may be empty.
+  static size_t PartitionSize(size_t n, size_t num_partitions) {
+    const size_t per = (n + num_partitions - 1) / num_partitions;
+    return per == 0 ? 1 : per;
   }
 
   ExecutionContext* context() const { return state_ ? state_->ctx : nullptr; }
@@ -431,16 +442,7 @@ class Dataset {
   /// Throws StageError when the stage fails (caught at public boundaries).
   template <typename U, typename F>
   std::vector<U> RunStageProducing(const std::string& name, F body) const {
-    const auto& parts = partitions();
-    ExecutionContext* ctx = context();
-    if (ctx == nullptr) return {};
-    auto result = StageExecutor(ctx).RunProducing<U>(
-        name, parts.size(), [&](size_t p, TaskContext& tc) {
-          tc.records_in = parts[p].size();
-          return body(p, tc);
-        });
-    if (!result.ok()) throw StageError(result.status());
-    return std::move(*result);
+    return PartitionView<T>(*this).template RunStageProducing<U>(name, body);
   }
 
   /// Morsel-capable RunStageProducing for stages whose per-partition work
@@ -452,21 +454,8 @@ class Dataset {
   template <typename U, typename RowsF, typename F, typename M>
   std::vector<U> RunStageMorsels(const std::string& name, RowsF units_of,
                                  F body, M merge) const {
-    const auto& parts = partitions();
-    (void)parts;
-    ExecutionContext* ctx = context();
-    if (ctx == nullptr) return {};
-    auto result = StageExecutor(ctx).RunMorsels<U>(
-        name, num_partitions(),
-        [&](size_t p) -> size_t { return units_of(p); },
-        [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
-          return body(p, begin, end, tc);
-        },
-        [&](size_t p, std::vector<U>&& pieces) {
-          return merge(p, std::move(pieces));
-        });
-    if (!result.ok()) throw StageError(result.status());
-    return std::move(*result);
+    return PartitionView<T>(*this).template RunStageMorsels<U>(
+        name, units_of, body, merge);
   }
 
  private:
@@ -633,6 +622,108 @@ class Dataset {
   }
 
   std::shared_ptr<State> state_;
+};
+
+/// Read-only partitions over records someone else owns. The operators
+/// that only read their input rows (dictionary encoding, the columnar
+/// kernels, the inequality joins, table profiling) run their stages over
+/// a view, so detection reads a table where it lives instead of copying
+/// it into a Dataset first. Whoever owns the records must outlive the
+/// view.
+template <typename T>
+class PartitionView {
+ public:
+  PartitionView() = default;
+
+  /// Views the partitions of `data`, forcing it. Implicit, so every
+  /// operator that reads a view also reads a dataset.
+  PartitionView(const Dataset<T>& data) : ctx_(data.context()) {
+    for (const auto& part : data.partitions()) parts_.emplace_back(part);
+  }
+
+  /// `items` cut into ctx->default_partitions() contiguous spans on the
+  /// boundaries Dataset::FromVector uses, so positions within a partition,
+  /// and every order derived from them, match a dataset FromVector built
+  /// from the same records. Counts the records as read, as FromVector does.
+  static PartitionView Split(ExecutionContext* ctx, std::span<const T> items) {
+    PartitionView view;
+    view.ctx_ = ctx;
+    const size_t num_partitions =
+        std::max<size_t>(1, ctx->default_partitions());
+    const size_t per =
+        Dataset<T>::PartitionSize(items.size(), num_partitions);
+    for (size_t p = 0; p < num_partitions; ++p) {
+      const size_t begin = std::min(items.size(), p * per);
+      const size_t end = std::min(items.size(), begin + per);
+      view.parts_.push_back(items.subspan(begin, end - begin));
+    }
+    ctx->metrics().AddRecordsRead(items.size());
+    return view;
+  }
+
+  ExecutionContext* context() const { return ctx_; }
+  const std::vector<std::span<const T>>& partitions() const { return parts_; }
+
+  size_t Count() const {
+    size_t n = 0;
+    for (const auto& part : parts_) n += part.size();
+    return n;
+  }
+
+  /// Copies the viewed records into a materialized dataset with the same
+  /// partitions. No stage runs, and the records are not counted as read
+  /// again.
+  Dataset<T> Materialize() const {
+    std::vector<std::vector<T>> parts;
+    parts.reserve(parts_.size());
+    for (const auto& part : parts_) {
+      parts.emplace_back(part.begin(), part.end());
+    }
+    return Dataset<T>(ctx_, std::move(parts));
+  }
+
+  /// Runs `body(p, tc)` for every partition index as one named stage on
+  /// the StageExecutor and returns the per-partition results, indexed by
+  /// partition. Buffered outputs make the stage retryable and
+  /// speculation-capable. Throws StageError when the stage fails (caught
+  /// at public boundaries).
+  template <typename U, typename F>
+  std::vector<U> RunStageProducing(const std::string& name, F body) const {
+    if (ctx_ == nullptr) return {};
+    auto result = StageExecutor(ctx_).RunProducing<U>(
+        name, parts_.size(), [&](size_t p, TaskContext& tc) {
+          tc.records_in = parts_[p].size();
+          return body(p, tc);
+        });
+    if (!result.ok()) throw StageError(result.status());
+    return std::move(*result);
+  }
+
+  /// Morsel form of RunStageProducing: `body(p, begin, end, tc)` processes
+  /// units [begin, end) of the `units_of(p)` units of partition p and
+  /// returns a partial U; `merge(p, pieces)` folds the partials in
+  /// ascending unit order into partition p's result. Throws StageError
+  /// when the stage fails.
+  template <typename U, typename RowsF, typename F, typename M>
+  std::vector<U> RunStageMorsels(const std::string& name, RowsF units_of,
+                                 F body, M merge) const {
+    if (ctx_ == nullptr) return {};
+    auto result = StageExecutor(ctx_).RunMorsels<U>(
+        name, parts_.size(),
+        [&](size_t p) -> size_t { return units_of(p); },
+        [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
+          return body(p, begin, end, tc);
+        },
+        [&](size_t p, std::vector<U>&& pieces) {
+          return merge(p, std::move(pieces));
+        });
+    if (!result.ok()) throw StageError(result.status());
+    return std::move(*result);
+  }
+
+ private:
+  ExecutionContext* ctx_ = nullptr;
+  std::vector<std::span<const T>> parts_;
 };
 
 namespace dataflow_internal {

@@ -162,7 +162,7 @@ RepairPassResult BlackBoxRepair(
   ThreadCpuStopwatch setup_timer;
   std::optional<ScopedSpan> cc_span;
   if (trace.enabled()) cc_span.emplace("repair:hypergraph-cc", "operator");
-  ViolationHypergraph graph(violations);
+  ViolationHypergraph graph(violations, ctx);
   std::vector<std::vector<size_t>> groups = graph.ConnectedComponentGroups(
       options.use_bsp_connected_components ? ctx : nullptr);
   result.num_components = groups.size();

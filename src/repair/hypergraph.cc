@@ -1,34 +1,57 @@
 #include "repair/hypergraph.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/logging.h"
+#include "dataflow/stage_executor.h"
 #include "repair/connected_components.h"
 
 namespace bigdansing {
 
 namespace {
 
-/// Dense node ids for distinct cells, in first-appearance order. Slots hold
-/// node+1 (0 = empty) into the cell list and are probed linearly by
-/// CellRefHash; the table grows at half load, so its size follows the
-/// distinct cells rather than the (several times larger) cell mentions.
-/// The encode stage's FlatValueSet uses the same layout.
+/// A build of fewer than 2 * kShardMentions mentions is one shard on the
+/// calling thread, since stage dispatch would cost more than it saves;
+/// each doubling above that doubles the shards, up to 2^kMaxShardBits.
+constexpr size_t kShardMentions = size_t{1} << 13;
+constexpr size_t kMaxShardBits = 4;
+
+/// Key of one mention after interning: its shard in bits 32-62, the
+/// cell's id within the shard in bits 0-31, and kFirstMention when this is
+/// the cell's first mention.
+constexpr uint64_t kFirstMention = uint64_t{1} << 63;
+constexpr uint64_t kLocalMask = 0xFFFFFFFFu;
+
+/// Dense ids for distinct cells, in first-appearance order. Slots hold
+/// id+1 (0 = empty) into the cell list and are probed linearly by
+/// CellRefHash; the table grows at half load. The encode stage's
+/// FlatValueSet uses the same layout.
 class CellInterner {
  public:
-  CellInterner() { Rehash(16); }
+  explicit CellInterner(size_t expected) {
+    cells_.reserve(expected);
+    uint64_t size = 16;
+    while (size < 2 * expected) size <<= 1;
+    Rehash(size);
+  }
 
-  uint64_t Intern(const CellRef& ref) {
+  /// Id of `ref`; sets `*fresh` when this call added it.
+  uint32_t Intern(const CellRef& ref, bool* fresh) {
     if ((cells_.size() + 1) * 2 > slots_.size()) Rehash(2 * slots_.size());
     uint64_t i = CellRefHash()(ref) & mask_;
     while (uint32_t slot = slots_[i]) {
-      if (cells_[slot - 1] == ref) return slot - 1;
+      if (cells_[slot - 1] == ref) {
+        *fresh = false;
+        return slot - 1;
+      }
       i = (i + 1) & mask_;
     }
     BD_CHECK(cells_.size() < UINT32_MAX) << "too many distinct cells";
     slots_[i] = static_cast<uint32_t>(cells_.size()) + 1;
     cells_.push_back(ref);
-    return cells_.size() - 1;
+    *fresh = true;
+    return static_cast<uint32_t>(cells_.size() - 1);
   }
 
   size_t size() const { return cells_.size(); }
@@ -37,10 +60,10 @@ class CellInterner {
   void Rehash(uint64_t size) {
     slots_.assign(size, 0);
     mask_ = size - 1;
-    for (uint32_t node = 0; node < cells_.size(); ++node) {
-      uint64_t i = CellRefHash()(cells_[node]) & mask_;
+    for (uint32_t id = 0; id < cells_.size(); ++id) {
+      uint64_t i = CellRefHash()(cells_[id]) & mask_;
       while (slots_[i]) i = (i + 1) & mask_;
-      slots_[i] = node + 1;
+      slots_[i] = id + 1;
     }
   }
 
@@ -49,38 +72,173 @@ class CellInterner {
   std::vector<CellRef> cells_;
 };
 
+/// Calls `f` on every cell `vf` mentions, in mention order: the violation's
+/// cells, then each fix's left and right cell (a fix may mention a cell
+/// that Detect did not list).
+template <typename F>
+void ForEachMention(const ViolationWithFixes& vf, F&& f) {
+  for (const Cell& c : vf.violation.cells) f(c.ref);
+  for (const Fix& fix : vf.fixes) {
+    f(fix.left.ref);
+    if (fix.right.is_cell) f(fix.right.cell.ref);
+  }
+}
+
+/// A mention routed to its shard: the cell and its mention index.
+struct Mention {
+  CellRef ref;
+  uint32_t index;
+};
+
 }  // namespace
 
 ViolationHypergraph::ViolationHypergraph(
-    const std::vector<ViolationWithFixes>& violations)
+    const std::vector<ViolationWithFixes>& violations, ExecutionContext* ctx)
     : violations_(&violations) {
-  // Every cell mention bounds the flat node array from above.
-  size_t mentions = 0;
-  for (const auto& vf : violations) {
-    mentions += vf.violation.cells.size();
-    for (const auto& f : vf.fixes) mentions += f.right.is_cell ? 2 : 1;
+  // Edge e's mentions are [mention_begin[e], mention_begin[e + 1]) in
+  // mention order.
+  const size_t num_edges = violations.size();
+  std::vector<size_t> mention_begin(num_edges + 1, 0);
+  for (size_t e = 0; e < num_edges; ++e) {
+    size_t n = 0;
+    ForEachMention(violations[e], [&n](const CellRef&) { ++n; });
+    mention_begin[e + 1] = mention_begin[e] + n;
   }
-  nodes_.reserve(mentions);
-  offsets_.reserve(violations.size() + 1);
-  offsets_.push_back(0);
-  CellInterner interner;
-  for (const auto& vf : violations) {
-    const size_t begin = nodes_.size();
-    // Nodes: cells of the violation plus cells referenced by its fixes
-    // (a fix may mention a cell that Detect did not list).
-    for (const auto& c : vf.violation.cells) {
-      nodes_.push_back(interner.Intern(c.ref));
-    }
-    for (const auto& f : vf.fixes) {
-      nodes_.push_back(interner.Intern(f.left.ref));
-      if (f.right.is_cell) nodes_.push_back(interner.Intern(f.right.cell.ref));
-    }
-    std::sort(nodes_.begin() + begin, nodes_.end());
-    nodes_.erase(std::unique(nodes_.begin() + begin, nodes_.end()),
-                 nodes_.end());
-    offsets_.push_back(nodes_.size());
+  const size_t mentions = mention_begin[num_edges];
+  BD_CHECK(mentions < UINT32_MAX) << "too many cell mentions";
+
+  size_t shard_bits = 0;
+  while (shard_bits < kMaxShardBits &&
+         mentions >= (kShardMentions << (shard_bits + 1))) {
+    ++shard_bits;
   }
-  num_nodes_ = interner.size();
+  // Shards take the hash's top bits, leaving the low bits, which place a
+  // cell in its shard's table, spread within every shard. Edges split into
+  // as many contiguous chunks as there are shards.
+  const size_t num_shards = size_t{1} << shard_bits;
+  auto shard_of = [shard_bits](const CellRef& ref) -> size_t {
+    return shard_bits == 0 ? 0 : CellRefHash()(ref) >> (64 - shard_bits);
+  };
+  auto chunk_edges = [&](size_t c) {
+    return std::pair<size_t, size_t>{c * num_edges / num_shards,
+                                     (c + 1) * num_edges / num_shards};
+  };
+  // Each step runs its num_shards tasks as one stage, or inline when there
+  // is one shard. Tasks write disjoint slots of the step's outputs, so a
+  // retried attempt rewrites its own slots.
+  auto run = [&](const char* stage, const StageExecutor::TaskBody& body) {
+    if (num_shards == 1) {
+      TaskContext tc;
+      body(0, tc);
+      return;
+    }
+    const Status status = StageExecutor(ctx).Run(stage, num_shards, body);
+    if (!status.ok()) throw StageError(status);
+  };
+
+  // 1. Route every mention to its shard; chunk c's mentions stay in
+  //    mention order within each shard.
+  std::vector<std::vector<std::vector<Mention>>> routed(num_shards);
+  run("repair:hypergraph:route", [&](size_t c, TaskContext& tc) {
+    const auto [begin, end] = chunk_edges(c);
+    std::vector<std::vector<Mention>> out(num_shards);
+    for (auto& bucket : out) {
+      bucket.reserve((mention_begin[end] - mention_begin[begin]) /
+                         num_shards + 16);
+    }
+    for (size_t e = begin; e < end; ++e) {
+      uint32_t index = static_cast<uint32_t>(mention_begin[e]);
+      ForEachMention(violations[e], [&](const CellRef& ref) {
+        out[shard_of(ref)].push_back({ref, index++});
+      });
+    }
+    routed[c] = std::move(out);
+    tc.records_in = end - begin;
+    tc.records_out = mention_begin[end] - mention_begin[begin];
+  });
+
+  // 2. Intern each shard's mentions in mention order (chunk by chunk),
+  //    flag first mentions, and count them per chunk.
+  std::vector<uint64_t> keys(mentions);
+  std::vector<std::vector<size_t>> firsts(num_shards);  // [shard][chunk]
+  std::vector<size_t> shard_cells(num_shards, 0);
+  run("repair:hypergraph:intern", [&](size_t s, TaskContext& tc) {
+    size_t expected = 0;
+    for (size_t c = 0; c < num_shards; ++c) expected += routed[c][s].size();
+    CellInterner interner(expected);
+    std::vector<size_t> count(num_shards, 0);
+    for (size_t c = 0; c < num_shards; ++c) {
+      for (const Mention& m : routed[c][s]) {
+        bool fresh = false;
+        uint64_t key = (uint64_t{s} << 32) | interner.Intern(m.ref, &fresh);
+        if (fresh) {
+          key |= kFirstMention;
+          ++count[c];
+        }
+        keys[m.index] = key;
+      }
+    }
+    firsts[s] = std::move(count);
+    shard_cells[s] = interner.size();
+    tc.records_in = expected;
+    tc.records_out = interner.size();
+  });
+  routed.clear();
+  routed.shrink_to_fit();
+
+  // 3. Exclusive prefix sum over first mentions in mention order: node ids
+  //    in first-appearance order. Each chunk starts after the first
+  //    mentions of the chunks before it; the same pass sizes each edge.
+  std::vector<uint64_t> chunk_base(num_shards, 0);
+  uint64_t total = 0;
+  for (size_t c = 0; c < num_shards; ++c) {
+    chunk_base[c] = total;
+    for (size_t s = 0; s < num_shards; ++s) total += firsts[s][c];
+  }
+  num_nodes_ = total;
+  std::vector<std::vector<uint64_t>> node_of(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) node_of[s].resize(shard_cells[s]);
+  offsets_.assign(num_edges + 1, 0);
+  run("repair:hypergraph:number", [&](size_t c, TaskContext& tc) {
+    const auto [begin, end] = chunk_edges(c);
+    uint64_t next = chunk_base[c];
+    std::vector<uint64_t> edge;
+    for (size_t e = begin; e < end; ++e) {
+      edge.assign(keys.begin() + mention_begin[e],
+                  keys.begin() + mention_begin[e + 1]);
+      for (uint64_t& key : edge) {
+        if (key & kFirstMention) {
+          key &= ~kFirstMention;
+          node_of[key >> 32][key & kLocalMask] = next++;
+        }
+      }
+      std::sort(edge.begin(), edge.end());
+      offsets_[e + 1] =
+          std::unique(edge.begin(), edge.end()) - edge.begin();
+    }
+    tc.records_in = end - begin;
+    tc.records_out = next - chunk_base[c];
+  });
+  for (size_t e = 0; e < num_edges; ++e) offsets_[e + 1] += offsets_[e];
+
+  // 4. Each edge's ascending, deduplicated node ids into the CSR array.
+  nodes_.resize(offsets_[num_edges]);
+  run("repair:hypergraph:edges", [&](size_t c, TaskContext& tc) {
+    const auto [begin, end] = chunk_edges(c);
+    std::vector<uint64_t> edge;
+    for (size_t e = begin; e < end; ++e) {
+      edge.clear();
+      for (size_t m = mention_begin[e]; m < mention_begin[e + 1]; ++m) {
+        const uint64_t key = keys[m] & ~kFirstMention;
+        edge.push_back(node_of[key >> 32][key & kLocalMask]);
+      }
+      std::sort(edge.begin(), edge.end());
+      edge.erase(std::unique(edge.begin(), edge.end()), edge.end());
+      std::copy(edge.begin(), edge.end(), nodes_.begin() + offsets_[e]);
+    }
+    tc.records_in = end - begin;
+    tc.records_out = offsets_[end] - offsets_[begin];
+  });
 }
 
 std::vector<std::pair<uint64_t, uint64_t>> ViolationHypergraph::StarEdges()

@@ -22,12 +22,19 @@ namespace bigdansing {
 /// deduplicated node ids are `nodes_[offsets_[e] .. offsets_[e + 1])`.
 /// Those orders fix the component ids and group order below, and with them
 /// the order of a repair pass's assignments and lineage.
+///
+/// The build interns cell mentions in shards keyed by CellRefHash bits,
+/// each shard in mention order, then numbers the nodes by a prefix sum over
+/// first mentions, so the ids are the first-appearance ids whatever the
+/// shard count. A large build runs each step as a stage on `ctx`; one small
+/// enough for a single shard runs on the calling thread.
 class ViolationHypergraph {
  public:
   /// Builds the hypergraph from detection output. `violations` must outlive
-  /// the hypergraph (edges refer into it).
-  explicit ViolationHypergraph(
-      const std::vector<ViolationWithFixes>& violations);
+  /// the hypergraph (edges refer into it); `ctx` (non-null) runs the
+  /// build's stages.
+  ViolationHypergraph(const std::vector<ViolationWithFixes>& violations,
+                      ExecutionContext* ctx);
 
   size_t num_nodes() const { return num_nodes_; }
   size_t num_edges() const { return violations_->size(); }

@@ -418,37 +418,52 @@ TEST(MorselScheduling, SkewedPartitionStopsDominatingUnderMorsels) {
     return out;
   };
 
-  // A morsel size of at least the largest partition gives one morsel per
-  // task: partition granularity.
-  StageReport partition_report;
-  std::vector<uint64_t> partition_out = run(10000, &partition_report);
-  StageReport morsel_report;
-  std::vector<uint64_t> morsel_out = run(100, &morsel_report);
-
-  EXPECT_EQ(partition_out, morsel_out);
-
   // The check is the largest unit's share of the stage's summed per-unit
   // CPU time, not a ratio of two single-unit timings: every unit does the
   // same work per row, so the share tracks the row split (10000/10800 =
-  // 0.93 for the partition run, 100/10800 = 0.009 for the morsel run), and
-  // one unit slowed by a loaded host moves it far less than it moves a
-  // max/p50 ratio.
+  // 0.93 for the partition run, 100/10800 = 0.009 for the morsel run).
   auto largest_unit_share = [](const StageReport& r) {
     return r.busy_seconds > 0.0 ? r.TaskMaxSeconds() / r.busy_seconds : 1.0;
   };
+  // A loaded host can charge one unit of a run with CPU time it did not
+  // spend on that unit's rows (3 full-suite runs in about 190 on a shared
+  // VM put a morsel at over a quarter of the stage). That time only ever
+  // adds to a unit, and a share moves away from the row split only when
+  // the charged unit becomes the largest. So each granularity runs three
+  // times and is judged by the run closest to its row split, which no
+  // longer depends on a one-off charge landing in the wrong place.
+  constexpr int kRuns = 3;
+  double partition_share = 0.0;  // highest of the runs
+  double morsel_share = 1.0;     // lowest of the runs
+  std::vector<uint64_t> reference;
+  for (int r = 0; r < kRuns; ++r) {
+    // A morsel size of at least the largest partition gives one morsel per
+    // task: partition granularity.
+    StageReport partition_report;
+    std::vector<uint64_t> partition_out = run(10000, &partition_report);
+    StageReport morsel_report;
+    std::vector<uint64_t> morsel_out = run(100, &morsel_report);
+    EXPECT_EQ(partition_out, morsel_out);
+    if (r == 0) reference = partition_out;
+    EXPECT_EQ(partition_out, reference);
 
-  // Partition granularity: 9 units, the 10000-row one dominates.
-  EXPECT_EQ(partition_report.tasks, 9u);
-  EXPECT_EQ(partition_report.morsels, 9u);
-  EXPECT_GT(largest_unit_share(partition_report), 0.5);
+    // Partition granularity: 9 units, the 10000-row one dominates.
+    EXPECT_EQ(partition_report.tasks, 9u);
+    EXPECT_EQ(partition_report.morsels, 9u);
+    partition_share =
+        std::max(partition_share, largest_unit_share(partition_report));
 
-  // Morsel path: 100-row units, so the heavy partition becomes 100 of the
-  // 108 units. No unit may hold more than a quarter of the stage's CPU
-  // time (ideal: under 1%).
-  EXPECT_EQ(morsel_report.tasks, 9u);
-  EXPECT_EQ(morsel_report.morsels, 108u);
-  ASSERT_GT(morsel_report.busy_seconds, 0.0);
-  EXPECT_LT(largest_unit_share(morsel_report), 0.25);
+    // Morsel path: 100-row units, so the heavy partition becomes 100 of
+    // the 108 units.
+    EXPECT_EQ(morsel_report.tasks, 9u);
+    EXPECT_EQ(morsel_report.morsels, 108u);
+    ASSERT_GT(morsel_report.busy_seconds, 0.0);
+    morsel_share = std::min(morsel_share, largest_unit_share(morsel_report));
+  }
+  EXPECT_GT(partition_share, 0.5);
+  // No unit may hold more than a quarter of the stage's CPU time (ideal:
+  // under 1%).
+  EXPECT_LT(morsel_share, 0.25);
 }
 
 TEST(MorselScheduling, MorselPathMatchesPartitionPathOnChains) {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -268,6 +269,12 @@ TEST(Speculation, PrimaryFailureAfterDuplicateCommitKeepsStage) {
   // speculative duplicate (run inline on the driver) has committed. Once
   // any attempt of a task has committed, a later failure of another
   // attempt must neither retry nor fail the stage.
+  //
+  // Latches, not timing, decide which task can be duplicated: helpers wait
+  // until the driver has claimed a task, and the driver's first task returns
+  // only once the 14 tasks that are neither its own nor task 3 have
+  // committed. The driver's straggler monitor starts after that return, so
+  // task 3 is the only task still running when it looks.
   InjectorGuard guard;
   ExecutionContext ctx(4);
   FaultPolicy eager;
@@ -280,26 +287,35 @@ TEST(Speculation, PrimaryFailureAfterDuplicateCommitKeepsStage) {
     const std::vector<StageReport> reports = ctx.metrics().StageReports();
     return reports.empty() ? 0 : reports.back().records_out;
   };
+  // Bounded waits: a broken latch fails the checks below instead of
+  // hanging the suite.
+  auto wait_until = [](const std::function<bool()>& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  };
 
   int checked_rounds = 0;
   for (int round = 0; round < 20; ++round) {
+    std::atomic<bool> driver_claimed{false};
     std::atomic<bool> primary_on_helper{false};
     auto out = StageExecutor(&ctx).RunProducing<uint64_t>(
         "spec:late-failure", 16, [&](size_t t, TaskContext& tc) {
           tc.records_out = 1;
           if (std::this_thread::get_id() == driver) {
-            // Keeps the driver busy so helpers claim task 3.
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-          } else if (t == 3 && !tc.speculative) {
-            primary_on_helper = true;
-            const auto deadline =
-                std::chrono::steady_clock::now() + std::chrono::seconds(2);
-            while (live_records_out() < 16 &&
-                   std::chrono::steady_clock::now() < deadline) {
-              std::this_thread::sleep_for(std::chrono::microseconds(200));
+            if (!tc.speculative && !driver_claimed.exchange(true)) {
+              wait_until([&] { return live_records_out() >= 14; });
             }
-            throw TaskFailure("spec:late-failure",
-                              "primary failed after its duplicate committed");
+          } else {
+            wait_until([&] { return driver_claimed.load(); });
+            if (t == 3 && !tc.speculative) {
+              primary_on_helper = true;
+              wait_until([&] { return live_records_out() >= 16; });
+              throw TaskFailure("spec:late-failure",
+                                "primary failed after its duplicate committed");
+            }
           }
           return static_cast<uint64_t>(t);
         });

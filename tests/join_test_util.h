@@ -2,8 +2,9 @@
 #define BIGDANSING_TESTS_JOIN_TEST_UTIL_H_
 
 // Shared fixtures for the inequality-join tests (ocjoin_test, iejoin_test):
-// row generators, the brute-force oracle over Value comparisons, and a
-// Detect fingerprint.
+// row generators, the brute-force oracle over Value comparisons, and Detect
+// fingerprints, the order-sensitive one also used by kernel_test and
+// rule_engine_test.
 
 #include <algorithm>
 #include <cstdint>
@@ -150,6 +151,35 @@ inline PairSet AsSet(const std::vector<RowIndexPair>& pairs) {
 inline Dataset<Row> AsDataset(ExecutionContext* ctx,
                               const std::vector<Row>& rows) {
   return Dataset<Row>::FromVector(ctx, rows);
+}
+
+/// Byte rendering of a full detection result: violations, cells, and fixes
+/// in stream order. Two results with equal fingerprints are bit-identical
+/// for every downstream consumer (repair, lineage, reporting).
+inline std::string DetectFingerprint(const DetectionResult& result) {
+  std::string out;
+  auto cell = [&](const Cell& c) {
+    out += "t" + std::to_string(c.ref.row_id) + "[" +
+           std::to_string(c.ref.column) + "]" + c.attribute + "=" +
+           c.value.ToString() + ";";
+  };
+  for (const auto& vf : result.violations) {
+    out += vf.violation.rule_name + ":";
+    for (const auto& c : vf.violation.cells) cell(c);
+    out += "fixes{";
+    for (const auto& fix : vf.fixes) {
+      cell(fix.left);
+      out += FixOpName(fix.op);
+      if (fix.right.is_cell) {
+        cell(fix.right.cell);
+      } else {
+        out += fix.right.constant.ToString();
+      }
+      out += "&";
+    }
+    out += "}\n";
+  }
+  return out;
 }
 
 /// Order-independent fingerprint of a detection result: per violation a

@@ -6,6 +6,9 @@
 // and single-row blocks, injected faults, and the Clean() fixpoint.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <optional>
 #include <random>
 #include <set>
@@ -23,9 +26,12 @@
 #include "rules/detect_kernel.h"
 #include "rules/parser.h"
 #include "rules/udf_rule.h"
+#include "join_test_util.h"
 
 namespace bigdansing {
 namespace {
+
+using join_test::DetectFingerprint;
 
 Table PaperTable() {
   const char* csv =
@@ -56,35 +62,6 @@ Table NullTable() {
   auto table = ReadCsvString(csv, CsvOptions{});
   EXPECT_TRUE(table.ok()) << table.status().ToString();
   return *table;
-}
-
-/// Byte rendering of a full detection result: violations, cells, and fixes
-/// in stream order. Two results with equal fingerprints are bit-identical
-/// for every downstream consumer (repair, lineage, reporting).
-std::string DetectFingerprint(const DetectionResult& result) {
-  std::string out;
-  auto cell = [&](const Cell& c) {
-    out += "t" + std::to_string(c.ref.row_id) + "[" +
-           std::to_string(c.ref.column) + "]" + c.attribute + "=" +
-           c.value.ToString() + ";";
-  };
-  for (const auto& vf : result.violations) {
-    out += vf.violation.rule_name + ":";
-    for (const auto& c : vf.violation.cells) cell(c);
-    out += "fixes{";
-    for (const auto& fix : vf.fixes) {
-      cell(fix.left);
-      out += FixOpName(fix.op);
-      if (fix.right.is_cell) {
-        cell(fix.right.cell);
-      } else {
-        out += fix.right.constant.ToString();
-      }
-      out += "&";
-    }
-    out += "}\n";
-  }
-  return out;
 }
 
 std::string TableFingerprint(const Table& table) {
@@ -184,6 +161,78 @@ TEST(ValuePoolTest, EncodeColumnsSharesOnePoolAcrossAGroup) {
             (std::vector<uint32_t>{1, ValuePool::kNullCode}));
   EXPECT_EQ(set.columns.at(0).codes[2],
             (std::vector<uint32_t>{2, ValuePool::kNullCode}));
+}
+
+TEST(ValuePoolTest, PoolFromTaskSortedRunsKeepsLowestPartitionValue) {
+  // Each encode task sorts its partition's distinct values and the driver
+  // merges the sorted runs. The pool must equal the sorted distinct values
+  // of the whole column set, and of values that compare equal (int 1 and
+  // 1.0, 0.0 and -0.0, two NaNs) keep the one seen first in the lowest
+  // partition: within a partition, column by column, then row by row.
+  // A partition of ints only takes the key sort, the others the Value
+  // sort; empty partitions add nothing.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto row = [](RowId id, Value a, Value b) {
+    return Row(id, std::vector<Value>{std::move(a), std::move(b)});
+  };
+  std::vector<std::vector<Row>> parts = {
+      {},
+      {row(0, Value(int64_t{5}), Value(int64_t{1})),
+       row(1, Value(int64_t{1}), Value(int64_t{-7}))},
+      {row(2, Value(1.0), Value(0.0)), row(3, Value(nan), Value(2.5)),
+       row(4, Value(-0.0), Value(-nan))},
+      {},
+      {row(5, Value("b"), Value(5.0)), row(6, Value(int64_t{0}), Value::Null()),
+       row(7, Value(2.5), Value("a"))},
+      {row(8, Value::Null(), Value(-nan)),
+       row(9, Value("a"), Value(int64_t{3}))},
+  };
+  // Brute force: first representative of each equal class in scan order,
+  // then sorted.
+  std::vector<Value> expected;
+  for (const auto& part : parts) {
+    for (size_t c : {0, 1}) {
+      for (const Row& r : part) {
+        const Value& v = r.value(c);
+        if (v.is_null()) continue;
+        if (std::none_of(expected.begin(), expected.end(),
+                         [&](const Value& e) { return e == v; })) {
+          expected.push_back(v);
+        }
+      }
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+
+  ExecutionContext ctx(2);
+  EncodedColumnSet set = EncodeColumns(Dataset<Row>(&ctx, parts), {{0, 1}});
+  const ValuePool& pool = *set.columns.at(0).pool;
+  ASSERT_EQ(pool.size(), expected.size());
+  for (uint32_t code = 0; code < pool.size(); ++code) {
+    const Value& got = pool.value(code);
+    EXPECT_EQ(got, expected[code]) << "code " << code;
+    EXPECT_EQ(got.type(), expected[code].type()) << "code " << code;
+    if (got.is_double()) {
+      EXPECT_EQ(std::signbit(got.as_double()),
+                std::signbit(expected[code].as_double()))
+          << "code " << code;
+    }
+  }
+  // -0.0 (partition 2) beats int 0 (partition 4); int 1 (partition 1)
+  // beats 1.0 (partition 2).
+  EXPECT_TRUE(pool.value(pool.CodeOf(Value(0.0))).is_double());
+  EXPECT_TRUE(std::signbit(pool.value(pool.CodeOf(Value(0.0))).as_double()));
+  EXPECT_TRUE(pool.value(pool.CodeOf(Value(1.0))).is_int());
+  for (size_t p = 0; p < parts.size(); ++p) {
+    for (size_t c : {0, 1}) {
+      ASSERT_EQ(set.columns.at(c).codes[p].size(), parts[p].size());
+      for (size_t i = 0; i < parts[p].size(); ++i) {
+        const Value& v = parts[p][i].value(c);
+        EXPECT_EQ(set.columns.at(c).codes[p][i],
+                  v.is_null() ? ValuePool::kNullCode : pool.CodeOf(v));
+      }
+    }
+  }
 }
 
 TEST(KernelRegistryTest, CompilesDeclarativeRulesRejectsUdfAndSimilarity) {

@@ -1,6 +1,7 @@
 // Column profiler tests: known-table statistics (null rate, distinct,
 // min/max, top-k with deterministic tie-breaks), the inline and the
-// dictionary-encoded path each matching a brute-force reference profile,
+// dictionary-encoded path each matching a brute-force reference profile
+// (down to which of two equal values, such as 0 and -0.0, it reports),
 // strict JSON rendering, and the profile stages publishing through the
 // metrics plane like any other engine stage.
 #include "data/profile.h"
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -43,6 +45,32 @@ Table MakeSkewedTable(size_t rows) {
         i % 17 == 0 ? Value() : Value(static_cast<int64_t>(i % 23) * 100);
     const Value rate(static_cast<double>(i % 9) / 4.0);
     t.AppendRow({city, salary, rate});
+  }
+  return t;
+}
+
+/// `rows` rows whose equal values change form halfway through: -0.0 and
+/// doubles in the first half, 0 and ints in the second. "numeric" holds
+/// only those numbers, so each of the 8 partitions 4 workers cut 4096 rows
+/// into is all doubles or all ints; "mixed" adds nulls, NaNs and strings. The
+/// profile must keep the first half's forms, as the brute-force
+/// reference does.
+Table MakeMixedFormTable(size_t rows) {
+  Table t(Schema({"numeric", "mixed"}));
+  for (size_t i = 0; i < rows; ++i) {
+    const int64_t key = static_cast<int64_t>(i % 5);
+    const Value number = i >= rows / 2 ? Value(key)
+                         : key == 0    ? Value(-0.0)
+                                       : Value(static_cast<double>(key));
+    Value mixed = number;
+    if (i % 11 == 0) {
+      mixed = Value();
+    } else if (i % 13 == 0) {
+      mixed = Value(std::numeric_limits<double>::quiet_NaN());
+    } else if (i % 7 == 0) {
+      mixed = Value("s" + std::to_string(i % 3));
+    }
+    t.AppendRow({number, mixed});
   }
   return t;
 }
@@ -153,12 +181,14 @@ TEST(ColumnProfiler, BothPathsMatchBruteForceProfile) {
   // just equal stats: the paths must be indistinguishable to every
   // downstream consumer (drift diff, JSONL).
   for (const size_t rows : {kProfileInlineRows - 1, kProfileInlineRows}) {
-    ExecutionContext ctx(4);
-    const Table t = MakeSkewedTable(rows);
-    EXPECT_EQ(ProfileTable(&ctx, t).ToJson(), ReferenceProfile(t).ToJson())
-        << rows << " rows";
-    EXPECT_EQ(RanStage(ctx, "profile:histogram"), rows >= kProfileInlineRows)
-        << rows << " rows";
+    for (const Table& t : {MakeSkewedTable(rows), MakeMixedFormTable(rows)}) {
+      ExecutionContext ctx(4);
+      EXPECT_EQ(ProfileTable(&ctx, t).ToJson(), ReferenceProfile(t).ToJson())
+          << rows << " rows";
+      EXPECT_EQ(RanStage(ctx, "profile:histogram"),
+                rows >= kProfileInlineRows)
+          << rows << " rows";
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <unordered_map>
 
 #include "common/random.h"
 #include "dataflow/context.h"
@@ -63,14 +64,15 @@ std::vector<ViolationWithFixes> RandomEqViolations(size_t count,
   return out;
 }
 
-/// Random hyperedges that stress the hypergraph's layout: three columns,
-/// negative and above-2^32 row ids, cells repeated inside one hyperedge,
-/// fixes naming cells the violation does not list, constant fixes, and
-/// empty hyperedges.
-std::vector<ViolationWithFixes> RandomHyperedges(size_t count, uint64_t seed) {
+/// Random hyperedges over `num_rows` rows that stress the hypergraph's
+/// layout: three columns, negative and above-2^32 row ids, cells repeated
+/// inside one hyperedge, fixes naming cells the violation does not list,
+/// constant fixes, and empty hyperedges.
+std::vector<ViolationWithFixes> RandomHyperedges(size_t count, uint64_t seed,
+                                                 uint64_t num_rows = 30) {
   Random rng(seed);
-  auto random_cell = [&rng] {
-    const int64_t r = static_cast<int64_t>(rng.NextBounded(30));
+  auto random_cell = [&rng, num_rows] {
+    const int64_t r = static_cast<int64_t>(rng.NextBounded(num_rows));
     const RowId row = r % 3 == 0   ? -1 - r
                       : r % 3 == 1 ? (int64_t{1} << 32) + 7919 * r
                                    : r;
@@ -197,65 +199,138 @@ TEST_P(RepairEquivalence, KWaySplitNeverDivergesFromUnsplit) {
   }
 }
 
+/// CSR layout of a violation hypergraph: edge e's nodes are
+/// nodes[offsets[e] .. offsets[e + 1]).
+struct Layout {
+  std::vector<size_t> offsets;
+  std::vector<uint64_t> nodes;
+  size_t num_nodes = 0;
+
+  bool operator==(const Layout&) const = default;
+};
+
+/// The serial build the sharded interner replaced, kept as an oracle: one
+/// table interning every mention in mention order, then each edge's ids
+/// sorted and deduplicated.
+Layout SerialLayout(const std::vector<ViolationWithFixes>& violations) {
+  std::unordered_map<CellRef, uint64_t, CellRefHash> ids;
+  Layout out;
+  out.offsets.push_back(0);
+  for (const ViolationWithFixes& vf : violations) {
+    const size_t begin = out.nodes.size();
+    for (const CellRef& c : Mentions(vf)) {
+      out.nodes.push_back(ids.emplace(c, ids.size()).first->second);
+    }
+    std::sort(out.nodes.begin() + begin, out.nodes.end());
+    out.nodes.erase(std::unique(out.nodes.begin() + begin, out.nodes.end()),
+                    out.nodes.end());
+    out.offsets.push_back(out.nodes.size());
+  }
+  out.num_nodes = ids.size();
+  return out;
+}
+
+Layout LayoutOf(const ViolationHypergraph& graph) {
+  Layout out;
+  out.offsets.push_back(0);
+  for (size_t e = 0; e < graph.num_edges(); ++e) {
+    const auto nodes = graph.edge_nodes(e);
+    out.nodes.insert(out.nodes.end(), nodes.begin(), nodes.end());
+    out.offsets.push_back(out.nodes.size());
+  }
+  out.num_nodes = graph.num_nodes();
+  return out;
+}
+
 TEST_P(RepairEquivalence, HypergraphLayoutMatchesMapOracle) {
   // Pins the order contract of the repair pass: node ids in first-mention
   // order, and component groups ordered by their first hyperedge with
-  // ascending members, on both component paths. The oracle keys cells by
-  // std::map and finds components by BFS over shared cells.
-  auto violations = RandomHyperedges(80, GetParam() + 300);
-  std::map<CellRef, uint64_t> node_of;
-  std::map<CellRef, std::vector<size_t>> edges_of;
-  for (size_t e = 0; e < violations.size(); ++e) {
-    for (const CellRef& c : Mentions(violations[e])) {
-      node_of.emplace(c, node_of.size());
-      edges_of[c].push_back(e);
-    }
-  }
-  std::vector<std::vector<size_t>> expected_groups;
-  std::vector<bool> seen(violations.size(), false);
-  for (size_t first = 0; first < violations.size(); ++first) {
-    if (seen[first] || Mentions(violations[first]).empty()) continue;
-    std::vector<size_t> group;
-    std::vector<size_t> frontier = {first};
-    seen[first] = true;
-    while (!frontier.empty()) {
-      const size_t e = frontier.back();
-      frontier.pop_back();
-      group.push_back(e);
+  // ascending members, on both component paths. The sharded interner must
+  // give the serial build's exact layout with one shard (80 hyperedges,
+  // run on the calling thread) and with the most shards (40000
+  // hyperedges, run as stages), on 1 and 4 workers. The oracle keys cells
+  // by std::map and finds components by BFS over shared cells.
+  for (const auto& [count, num_rows] :
+       {std::pair<size_t, uint64_t>{80, 30}, {40000, 30000}}) {
+    SCOPED_TRACE("hyperedges=" + std::to_string(count));
+    auto violations = RandomHyperedges(count, GetParam() + 300, num_rows);
+    std::map<CellRef, uint64_t> node_of;
+    std::map<CellRef, std::vector<size_t>> edges_of;
+    size_t mentions = 0;
+    for (size_t e = 0; e < violations.size(); ++e) {
       for (const CellRef& c : Mentions(violations[e])) {
-        for (size_t next : edges_of.at(c)) {
-          if (!seen[next]) {
-            seen[next] = true;
-            frontier.push_back(next);
+        node_of.emplace(c, node_of.size());
+        edges_of[c].push_back(e);
+        ++mentions;
+      }
+    }
+    // One shard holds fewer than 16384 mentions; 131072 or more take the
+    // most shards.
+    if (count == 80) {
+      ASSERT_LT(mentions, 16384u);
+    } else {
+      ASSERT_GE(mentions, 131072u);
+    }
+    std::vector<std::vector<size_t>> expected_groups;
+    std::vector<bool> seen(violations.size(), false);
+    for (size_t first = 0; first < violations.size(); ++first) {
+      if (seen[first] || Mentions(violations[first]).empty()) continue;
+      std::vector<size_t> group;
+      std::vector<size_t> frontier = {first};
+      seen[first] = true;
+      while (!frontier.empty()) {
+        const size_t e = frontier.back();
+        frontier.pop_back();
+        group.push_back(e);
+        for (const CellRef& c : Mentions(violations[e])) {
+          for (size_t next : edges_of.at(c)) {
+            if (!seen[next]) {
+              seen[next] = true;
+              frontier.push_back(next);
+            }
           }
         }
       }
+      std::sort(group.begin(), group.end());
+      expected_groups.push_back(std::move(group));
     }
-    std::sort(group.begin(), group.end());
-    expected_groups.push_back(std::move(group));
-  }
-  ASSERT_GT(expected_groups.size(), 1u);
+    ASSERT_GT(expected_groups.size(), 1u);
+    const Layout serial = SerialLayout(violations);
+    ASSERT_EQ(serial.num_nodes, node_of.size());
 
-  ViolationHypergraph graph(violations);
-  ASSERT_EQ(graph.num_nodes(), node_of.size());
-  ASSERT_EQ(graph.num_edges(), violations.size());
-  for (size_t e = 0; e < violations.size(); ++e) {
-    std::vector<uint64_t> expected_nodes;
-    for (const CellRef& c : Mentions(violations[e])) {
-      expected_nodes.push_back(node_of.at(c));
+    for (size_t workers : {1, 4}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      ExecutionContext ctx(workers);
+      const size_t stages_before = ctx.metrics().StageReports().size();
+      ViolationHypergraph graph(violations, &ctx);
+      // One shard builds on the calling thread; many run as stages.
+      EXPECT_EQ(ctx.metrics().StageReports().size() > stages_before,
+                count > 80);
+      ASSERT_EQ(graph.num_nodes(), node_of.size());
+      ASSERT_EQ(graph.num_edges(), violations.size());
+      for (size_t e = 0; e < violations.size(); ++e) {
+        std::vector<uint64_t> expected_nodes;
+        for (const CellRef& c : Mentions(violations[e])) {
+          expected_nodes.push_back(node_of.at(c));
+        }
+        std::sort(expected_nodes.begin(), expected_nodes.end());
+        expected_nodes.erase(
+            std::unique(expected_nodes.begin(), expected_nodes.end()),
+            expected_nodes.end());
+        const auto nodes = graph.edge_nodes(e);
+        ASSERT_EQ(std::vector<uint64_t>(nodes.begin(), nodes.end()),
+                  expected_nodes)
+            << "hyperedge " << e;
+      }
+      EXPECT_TRUE(LayoutOf(graph) == serial);
+      EXPECT_EQ(graph.ConnectedComponentGroups(), expected_groups);
+      // The BSP path's supersteps grow with the component diameter, so it
+      // runs on the small graph only: the large one checks the interner.
+      if (count == 80) {
+        EXPECT_EQ(graph.ConnectedComponentGroups(&ctx), expected_groups);
+      }
     }
-    std::sort(expected_nodes.begin(), expected_nodes.end());
-    expected_nodes.erase(
-        std::unique(expected_nodes.begin(), expected_nodes.end()),
-        expected_nodes.end());
-    const auto nodes = graph.edge_nodes(e);
-    EXPECT_EQ(std::vector<uint64_t>(nodes.begin(), nodes.end()),
-              expected_nodes)
-        << "hyperedge " << e;
   }
-  ExecutionContext ctx(3);
-  EXPECT_EQ(graph.ConnectedComponentGroups(), expected_groups);
-  EXPECT_EQ(graph.ConnectedComponentGroups(&ctx), expected_groups);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RepairEquivalence,

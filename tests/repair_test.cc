@@ -72,7 +72,8 @@ TEST(Hypergraph, GroupsEdgesByComponent) {
   violations.push_back(EqViolation(0, 1, 2, Value("a"), Value("b")));
   violations.push_back(EqViolation(1, 2, 2, Value("b"), Value("a")));
   violations.push_back(EqViolation(5, 6, 2, Value("x"), Value("y")));
-  ViolationHypergraph graph(violations);
+  ExecutionContext ctx(2);
+  ViolationHypergraph graph(violations, &ctx);
   EXPECT_EQ(graph.num_edges(), 3u);
   EXPECT_EQ(graph.num_nodes(), 5u);
   auto groups = graph.ConnectedComponentGroups();

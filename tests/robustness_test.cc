@@ -183,7 +183,8 @@ TEST(Robustness, UdfDetectProducingMalformedViolationIsTolerated) {
   fix.right = FixTerm::MakeCell(b);
   good.fixes = {fix};
   std::vector<ViolationWithFixes> violations = {empty, good};
-  ViolationHypergraph graph(violations);
+  ExecutionContext ctx(2);
+  ViolationHypergraph graph(violations, &ctx);
   EXPECT_EQ(graph.num_edges(), 2u);
   auto groups = graph.ConnectedComponentGroups();
   // The empty edge belongs to no component; the good one forms one.
@@ -191,7 +192,6 @@ TEST(Robustness, UdfDetectProducingMalformedViolationIsTolerated) {
   for (const auto& g : groups) edges_in_groups += g.size();
   EXPECT_EQ(edges_in_groups, 1u);
   EquivalenceClassAlgorithm ec;
-  ExecutionContext ctx(2);
   auto result = BlackBoxRepair(&ctx, violations, ec, BlackBoxOptions());
   EXPECT_EQ(result.applied.size(), 1u);
 }

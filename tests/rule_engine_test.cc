@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <set>
 
+#include "common/hash.h"
 #include "data/csv.h"
+#include "datagen/datagen.h"
 #include "rules/parser.h"
 #include "rules/similarity.h"
 #include "rules/udf_rule.h"
+#include "join_test_util.h"
 
 namespace bigdansing {
 namespace {
@@ -251,6 +254,64 @@ TEST(RuleEngine, StrategiesAgreeOnViolationSet) {
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
   EXPECT_FALSE(a.empty());
+}
+
+TEST(RuleEngine, DetectInPlaceKeepsViolationOrder) {
+  // Detect reads the table through a view cut on FromVector's partition
+  // boundaries, so every rule shape must emit the violations, in the order,
+  // of the engine that copied the table into a dataset first. The expected
+  // fingerprints were recorded from that engine. Sizes: empty, one row,
+  // one row short of the 8 partitions of 4 workers (a trailing partition
+  // stays empty), and 10 * 8 + 3 rows.
+  struct Case {
+    const char* rule;
+    bool iejoin;
+  };
+  const std::vector<Case> cases = {
+      {"fd: FD: zipcode -> city", false},
+      {"cfd: CFD: state=\"AL\", zipcode -> city", false},
+      {"chk: CHECK: t1.salary < 40000", false},
+      {"oc: DC: t1.salary > t2.salary & t1.rate < t2.rate", false},
+      {"ie: DC: t1.salary > t2.salary & t1.rate < t2.rate", true},
+  };
+  const std::vector<size_t> sizes = {0, 1, 7, 83};
+  // expected[case][size]: the hashed order-sensitive fingerprint (every
+  // violation's rule, cells and candidate fixes, in stream order).
+  const uint64_t kEmpty = 0x14650fb0739d0383ULL;
+  const uint64_t expected[5][4] = {
+      {kEmpty, kEmpty, 0x81caeeb131b4a57bULL, 0xdf942835aae9609cULL},
+      {kEmpty, kEmpty, 0x371292da904319f2ULL, 0xf1c2fc525b1983c7ULL},
+      {kEmpty, kEmpty, 0x8781bd19970cc6edULL, 0x560f71c86d8d769bULL},
+      {kEmpty, kEmpty, 0x528129773863cf2aULL, 0x2368f0a6c9921918ULL},
+      {kEmpty, kEmpty, 0x3dfb9b5270e57346ULL, 0x9e8ac5a47c2ec738ULL},
+  };
+
+  for (size_t s = 0; s < sizes.size(); ++s) {
+    // The DC cases read TaxB, whose rates break the salary order.
+    const Table tax_a = GenerateTaxA(sizes[s], 0.5, /*seed=*/5).dirty;
+    const Table tax_b = GenerateTaxB(sizes[s], 0.2, /*seed=*/5).dirty;
+    for (size_t c = 0; c < cases.size(); ++c) {
+      const bool dc = c >= 3;
+      PlannerOptions options;
+      options.use_iejoin = cases[c].iejoin;
+      for (bool kernels : {true, false}) {
+        ExecutionContext ctx(4);
+        ctx.set_kernels_enabled(kernels);
+        RuleEngine engine(&ctx, options);
+        auto result =
+            engine.Detect(dc ? tax_b : tax_a, *ParseRule(cases[c].rule));
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        // The table counts as read once; a join's pair dataset adds its
+        // pairs, here exactly the violations.
+        EXPECT_EQ(ctx.metrics().records_read(),
+                  sizes[s] + (dc ? result->violations.size() : 0));
+        EXPECT_EQ(StableHashBytes(join_test::DetectFingerprint(*result)),
+                  expected[c][s])
+            << cases[c].rule << ", " << sizes[s] << " rows, kernels "
+            << (kernels ? "on" : "off");
+      }
+    }
+  }
 }
 
 }  // namespace
