@@ -32,7 +32,9 @@ void Run() {
     auto detection =
         engine.Detect(data.dirty, *ParseRule("phi1: FD: zipcode -> city"));
     if (!detection.ok()) continue;
-    ViolationHypergraph graph(detection->violations, &ctx);
+    const ViolationBuffer buffer =
+        ViolationBuffer::FromObjects(detection->violations);
+    ViolationHypergraph graph(buffer, &ctx);
     const size_t nodes = graph.num_nodes();
     const auto edges = graph.StarEdges();
 

@@ -146,6 +146,11 @@ Status FaultInjector::ParseSpec(const std::string& text,
         }
         spec.any_task = false;
         spec.task = static_cast<size_t>(task);
+      } else if (key == "run") {
+        if (!ParseUintField(value, &spec.run) || spec.run == 0) {
+          return Status::InvalidArgument("fault spec run '" + value +
+                                         "' is not a positive integer");
+        }
       } else if (key == "kind") {
         if (value == "throw") {
           spec.kind = Kind::kThrow;
@@ -180,6 +185,7 @@ Status FaultInjector::ParseSpec(const std::string& text,
                                      "' has no stage= field");
     }
     spec.hits = std::make_shared<std::atomic<uint64_t>>(0);
+    spec.runs = std::make_shared<std::atomic<uint64_t>>(0);
     out->push_back(std::move(spec));
   }
   return Status::OK();
@@ -194,6 +200,26 @@ double FaultInjector::Draw(uint64_t seed, const std::string& site, size_t task,
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
+namespace {
+
+bool SiteMatches(const std::string& filter, bool wildcard,
+                 const std::string& site) {
+  return wildcard ? site.compare(0, filter.size(), filter) == 0
+                  : site == filter;
+}
+
+}  // namespace
+
+void FaultInjector::OnStageStart(const std::string& site) {
+  if (!enabled_.load(std::memory_order_acquire)) return;
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const Spec& spec : specs_) {
+    if (SiteMatches(spec.site, spec.wildcard, site)) {
+      spec.runs->fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+}
+
 void FaultInjector::OnSite(const std::string& site, size_t task,
                            size_t attempt) {
   if (!enabled()) return;
@@ -206,11 +232,12 @@ void FaultInjector::OnSite(const std::string& site, size_t task,
     if (tracking_.load(std::memory_order_relaxed)) seen_sites_.insert(site);
     seed = seed_;
     for (const Spec& spec : specs_) {
-      const bool site_match =
-          spec.wildcard ? site.compare(0, spec.site.size(), spec.site) == 0
-                        : site == spec.site;
-      if (!site_match) continue;
+      if (!SiteMatches(spec.site, spec.wildcard, site)) continue;
       if (!spec.any_task && task != spec.task) continue;
+      if (spec.run != 0 &&
+          spec.runs->load(std::memory_order_relaxed) != spec.run) {
+        continue;
+      }
       if (spec.hits->load(std::memory_order_relaxed) >= spec.max_hits) continue;
       if (spec.probability < 1.0 &&
           Draw(seed, site, task, attempt) >= spec.probability) {

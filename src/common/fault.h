@@ -94,6 +94,9 @@ struct FaultPolicy {
 ///
 ///   stage=<name|prefix*|*>   site filter (required)
 ///   task=<n>                 only task index n (default: any task)
+///   run=<n>                  only the n-th start (from 1) of a stage
+///                            matching the site filter since Configure()
+///                            (default: every run)
 ///   kind=throw|delay         throw TaskFailure, or sleep (default throw)
 ///   prob=<p>                 per-attempt firing probability (default 1.0)
 ///   times=<n>                stop after n injections (default unlimited)
@@ -130,6 +133,10 @@ class FaultInjector {
   /// Probes the site. May throw TaskFailure (kind=throw) or sleep
   /// (kind=delay). Also records the site when site tracking is on.
   void OnSite(const std::string& site, size_t task, size_t attempt);
+  /// Counts one start of stage `site` for the specs whose filter matches
+  /// it (the run= index). The StageExecutor calls it once per stage, before
+  /// any task attempt.
+  void OnStageStart(const std::string& site);
 
   /// Site tracking: when on, OnSite records every distinct site name even
   /// with no specs active. Lets tests enumerate all registered fault sites
@@ -152,6 +159,9 @@ class FaultInjector {
     bool wildcard = false;
     bool any_task = true;
     size_t task = 0;
+    uint64_t run = 0;  // 0: every run
+    /// Starts of matching stages so far; the current one's index.
+    std::shared_ptr<std::atomic<uint64_t>> runs;
     Kind kind = Kind::kThrow;
     double probability = 1.0;
     uint64_t max_hits = UINT64_MAX;

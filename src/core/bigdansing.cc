@@ -87,8 +87,11 @@ Result<CleanReport> BigDansing::Clean(Table* table,
   request.table = table;
   request.rules = rules;
   FixpointSpec spec;
-  spec.detect = [&](const std::unordered_set<RowId>&) {
-    return engine.Detect(request);
+  spec.detect = [&](const std::unordered_set<RowId>&)
+      -> Result<ViolationBuffer> {
+    auto detected = engine.DetectBuffered(request);
+    if (!detected.ok()) return detected.status();
+    return std::move(detected->violations);
   };
   spec.find_row = [table](RowId id) { return table->FindMutableRowById(id); };
   spec.profile_input = true;

@@ -17,8 +17,7 @@ namespace {
 
 using detect::BlockScratch;
 using detect::IterateBlock;
-using detect::MaterializePair;
-using detect::MaterializeSingle;
+using detect::KernelUnit;
 using detect::MergeOutputs;
 using detect::MergeTaskPieces;
 using detect::TaskOutput;
@@ -31,7 +30,7 @@ using SlotPtrs = std::vector<std::vector<const uint32_t*>>;
 
 bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
                        const PartitionView<Row>& base, ColumnarCaches* caches,
-                       DetectionResult* result) {
+                       ViolationBuffer* violations, DetectionResult* result) {
   // Eligibility — decided before any stage runs, so a false return leaves
   // the engine free to take the interpreted path untouched.
   if (plan.block_key_fn) return false;  // procedural UDF keys stay interpreted
@@ -48,9 +47,9 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
   result->plan_description += " [kernel]";
   TraceRecorder& trace = TraceRecorder::Instance();
 
-  // The kernel path never runs the eager scope stage: codes are encoded
-  // straight from base rows (honouring the scope's column mapping) and the
-  // projection is applied on demand, only to matched candidates.
+  // The kernel path never runs the scope stage: codes are encoded straight
+  // from base rows, honouring the scope's column mapping, and so is what
+  // compiled GenFix writes.
   auto to_base = [&](size_t c) {
     return plan.scope_columns.empty() ? c : plan.scope_columns[c];
   };
@@ -125,9 +124,15 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
       slot_ptrs[p].push_back(enc.at(to_base(c))->codes[p].data());
     }
   }
-  // Matched candidates are materialized exactly as the interpreted path
-  // sees them: the base row, or its on-demand scope projection.
-  const std::vector<size_t>& scope = plan.scope_columns;
+  // Matched candidates are written by the rule's compiled GenFix, which
+  // reads the base rows through the plan's scope; a cell's value stays at
+  // its row's table position (partition p starts at part_begin[p]).
+  const std::unique_ptr<ViolationWriter> writer =
+      tmpl->BindWriter(plan.rule->name(), plan.scope_columns);
+  std::vector<uint32_t> part_begin(bparts.size() + 1, 0);
+  for (size_t p = 0; p < bparts.size(); ++p) {
+    part_begin[p + 1] = part_begin[p] + static_cast<uint32_t>(bparts[p].size());
+  }
 
   // --- Arity-1 rules: evaluate every unit against the code vectors.
   if (single) {
@@ -139,12 +144,12 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
         [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
           TaskOutput out;
           const uint32_t* const* cols = slot_ptrs[p].data();
-          Row storage;
           for (size_t i = begin; i < end; ++i) {
             ++out.detect_calls;
             if (kernel->MatchesSingle(CodeTuple{cols, i})) {
-              MaterializeSingle(*plan.rule,
-                                DetectRow(bparts[p][i], scope, &storage), &out);
+              writer->WriteSingle(
+                  {&bparts[p][i], part_begin[p] + static_cast<uint32_t>(i)},
+                  &out.violations);
             }
           }
           tc.records_in = end - begin;
@@ -154,7 +159,7 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
         [](size_t, std::vector<TaskOutput>&& pieces) {
           return MergeTaskPieces(std::move(pieces));
         });
-    MergeOutputs(&tasks, result);
+    MergeOutputs(&tasks, violations, result);
     return true;
   }
 
@@ -232,14 +237,12 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
           for (size_t b = begin; b < end; ++b) {
             const std::vector<RowRef>& block = gparts[p][b].second;
             IterateBlock(
-                plan, block.size(),
-                [&](size_t i, Row* storage) -> const Row& {
+                plan, block.size(), detect::NoRows(), &scratch, &out,
+                kernel.get(), writer.get(), [&](size_t i) {
                   const RowRef& r = block[i];
-                  return DetectRow(bparts[r.part][r.idx], scope, storage);
-                },
-                &scratch, &out, kernel.get(), [&](size_t i) {
-                  const RowRef& r = block[i];
-                  return CodeTuple{slot_ptrs[r.part].data(), r.idx};
+                  return KernelUnit{
+                      CodeTuple{slot_ptrs[r.part].data(), r.idx},
+                      {&bparts[r.part][r.idx], part_begin[r.part] + r.idx}};
                 });
           }
           ctx->metrics().AddPairsEnumerated(out.detect_calls);
@@ -250,7 +253,7 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
         [](size_t, std::vector<TaskOutput>&& pieces) {
           return MergeTaskPieces(std::move(pieces));
         });
-    MergeOutputs(&tasks, result);
+    MergeOutputs(&tasks, violations, result);
     return true;
   }
 
@@ -308,9 +311,9 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
         auto eval = [&](size_t i, size_t j) {
           ++out.detect_calls;
           if (kernel->Matches(CodeTuple{cols, i}, CodeTuple{cols, j})) {
-            Row sa, sb;
-            MaterializePair(*plan.rule, DetectRow(*base_rows[i], scope, &sa),
-                            DetectRow(*base_rows[j], scope, &sb), &out);
+            writer->WritePair({base_rows[i], static_cast<uint32_t>(i)},
+                              {base_rows[j], static_cast<uint32_t>(j)},
+                              &out.violations);
           }
         };
         for (size_t i = ibegin; i < iend; ++i) {
@@ -333,7 +336,7 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
         return out;
       });
   if (!tasks.ok()) throw StageError(tasks.status());
-  MergeOutputs(&*tasks, result);
+  MergeOutputs(&*tasks, violations, result);
   return true;
 }
 

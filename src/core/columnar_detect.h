@@ -27,11 +27,10 @@ struct RowRef {
 };
 
 /// The per-row projection PScope applies (values + source-column mapping,
-/// id preserved). The kernel path skips the eager scope stage — codes are
-/// built straight from base rows — and applies this projection only to the
-/// rows of matched candidates, so materialized violations are byte-equal to
-/// the interpreted path's. Kept here so the eager ApplyScope stage and the
-/// kernel's on-demand projection cannot drift apart.
+/// id preserved). The kernel path skips it altogether — codes are built
+/// straight from base rows and compiled GenFix maps detect-schema columns
+/// to base columns — while the interpreted stages and UDF block keys
+/// project with it.
 inline Row ScopeProject(const Row& row,
                         const std::vector<size_t>& scope_columns) {
   std::vector<Value> values;
@@ -70,14 +69,17 @@ struct ColumnarCaches {
 
 /// Runs one rule's Detect through the columnar kernel path when the rule is
 /// kernelizable (a registered compiler accepts it, no UDF block key, not a
-/// global OCJoin). Appends to `result` and returns true on success; returns
-/// false — without running any stage — when the rule must take the
-/// interpreted path. Output is bit-identical to the interpreted path: the
-/// kernel only decides which candidates match, and violations are
-/// materialized by the rule itself in the same enumeration order.
+/// global OCJoin). Appends its violations to `violations` and its counters
+/// to `result` and returns true on success; returns false — without
+/// running any stage — when the rule must take the interpreted path.
+/// `base` must view a table's rows in order (PartitionView::Split), since
+/// the cells written carry table positions. Output is bit-identical to the
+/// interpreted path: the kernel decides which candidates match and the
+/// rule's compiled GenFix writes what Rule::Detect/GenFix would, in the
+/// same enumeration order.
 bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
                        const PartitionView<Row>& base, ColumnarCaches* caches,
-                       DetectionResult* result);
+                       ViolationBuffer* violations, DetectionResult* result);
 
 }  // namespace columnar
 }  // namespace bigdansing

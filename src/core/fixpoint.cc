@@ -19,6 +19,12 @@ std::string ColumnName(const Schema& schema, size_t column) {
                                           : std::string();
 }
 
+/// Column of violation v's first fix's left cell (pooled violations have
+/// at least one fix).
+size_t FirstFixColumn(const ViolationBuffer& violations, size_t v) {
+  return violations.cells(v)[violations.fixes(v).front().left].column;
+}
+
 /// Applies one repair pass through `find_row`, skipping frozen cells and
 /// writes that change nothing; returns the cells actually changed. While
 /// `by_rule` is set (the ledger or the quality recorder is on), it also
@@ -26,8 +32,7 @@ std::string ColumnName(const Schema& schema, size_t column) {
 /// per rule and column, and every pooled violation no applied fix resolved
 /// as unresolved. A violation attributes to the column of its first
 /// candidate fix, so the per-rule sums reconcile exactly with the ledger.
-size_t ApplyPass(const RepairPassResult& pass,
-                 const std::vector<ViolationWithFixes>& pooled,
+size_t ApplyPass(const RepairPassResult& pass, const ViolationBuffer& pooled,
                  const std::function<Row*(RowId)>& find_row,
                  const FreezeState& freeze, const Schema& schema,
                  size_t iteration, bool lineage_on,
@@ -78,12 +83,12 @@ size_t ApplyPass(const RepairPassResult& pass,
   // the next detect pass (or the end of the run) unresolved.
   for (uint64_t vid = 0; vid < pooled.size(); ++vid) {
     if (resolved.count(vid) > 0) continue;
-    const std::string& rule = pooled[vid].violation.rule_name;
+    const std::string& rule = pooled.rule_name(vid);
     if (lineage_on) lineage.RecordUnresolved(rule, vid, iteration);
     ++(*by_rule)[rule].unresolved;
     if (sample != nullptr) {
-      ++sample->unresolved[rule][ColumnName(
-          schema, pooled[vid].fixes.front().left.ref.column)];
+      ++sample->unresolved[rule]
+                          [ColumnName(schema, FirstFixColumn(pooled, vid))];
     }
   }
   return changed;
@@ -135,27 +140,33 @@ Result<FixpointResult> RunFixpoint(ExecutionContext* ctx,
       if (trace.enabled()) {
         span.emplace("detect:iter" + std::to_string(iter), "phase");
       }
-      auto detections = spec.detect(changed);
-      if (!detections.ok()) return detections.status();
+      auto detected = spec.detect(changed);
+      if (!detected.ok()) return detected.status();
       it.detect_seconds = detect_timer.ElapsedSeconds();
       span.reset();
 
-      // Pool all rules' violations; drop violations whose fixes only touch
-      // frozen cells ("violations with no possible fixes" terminate the
-      // loop, §2.1).
-      std::vector<ViolationWithFixes> pooled;
-      for (auto& d : *detections) {
-        for (auto& vf : d.violations) {
-          const bool repairable =
-              std::any_of(vf.fixes.begin(), vf.fixes.end(), [&](const Fix& f) {
-                return freeze->frozen.count(f.left.ref) == 0;
-              });
-          if (!repairable) continue;
-          if (quality_on) {
-            ++sample.violations[vf.violation.rule_name][ColumnName(
-                schema, vf.fixes.front().left.ref.column)];
-          }
-          pooled.push_back(std::move(vf));
+      // Pool all rules' violations in place; drop violations whose fixes
+      // only touch frozen cells ("violations with no possible fixes"
+      // terminate the loop, §2.1).
+      ViolationBuffer& pooled = *detected;
+      std::vector<char> keep(pooled.size());
+      size_t kept = 0;
+      for (size_t v = 0; v < pooled.size(); ++v) {
+        const std::span<const BufferCell> cells = pooled.cells(v);
+        const std::span<const BufferFix> fixes = pooled.fixes(v);
+        keep[v] = std::any_of(fixes.begin(), fixes.end(),
+                              [&](const BufferFix& f) {
+                                return freeze->frozen.empty() ||
+                                       freeze->frozen.count(
+                                           cells[f.left].ref()) == 0;
+                              });
+        kept += keep[v];
+      }
+      if (kept < pooled.size()) pooled.Retain(keep);
+      if (quality_on) {
+        for (size_t v = 0; v < pooled.size(); ++v) {
+          ++sample.violations[pooled.rule_name(v)]
+                             [ColumnName(schema, FirstFixColumn(pooled, v))];
         }
       }
       it.violations = pooled.size();

@@ -11,6 +11,7 @@
 #include "common/lineage.h"
 #include "common/status.h"
 #include "core/bigdansing.h"
+#include "rules/violation_buffer.h"
 
 namespace bigdansing {
 
@@ -25,9 +26,11 @@ struct FreezeState {
   uint64_t oscillating = 0;
 };
 
-/// Detects one iteration's violations, given the rows the previous
-/// iteration changed (the caller's seed rows on the first iteration).
-using FixpointDetectFn = std::function<Result<std::vector<DetectionResult>>(
+/// Detects one iteration's violations of every rule, given the rows the
+/// previous iteration changed (the caller's seed rows on the first
+/// iteration). The buffer's table cells must refer to the table the
+/// fix-point repairs.
+using FixpointDetectFn = std::function<Result<ViolationBuffer>(
     const std::unordered_set<RowId>& changed)>;
 
 /// What a caller plugs into RunFixpoint.
@@ -59,7 +62,9 @@ struct FixpointResult {
 };
 
 /// The cleansing fix-point of §2.2: detect, pool the repairable violations
-/// of every rule, repair them with RepairStrategyFor(options.repair_mode),
+/// of every rule (in place in the detected buffer: a violation is
+/// repairable when some fix's left cell is not frozen), repair them with
+/// RepairStrategyFor(options.repair_mode),
 /// apply the fixes with lineage and quality attribution, and freeze cells
 /// updated options.freeze_after_updates times, until an iteration finds
 /// nothing to repair or options.max_iterations is reached. `changed`

@@ -97,6 +97,7 @@ Status StreamSession::Init() {
         for (size_t c : ri.tmpl->columns()) {
           ri.kernel_slots.push_back(slot_of(c, ri.plan));
         }
+        ri.writer = ri.tmpl->BindWriter(rule->name(), ri.plan.scope_columns);
       }
     }
     indexes_.push_back(std::move(ri));
@@ -440,8 +441,8 @@ bool StreamSession::BlockMayViolate(const RuleIndex& ri,
   return false;
 }
 
-Result<DetectionResult> StreamSession::DetectDirtyBlocks(RuleIndex* ri,
-                                                        size_t* candidates) {
+Status StreamSession::DetectDirtyBlocks(RuleIndex* ri, size_t* candidates,
+                                        ViolationBuffer* out) {
   EnsureKernelBound(ri);
   // The kernel reads the kernel slots' codes in place (tuple row = table
   // position).
@@ -461,8 +462,7 @@ Result<DetectionResult> StreamSession::DetectDirtyBlocks(RuleIndex* ri,
     blocks.push_back(&members);
   }
   ri->dirty.clear();
-  DetectionResult result;
-  if (blocks.empty()) return result;
+  if (blocks.empty()) return Status::OK();
   // Blocks are disjoint and their members ascending, so ordering them by
   // first member makes the violation order follow table order.
   std::sort(blocks.begin(), blocks.end(),
@@ -475,6 +475,7 @@ Result<DetectionResult> StreamSession::DetectDirtyBlocks(RuleIndex* ri,
   // ordered blocks), and the tasks' outputs merge in task order.
   const PhysicalRulePlan& plan = ri->plan;
   const DetectKernel* kernel = ri->kernel.get();
+  const ViolationWriter* writer = ri->writer.get();
   const size_t num_tasks =
       std::min(blocks.size(), session_ctx_->default_partitions());
   auto first_block = [&](size_t t) { return t * blocks.size() / num_tasks; };
@@ -493,8 +494,10 @@ Result<DetectionResult> StreamSession::DetectDirtyBlocks(RuleIndex* ri,
                 return columnar::DetectRow(table_->row(members[i]),
                                            plan.scope_columns, storage);
               },
-              &scratch, &out, kernel, [&](size_t i) {
-                return CodeTuple{kernel_cols.data(), members[i]};
+              &scratch, &out, kernel, writer, [&](size_t i) {
+                return detect::KernelUnit{
+                    CodeTuple{kernel_cols.data(), members[i]},
+                    {&table_->row(members[i]), members[i]}};
               });
         }
         ctx()->metrics().AddPairsEnumerated(out.detect_calls);
@@ -506,8 +509,9 @@ Result<DetectionResult> StreamSession::DetectDirtyBlocks(RuleIndex* ri,
         return detect::MergeTaskPieces(std::move(pieces));
       });
   if (!tasks.ok()) return tasks.status();
-  detect::MergeOutputs(&*tasks, &result);
-  return result;
+  DetectionResult counts;
+  detect::MergeOutputs(&*tasks, out, &counts);
+  return Status::OK();
 }
 
 Result<std::unordered_set<RowId>> StreamSession::RunWindow(
@@ -604,17 +608,16 @@ Result<StreamWindowReport> StreamSession::ProcessWindow() {
   std::vector<std::vector<uint64_t>> taken(indexes_.size());
   RuleEngine engine(ctx(), opts_.clean.planner);
   auto detect = [&](const std::unordered_set<RowId>& changed)
-      -> Result<std::vector<DetectionResult>> {
-    std::vector<DetectionResult> found;
+      -> Result<ViolationBuffer> {
+    ViolationBuffer found(table_);
     for (size_t r = 0; r < rules_.size(); ++r) {
       RuleIndex& ri = indexes_[r];
       if (ri.blocked) {
         if (ri.dirty.empty()) continue;
         rep.dirty_blocks += ri.dirty.size();
         taken[r].insert(taken[r].end(), ri.dirty.begin(), ri.dirty.end());
-        auto res = DetectDirtyBlocks(&ri, &rep.candidate_rows);
-        if (!res.ok()) return res.status();
-        found.push_back(std::move(*res));
+        BIGDANSING_RETURN_NOT_OK(
+            DetectDirtyBlocks(&ri, &rep.candidate_rows, &found));
         continue;
       }
       if (changed.empty()) continue;
@@ -622,9 +625,9 @@ Result<StreamWindowReport> StreamSession::ProcessWindow() {
       req.table = table_;
       req.rules = {rules_[r]};
       req.changed_rows = &changed;
-      auto res = engine.Detect(req);
+      auto res = engine.DetectBuffered(req);
       if (!res.ok()) return res.status();
-      found.push_back(std::move((*res)[0]));
+      found.Append(std::move(res->violations));
     }
     return found;
   };
@@ -668,9 +671,12 @@ Result<StreamWindowReport> StreamSession::VerifyWindow() {
   DetectRequest req;
   req.table = table_;
   req.rules = rules_;
-  auto detect = [&](const std::unordered_set<RowId>&) {
+  auto detect = [&](const std::unordered_set<RowId>&)
+      -> Result<ViolationBuffer> {
     rep.candidate_rows += table_->num_rows();
-    return engine.Detect(req);
+    auto detected = engine.DetectBuffered(req);
+    if (!detected.ok()) return detected.status();
+    return std::move(detected->violations);
   };
   auto residual = RunWindow(detect, {}, &rep);
   if (!residual.ok()) return residual.status();

@@ -175,6 +175,8 @@ class StreamSession {
     /// reads grows. It prescreens dirty blocks and decides their pairs.
     std::shared_ptr<const KernelTemplate> tmpl;
     std::unique_ptr<DetectKernel> kernel;
+    /// The rule's compiled GenFix (null exactly when `tmpl` is).
+    std::unique_ptr<ViolationWriter> writer;
     uint64_t kernel_pool_epoch = 0;
     /// Code column (indexed slot) per kernel slot.
     std::vector<size_t> kernel_slots;
@@ -260,9 +262,12 @@ class StreamSession {
   /// prescreen-positive blocks, in ascending order of their first member
   /// position, run through one `stream:iterate|detect|genfix` stage that
   /// enumerates each block in place (detect::IterateBlock, the engine's
-  /// blocked-stage routine) — codes from code_cols_, matches built from the
-  /// table rows. Adds the blocks' member count to `*candidates`.
-  Result<DetectionResult> DetectDirtyBlocks(RuleIndex* ri, size_t* candidates);
+  /// blocked-stage routine) — codes from code_cols_, matches written by the
+  /// compiled GenFix at their table positions. That order is the order of
+  /// the violations appended to `out`, and with it the repair's node ids.
+  /// Adds the blocks' member count to `*candidates`.
+  Status DetectDirtyBlocks(RuleIndex* ri, size_t* candidates,
+                           ViolationBuffer* out);
 
   void PushStats(bool closing = false);
 

@@ -432,6 +432,7 @@ class StageExecutor {
                     << " tasks=" << num_tasks;
     }
     const size_t handle = metrics.BeginStage(stage_name, num_tasks);
+    FaultInjector::Instance().OnStageStart(stage_name);
     // Resource accounting brackets the stage: RSS and steal-counter deltas
     // between here and FinishStage land in the StageReport.
     StageResourceProbe resource_probe;

@@ -72,18 +72,6 @@ class CellInterner {
   std::vector<CellRef> cells_;
 };
 
-/// Calls `f` on every cell `vf` mentions, in mention order: the violation's
-/// cells, then each fix's left and right cell (a fix may mention a cell
-/// that Detect did not list).
-template <typename F>
-void ForEachMention(const ViolationWithFixes& vf, F&& f) {
-  for (const Cell& c : vf.violation.cells) f(c.ref);
-  for (const Fix& fix : vf.fixes) {
-    f(fix.left.ref);
-    if (fix.right.is_cell) f(fix.right.cell.ref);
-  }
-}
-
 /// A mention routed to its shard: the cell and its mention index.
 struct Mention {
   CellRef ref;
@@ -92,19 +80,16 @@ struct Mention {
 
 }  // namespace
 
-ViolationHypergraph::ViolationHypergraph(
-    const std::vector<ViolationWithFixes>& violations, ExecutionContext* ctx)
+ViolationHypergraph::ViolationHypergraph(const ViolationBuffer& violations,
+                                         ExecutionContext* ctx)
     : violations_(&violations) {
-  // Edge e's mentions are [mention_begin[e], mention_begin[e + 1]) in
-  // mention order.
+  // Edge e's mentions are its buffer cells, [mention_begin(e),
+  // mention_begin(e + 1)) in mention order.
   const size_t num_edges = violations.size();
-  std::vector<size_t> mention_begin(num_edges + 1, 0);
-  for (size_t e = 0; e < num_edges; ++e) {
-    size_t n = 0;
-    ForEachMention(violations[e], [&n](const CellRef&) { ++n; });
-    mention_begin[e + 1] = mention_begin[e] + n;
-  }
-  const size_t mentions = mention_begin[num_edges];
+  const size_t mentions = violations.num_cells();
+  auto mention_begin = [&](size_t e) {
+    return e < num_edges ? violations.cell_begin(e) : mentions;
+  };
   BD_CHECK(mentions < UINT32_MAX) << "too many cell mentions";
 
   size_t shard_bits = 0;
@@ -143,18 +128,16 @@ ViolationHypergraph::ViolationHypergraph(
     const auto [begin, end] = chunk_edges(c);
     std::vector<std::vector<Mention>> out(num_shards);
     for (auto& bucket : out) {
-      bucket.reserve((mention_begin[end] - mention_begin[begin]) /
+      bucket.reserve((mention_begin(end) - mention_begin(begin)) /
                          num_shards + 16);
     }
-    for (size_t e = begin; e < end; ++e) {
-      uint32_t index = static_cast<uint32_t>(mention_begin[e]);
-      ForEachMention(violations[e], [&](const CellRef& ref) {
-        out[shard_of(ref)].push_back({ref, index++});
-      });
+    for (size_t m = mention_begin(begin); m < mention_begin(end); ++m) {
+      const CellRef ref = violations.cell(m).ref();
+      out[shard_of(ref)].push_back({ref, static_cast<uint32_t>(m)});
     }
     routed[c] = std::move(out);
     tc.records_in = end - begin;
-    tc.records_out = mention_begin[end] - mention_begin[begin];
+    tc.records_out = mention_begin(end) - mention_begin(begin);
   });
 
   // 2. Intern each shard's mentions in mention order (chunk by chunk),
@@ -204,8 +187,8 @@ ViolationHypergraph::ViolationHypergraph(
     uint64_t next = chunk_base[c];
     std::vector<uint64_t> edge;
     for (size_t e = begin; e < end; ++e) {
-      edge.assign(keys.begin() + mention_begin[e],
-                  keys.begin() + mention_begin[e + 1]);
+      edge.assign(keys.begin() + mention_begin(e),
+                  keys.begin() + mention_begin(e + 1));
       for (uint64_t& key : edge) {
         if (key & kFirstMention) {
           key &= ~kFirstMention;
@@ -228,7 +211,7 @@ ViolationHypergraph::ViolationHypergraph(
     std::vector<uint64_t> edge;
     for (size_t e = begin; e < end; ++e) {
       edge.clear();
-      for (size_t m = mention_begin[e]; m < mention_begin[e + 1]; ++m) {
+      for (size_t m = mention_begin(e); m < mention_begin(e + 1); ++m) {
         const uint64_t key = keys[m] & ~kFirstMention;
         edge.push_back(node_of[key >> 32][key & kLocalMask]);
       }

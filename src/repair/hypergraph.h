@@ -8,6 +8,7 @@
 
 #include "dataflow/context.h"
 #include "rules/violation.h"
+#include "rules/violation_buffer.h"
 
 namespace bigdansing {
 
@@ -17,13 +18,16 @@ namespace bigdansing {
 /// into connected components for independent repair.
 ///
 /// Flat layout: node ids follow the cells' first appearance (violation
-/// order; within a violation its cells, then each fix's left and right
+/// order; within a violation its cells in buffer order, which is the
+/// object form's mention order: its cells, then each fix's left and right
 /// cell), and the hyperedges are one CSR array — edge e's ascending,
 /// deduplicated node ids are `nodes_[offsets_[e] .. offsets_[e + 1])`.
 /// Those orders fix the component ids and group order below, and with them
 /// the order of a repair pass's assignments and lineage.
 ///
-/// The build interns cell mentions in shards keyed by CellRefHash bits,
+/// A violation's mentions are its buffer cell range, so the buffer's cell
+/// offsets are the mention offsets. The build interns them in shards keyed
+/// by CellRefHash bits,
 /// each shard in mention order, then numbers the nodes by a prefix sum over
 /// first mentions, so the ids are the first-appearance ids whatever the
 /// shard count. A large build runs each step as a stage on `ctx`; one small
@@ -33,7 +37,7 @@ class ViolationHypergraph {
   /// Builds the hypergraph from detection output. `violations` must outlive
   /// the hypergraph (edges refer into it); `ctx` (non-null) runs the
   /// build's stages.
-  ViolationHypergraph(const std::vector<ViolationWithFixes>& violations,
+  ViolationHypergraph(const ViolationBuffer& violations,
                       ExecutionContext* ctx);
 
   size_t num_nodes() const { return num_nodes_; }
@@ -44,8 +48,8 @@ class ViolationHypergraph {
     return {nodes_.data() + offsets_[e], offsets_[e + 1] - offsets_[e]};
   }
 
-  /// The violation behind hyperedge `e`.
-  const ViolationWithFixes& edge(size_t e) const { return (*violations_)[e]; }
+  /// The violations; hyperedge e is violation e.
+  const ViolationBuffer& violations() const { return *violations_; }
 
   /// Binary edges (star expansion: first node of each hyperedge linked to
   /// the rest) for connected-components algorithms.
@@ -61,7 +65,7 @@ class ViolationHypergraph {
       ExecutionContext* ctx = nullptr) const;
 
  private:
-  const std::vector<ViolationWithFixes>* violations_;
+  const ViolationBuffer* violations_;
   size_t num_nodes_ = 0;
   std::vector<size_t> offsets_;
   std::vector<uint64_t> nodes_;

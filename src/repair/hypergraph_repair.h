@@ -25,8 +25,10 @@ namespace bigdansing {
 class HypergraphRepairAlgorithm : public RepairAlgorithm {
  public:
   std::string name() const override { return "hypergraph"; }
+  using RepairAlgorithm::RepairComponent;
   std::vector<CellAssignment> RepairComponent(
-      const std::vector<const ViolationWithFixes*>& edges) const override;
+      const ViolationBuffer& violations,
+      std::span<const size_t> edges) const override;
 };
 
 }  // namespace bigdansing

@@ -1,10 +1,13 @@
 #ifndef BIGDANSING_REPAIR_REPAIR_ALGORITHM_H_
 #define BIGDANSING_REPAIR_REPAIR_ALGORITHM_H_
 
+#include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "rules/violation.h"
+#include "rules/violation_buffer.h"
 
 namespace bigdansing {
 
@@ -43,10 +46,21 @@ class RepairAlgorithm {
   virtual std::string name() const = 0;
 
   /// Computes cell updates resolving (greedily, cost-minimally) the
-  /// violations in `edges`. `edges` always belong to one connected
-  /// component of the violation hypergraph. Must be thread-safe.
+  /// violations of `violations` indexed by `edges`, which always belong to
+  /// one connected component of the violation hypergraph. Cell values are
+  /// read through the buffer. Must be thread-safe.
   virtual std::vector<CellAssignment> RepairComponent(
-      const std::vector<const ViolationWithFixes*>& edges) const = 0;
+      const ViolationBuffer& violations,
+      std::span<const size_t> edges) const = 0;
+
+  /// RepairComponent over violation objects, converted once.
+  std::vector<CellAssignment> RepairComponent(
+      const std::vector<const ViolationWithFixes*>& edges) const {
+    const ViolationBuffer violations = ViolationBuffer::FromObjects(edges);
+    std::vector<size_t> all(violations.size());
+    std::iota(all.begin(), all.end(), size_t{0});
+    return RepairComponent(violations, all);
+  }
 };
 
 }  // namespace bigdansing

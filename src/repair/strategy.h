@@ -8,6 +8,7 @@
 #include "dataflow/context.h"
 #include "repair/blackbox.h"
 #include "rules/violation.h"
+#include "rules/violation_buffer.h"
 
 namespace bigdansing {
 
@@ -38,17 +39,23 @@ class RepairStrategy {
 
   /// Computes (but does not apply) the cell assignments of one repair pass
   /// over `violations`. Never throws: stage failures surface as a Status.
+  /// The public entry: the objects are converted into a buffer once.
   Result<RepairPassResult> Repair(
       ExecutionContext* ctx, const std::vector<ViolationWithFixes>& violations,
       const BlackBoxOptions& options) const;
+  /// The same pass over a violation buffer (the fix-point's entry).
+  Result<RepairPassResult> Repair(ExecutionContext* ctx,
+                                  const ViolationBuffer& violations,
+                                  const BlackBoxOptions& options) const;
 
  protected:
   /// Scheme-specific pass. `lineage_on` mirrors the process-wide
   /// LineageRecorder toggle, resolved once by Repair(); implementations
   /// fill RepairPassResult::provenance iff it is true. May throw StageError.
-  virtual RepairPassResult DoRepair(
-      ExecutionContext* ctx, const std::vector<ViolationWithFixes>& violations,
-      const BlackBoxOptions& options, bool lineage_on) const = 0;
+  virtual RepairPassResult DoRepair(ExecutionContext* ctx,
+                                    const ViolationBuffer& violations,
+                                    const BlackBoxOptions& options,
+                                    bool lineage_on) const = 0;
 };
 
 /// Returns the process-wide strategy instance for `mode`. Strategies are

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "data/schema.h"
 #include "rules/predicate.h"
 #include "rules/rule.h"
+#include "rules/violation_buffer.h"
 
 namespace bigdansing {
 
@@ -80,9 +82,9 @@ struct CodePredicate {
 /// A compiled Detect decision kernel. `Matches` must be EXACT for the
 /// compiled rule: true iff Rule::Detect on the same ordered pair would emit
 /// at least one violation. That contract is what lets the engine evaluate
-/// candidate batches over code vectors and call the interpreted Detect only
-/// on matches, keeping the violation stream bit-identical to the
-/// interpreted path.
+/// candidate batches over code vectors and run the compiled GenFix
+/// (ViolationWriter) only on matches, keeping the violation stream
+/// bit-identical to the interpreted path.
 class DetectKernel {
  public:
   virtual ~DetectKernel() = default;
@@ -107,12 +109,85 @@ class DetectKernel {
   virtual bool AnyMatchUpper(const CodeTuple* tuples, size_t n) const;
 };
 
+/// Compiled GenFix of a declarative rule: writes the violation and possible
+/// fixes that Rule::Detect and Rule::GenFix produce for a matched unit or
+/// unit pair straight into a ViolationBuffer, with no intermediate objects.
+/// Cells carry the unit's table position, so their values stay in the
+/// table. Bound to one plan: detect-schema column c reads base column
+/// scope[c] (c itself when the plan has no scope) of the unit's base row.
+///
+/// Two layouts cover the built-in rules:
+///  - pair-equality (FD, variable CFD): each LHS column's (t1, t2) cells,
+///    then the (t1, t2) cells of every RHS column whose values differ, one
+///    `=` fix per such pair, then (FD with LHS fixes on) one `≠` fix per
+///    LHS pair;
+///  - predicate (DC, CHECK, constant CFD): per predicate its left cell and,
+///    unless the right side is a constant, its right cell, and one fix with
+///    the negated operator; constants go to the buffer's value pool.
+class ViolationWriter {
+ public:
+  /// A unit: its base-table row and the row's table position.
+  struct Unit {
+    const Row* row;
+    uint32_t pos;
+  };
+
+  /// The predicate layout's terms; `cmp` is the rule's operator, `fix` the
+  /// fix's (negated) one.
+  struct Term {
+    CmpOp cmp = CmpOp::kEq;
+    FixOp fix = FixOp::kEq;
+    bool left_t1 = true;
+    size_t left = 0;
+    bool right_is_constant = false;
+    bool right_t1 = false;
+    size_t right = 0;
+    Value constant;
+  };
+
+  /// Pair-equality layout over detect-schema columns.
+  ViolationWriter(std::vector<size_t> lhs, std::vector<size_t> rhs,
+                  bool lhs_fixes);
+  /// Predicate layout.
+  explicit ViolationWriter(std::vector<Term> terms);
+
+  /// Binds detect-schema columns to base columns and names the rule.
+  void Bind(const std::string& rule, const std::vector<size_t>& scope);
+
+  /// Appends the violation of the ordered pair (t1, t2), which the rule
+  /// matches (a kernel or MatchesPair decided).
+  void WritePair(const Unit& t1, const Unit& t2, ViolationBuffer* out) const;
+  /// Arity-1 form (CHECK, constant CFD): every cell reads `t`.
+  void WriteSingle(const Unit& t, ViolationBuffer* out) const {
+    WritePair(t, t, out);
+  }
+  /// Rule::Detect's decision over two base rows for a DC (the rules an
+  /// inequality join's pairs reach): every predicate holds, a null operand
+  /// failing it. Only DC and CHECK terms carry their rule's operators.
+  bool MatchesPair(const Row& t1, const Row& t2) const;
+
+ private:
+  std::string rule_;
+  std::vector<Term> terms_;
+  std::vector<size_t> lhs_;
+  std::vector<size_t> rhs_;
+  bool lhs_fixes_ = false;
+};
+
 /// A schema-bound but pool-free kernel for one rule: names the columns to
 /// dictionary-encode (and which of them must share a pool), then binds to
 /// the pools once encoding has run.
 class KernelTemplate {
  public:
   virtual ~KernelTemplate() = default;
+
+  /// The rule's compiled GenFix, bound to `scope` (see ViolationWriter).
+  std::unique_ptr<ViolationWriter> BindWriter(
+      const std::string& rule, const std::vector<size_t>& scope) const {
+    auto writer = std::make_unique<ViolationWriter>(*writer_);
+    writer->Bind(rule, scope);
+    return writer;
+  }
 
   /// Detect-schema columns the kernel reads; slot s reads columns()[s].
   const std::vector<size_t>& columns() const { return columns_; }
@@ -135,6 +210,8 @@ class KernelTemplate {
 
   std::vector<size_t> columns_;
   std::vector<std::vector<size_t>> shared_groups_;
+  /// Unbound compiled GenFix (detect-schema columns), set by the compiler.
+  std::optional<ViolationWriter> writer_;
 };
 
 /// Registry of rule-class kernel compilers — the dispatch point behind

@@ -21,6 +21,7 @@ class FdRule : public Rule {
   /// (the paper's alternative fix for φF). Off by default because the
   /// equivalence-class repair consumes equality fixes only.
   void set_generate_lhs_fixes(bool value) { generate_lhs_fixes_ = value; }
+  bool generate_lhs_fixes() const { return generate_lhs_fixes_; }
 
   const std::vector<std::string>& lhs() const { return lhs_; }
   const std::vector<std::string>& rhs() const { return rhs_; }

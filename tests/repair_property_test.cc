@@ -302,7 +302,8 @@ TEST_P(RepairEquivalence, HypergraphLayoutMatchesMapOracle) {
       SCOPED_TRACE("workers=" + std::to_string(workers));
       ExecutionContext ctx(workers);
       const size_t stages_before = ctx.metrics().StageReports().size();
-      ViolationHypergraph graph(violations, &ctx);
+      const ViolationBuffer buffer = ViolationBuffer::FromObjects(violations);
+      ViolationHypergraph graph(buffer, &ctx);
       // One shard builds on the calling thread; many run as stages.
       EXPECT_EQ(ctx.metrics().StageReports().size() > stages_before,
                 count > 80);

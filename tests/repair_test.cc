@@ -73,7 +73,8 @@ TEST(Hypergraph, GroupsEdgesByComponent) {
   violations.push_back(EqViolation(1, 2, 2, Value("b"), Value("a")));
   violations.push_back(EqViolation(5, 6, 2, Value("x"), Value("y")));
   ExecutionContext ctx(2);
-  ViolationHypergraph graph(violations, &ctx);
+  const ViolationBuffer buffer = ViolationBuffer::FromObjects(violations);
+  ViolationHypergraph graph(buffer, &ctx);
   EXPECT_EQ(graph.num_edges(), 3u);
   EXPECT_EQ(graph.num_nodes(), 5u);
   auto groups = graph.ConnectedComponentGroups();

@@ -78,10 +78,11 @@ TEST(Robustness, EmptyViolationListFromRepairAlgorithms) {
   EXPECT_TRUE(ec.RepairComponent({}).empty());
   EXPECT_TRUE(hg.RepairComponent({}).empty());
   ExecutionContext ctx(2);
-  auto result = BlackBoxRepair(&ctx, {}, ec, BlackBoxOptions());
+  const std::vector<ViolationWithFixes> none;
+  auto result = BlackBoxRepair(&ctx, none, ec, BlackBoxOptions());
   EXPECT_TRUE(result.applied.empty());
   EXPECT_EQ(result.num_components, 0u);
-  EXPECT_TRUE(DistributedEquivalenceClassRepair(&ctx, {}).empty());
+  EXPECT_TRUE(DistributedEquivalenceClassRepair(&ctx, none).empty());
 }
 
 TEST(Robustness, HypergraphRepairWithContradictoryFixes) {
@@ -184,7 +185,8 @@ TEST(Robustness, UdfDetectProducingMalformedViolationIsTolerated) {
   good.fixes = {fix};
   std::vector<ViolationWithFixes> violations = {empty, good};
   ExecutionContext ctx(2);
-  ViolationHypergraph graph(violations, &ctx);
+  const ViolationBuffer buffer = ViolationBuffer::FromObjects(violations);
+  ViolationHypergraph graph(buffer, &ctx);
   EXPECT_EQ(graph.num_edges(), 2u);
   auto groups = graph.ConnectedComponentGroups();
   // The empty edge belongs to no component; the good one forms one.

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/lineage.h"
 #include "core/bigdansing.h"
 #include "core/stream_session.h"
 #include "data/csv.h"
@@ -462,6 +463,57 @@ TEST(Stream, FailedPollKeepsItsDirt) {
     SCOPED_TRACE(spec);
     EXPECT_EQ(PollThreeRowConflict(spec), reference);
   }
+}
+
+TEST(Stream, WindowFailingAfterAppliedFixesRetriesToTheSameTable) {
+  // The window's first iteration repairs row 2's b; its second re-detects
+  // chk's row and repairs again, running repair:components a second time.
+  // Failing exactly that run fails the window after fixes were applied: the
+  // fixes stay, the dirt goes back, and the retried Poll must reach the
+  // table of a session that never failed, with nothing left to fix.
+  const PollOutcome reference = PollThreeRowConflict("");
+  ASSERT_GE(reference.iterations, 2u);
+  const PollOutcome retried =
+      PollThreeRowConflict("stage=repair:components,run=2,kind=throw,prob=1");
+  EXPECT_EQ(retried.table, reference.table);
+  EXPECT_EQ(retried.fixes, 0u);
+  EXPECT_GT(retried.violations, 0u) << "chk's row must be re-detected";
+}
+
+TEST(Stream, DirtyBlocksRepairInTableOrder) {
+  // DetectDirtyBlocks orders the window's blocks by their first member, so
+  // the violations, the hypergraph's components and the applied fixes
+  // follow table order. Block z's first member sits at position z and its
+  // conflicting row at 2K + z; the fixes must land in that order.
+  InjectorGuard guard;
+  constexpr int64_t kBlocks = 48;
+  ExecutionContext ctx(4);
+  BigDansing system(&ctx);
+  Table table = *ReadCsvString("zipcode,city\n", CsvOptions{});
+  auto session =
+      system.OpenStream(&table, {*ParseRule("fd: FD: zipcode -> city")});
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  std::vector<std::vector<Value>> rows;
+  for (const char* city : {"good", "good", "bad"}) {
+    for (int64_t z = 0; z < kBlocks; ++z) {
+      rows.push_back({Value(z), Value(std::string(city))});
+    }
+  }
+  ASSERT_TRUE((*session)->AppendValues(std::move(rows)).ok());
+  LineageRecorder& lineage = LineageRecorder::Instance();
+  lineage.Clear();
+  lineage.set_enabled(true);
+  auto window = (*session)->Poll();
+  lineage.set_enabled(false);
+  ASSERT_TRUE(window.ok()) << window.status().ToString();
+  std::vector<RowId> fixed;
+  for (const LineageEntry& e : lineage.Entries()) {
+    if (e.applied && e.iteration == 1) fixed.push_back(e.row_id);
+  }
+  lineage.Clear();
+  std::vector<RowId> expected;
+  for (int64_t z = 0; z < kBlocks; ++z) expected.push_back(2 * kBlocks + z);
+  EXPECT_EQ(fixed, expected);
 }
 
 /// An asymmetric UDF rule with a procedural block key: within one zipcode,
