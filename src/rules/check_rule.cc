@@ -59,29 +59,7 @@ void CheckRule::GenFix(const Violation& violation,
     if (cell_index >= violation.cells.size()) return;
     Fix fix;
     fix.left = violation.cells[cell_index++];
-    switch (NegateOp(p.op)) {
-      case CmpOp::kEq:
-        fix.op = FixOp::kEq;
-        break;
-      case CmpOp::kNeq:
-        fix.op = FixOp::kNeq;
-        break;
-      case CmpOp::kLt:
-        fix.op = FixOp::kLt;
-        break;
-      case CmpOp::kGt:
-        fix.op = FixOp::kGt;
-        break;
-      case CmpOp::kLeq:
-        fix.op = FixOp::kLeq;
-        break;
-      case CmpOp::kGeq:
-        fix.op = FixOp::kGeq;
-        break;
-      case CmpOp::kSimilar:
-        fix.op = FixOp::kEq;
-        break;
-    }
+    fix.op = FixOpFor(NegateOp(p.op));
     if (p.right_is_constant) {
       fix.right = FixTerm::MakeConstant(p.constant);
     } else {

@@ -49,6 +49,26 @@ CmpOp FlipOp(CmpOp op) {
   }
 }
 
+FixOp FixOpFor(CmpOp op) {
+  switch (op) {
+    case CmpOp::kEq:
+      return FixOp::kEq;
+    case CmpOp::kNeq:
+      return FixOp::kNeq;
+    case CmpOp::kLt:
+      return FixOp::kLt;
+    case CmpOp::kGt:
+      return FixOp::kGt;
+    case CmpOp::kLeq:
+      return FixOp::kLeq;
+    case CmpOp::kGeq:
+      return FixOp::kGeq;
+    case CmpOp::kSimilar:
+      break;
+  }
+  return FixOp::kEq;
+}
+
 CmpOp NegateOp(CmpOp op) {
   switch (op) {
     case CmpOp::kEq:
@@ -125,25 +145,12 @@ bool BoundPredicate::Eval(const Row& t1, const Row& t2) const {
     const Row& right_row = pred_.right_tuple == 1 ? t1 : t2;
     right = &right_row.value(right_column_);
   }
-  if (left.is_null() || right->is_null()) return false;
-  switch (pred_.op) {
-    case CmpOp::kEq:
-      return left == *right;
-    case CmpOp::kNeq:
-      return left != *right;
-    case CmpOp::kLt:
-      return left < *right;
-    case CmpOp::kGt:
-      return left > *right;
-    case CmpOp::kLeq:
-      return left <= *right;
-    case CmpOp::kGeq:
-      return left >= *right;
-    case CmpOp::kSimilar:
-      return IsSimilar(left.ToString(), right->ToString(),
-                       pred_.similarity_threshold);
+  if (pred_.op == CmpOp::kSimilar) {
+    return !left.is_null() && !right->is_null() &&
+           IsSimilar(left.ToString(), right->ToString(),
+                     pred_.similarity_threshold);
   }
-  return false;
+  return EvalCmp(left, pred_.op, *right);
 }
 
 }  // namespace bigdansing

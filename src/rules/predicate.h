@@ -8,6 +8,7 @@
 #include "data/row.h"
 #include "data/schema.h"
 #include "data/value.h"
+#include "rules/violation.h"
 
 namespace bigdansing {
 
@@ -30,6 +31,36 @@ CmpOp FlipOp(CmpOp op);
 /// The negation of `op` (e.g. < becomes >=). kSimilar has no negation in the
 /// fix language and maps to kNeq of the compared cells.
 CmpOp NegateOp(CmpOp op);
+
+/// The fix operator stating `op`: DC and CHECK GenFix (interpreted and
+/// compiled) propose FixOpFor(NegateOp(p.op)) per predicate p. kSimilar,
+/// which NegateOp never yields, maps to kEq.
+FixOp FixOpFor(CmpOp op);
+
+/// `left op right` for the comparison operators. Null operands make every
+/// comparison false (SQL-like three-valued logic collapsed to false).
+/// kSimilar needs its threshold and is false here; BoundPredicate::Eval
+/// decides it.
+inline bool EvalCmp(const Value& left, CmpOp op, const Value& right) {
+  if (left.is_null() || right.is_null()) return false;
+  switch (op) {
+    case CmpOp::kEq:
+      return left == right;
+    case CmpOp::kNeq:
+      return left != right;
+    case CmpOp::kLt:
+      return left < right;
+    case CmpOp::kGt:
+      return left > right;
+    case CmpOp::kLeq:
+      return left <= right;
+    case CmpOp::kGeq:
+      return left >= right;
+    case CmpOp::kSimilar:
+      break;
+  }
+  return false;
+}
 
 /// One conjunct of a denial constraint over a tuple pair (t1, t2):
 ///   t<left_tuple>.left_attr  op  t<right_tuple>.right_attr | constant

@@ -336,6 +336,35 @@ TEST(TraceIntegration, DetectProducesJobRuleOperatorStageTaskHierarchy) {
   ASSERT_TRUE(parser.Parse(&doc)) << parser.error();
 }
 
+
+TEST(TraceIntegration, DetectObjectsStageNestsUnderDetectJob) {
+  TracingOn on;
+  // Enough violations that public Detect builds its objects in a stage.
+  auto data = GenerateTaxA(20000, 0.1, /*seed=*/2);
+  ExecutionContext ctx(2);
+  RuleEngine engine(&ctx);
+  auto detection =
+      engine.Detect(data.dirty, *ParseRule("phi1: FD: zipcode -> city"));
+  ASSERT_TRUE(detection.ok());
+  ASSERT_GE(detection->violations.size(), 8192u);
+
+  auto spans = TraceRecorder::Instance().Spans();
+  std::map<uint64_t, const TraceSpan*> by_id;
+  for (const auto& s : spans) by_id[s.id] = &s;
+  size_t objects_stages = 0;
+  for (const auto& s : spans) {
+    if (s.category != "stage" || s.name != "detect:objects") continue;
+    ++objects_stages;
+    const TraceSpan* up = &s;
+    while (up->parent != 0) {
+      ASSERT_NE(by_id.count(up->parent), 0u) << up->name;
+      up = by_id[up->parent];
+    }
+    EXPECT_EQ(up->category, "job");
+    EXPECT_EQ(up->name, "detect");
+  }
+  EXPECT_EQ(objects_stages, 1u);
+}
 TEST(TraceIntegration, ExplainReconcilesWithStageReports) {
   TracingOn on;
   auto data = GenerateTaxA(300, 0.05, /*seed=*/11);
