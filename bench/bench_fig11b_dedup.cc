@@ -74,7 +74,8 @@ void RunOne(ResultTable* table, const char* label, const Table& data,
   record.CaptureMetrics(ctx.metrics());
   record.Emit();
 
-  // Shark: UDF over a cross product (no blocking, pair materialization).
+  // Shark: UDF over a cross product (no blocking; every ordered pair is
+  // probed, both orientations).
   size_t capped_rows = std::min(rows, kQuadraticCap);
   Table capped(data.schema());
   for (size_t i = 0; i < capped_rows; ++i) capped.AppendRowWithId(data.row(i));

@@ -1,7 +1,9 @@
 #include "core/columnar_detect.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
+#include <string>
 #include <unordered_set>
 
 #include "common/hash.h"
@@ -13,6 +15,33 @@
 namespace bigdansing {
 namespace columnar {
 
+/// The candidate decision and the compiled GenFix of one rule, bound to
+/// its columns encoded over one view, with the code pointers both read.
+struct BoundKernel {
+  std::unique_ptr<DetectKernel> kernel;
+  std::unique_ptr<ViolationWriter> writer;
+  /// Per-partition arrays of per-slot code pointers, the gather structure
+  /// every kernel evaluation reads through.
+  std::vector<std::vector<const uint32_t*>> slot_ptrs;
+  /// Each slot's encoded column.
+  std::vector<const EncodedColumn*> slot_cols;
+  /// The blocking columns' pools and codes, in blocking order.
+  struct KeyCol {
+    const ValuePool* pool;
+    const EncodedColumn* col;
+  };
+  std::vector<KeyCol> key_cols;
+  /// Partition p's first table position.
+  std::vector<uint32_t> part_begin;
+
+  /// Row i of partition p as the compiled GenFix writes it.
+  ViolationWriter::Unit UnitAt(const PartitionView<Row>& base, size_t p,
+                               size_t i) const {
+    return {&base.partitions()[p][i],
+            part_begin[p] + static_cast<uint32_t>(i)};
+  }
+};
+
 namespace {
 
 using detect::BlockScratch;
@@ -20,53 +49,45 @@ using detect::IterateBlock;
 using detect::KernelUnit;
 using detect::MergeOutputs;
 using detect::MergeTaskPieces;
+using detect::Probe;
+using detect::ProbeSingle;
 using detect::TaskOutput;
 
-/// Per-partition arrays of per-slot code pointers, the gather structure
-/// every kernel evaluation reads through.
-using SlotPtrs = std::vector<std::vector<const uint32_t*>>;
+/// Column `c` of the detect schema as a base column.
+size_t ToBase(const PhysicalRulePlan& plan, size_t c) {
+  return plan.scope_columns.empty() ? c : plan.scope_columns[c];
+}
 
-}  // namespace
+/// A column set's cache key, independent of the columns' order.
+std::string ColumnSig(std::vector<size_t> columns) {
+  std::sort(columns.begin(), columns.end());
+  std::string sig;
+  for (size_t c : columns) sig += std::to_string(c) + ",";
+  return sig;
+}
 
-bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
-                       const PartitionView<Row>& base, ColumnarCaches* caches,
-                       ViolationBuffer* violations, DetectionResult* result) {
-  // Eligibility — decided before any stage runs, so a false return leaves
-  // the engine free to take the interpreted path untouched.
-  if (plan.block_key_fn) return false;  // procedural UDF keys stay interpreted
-  auto tmpl =
-      KernelRegistry::Instance().Compile(*plan.rule, plan.detect_schema);
-  if (tmpl == nullptr) return false;
-  const bool single = plan.strategy == IterateStrategy::kSingle;
-  const bool has_blocking = !plan.blocking_columns.empty();
-  if (plan.strategy == IterateStrategy::kOCJoin && !has_blocking) {
-    // Global inequality self-join: OCJoin/IEJoin own that path.
-    return false;
-  }
-
-  result->plan_description += " [kernel]";
-  TraceRecorder& trace = TraceRecorder::Instance();
-
-  // The kernel path never runs the scope stage: codes are encoded straight
-  // from base rows, honouring the scope's column mapping, and so is what
-  // compiled GenFix writes.
-  auto to_base = [&](size_t c) {
-    return plan.scope_columns.empty() ? c : plan.scope_columns[c];
-  };
+/// Encodes the kernel's slots and the plan's blocking columns over `base`
+/// (no scope stage: codes come straight from base rows, honouring the
+/// scope's column mapping) and binds `tmpl` to them.
+BoundKernel BindKernel(const PhysicalRulePlan& plan,
+                       const KernelTemplate& tmpl,
+                       const PartitionView<Row>& base,
+                       ColumnarCaches* caches) {
+  auto to_base = [&](size_t c) { return ToBase(plan, c); };
 
   // Columns to dictionary-encode, in base-column space: the kernel's slots
   // plus the blocking key. Columns whose codes are compared across columns
   // share one pool (one group); the rest are singleton groups.
   std::vector<std::vector<size_t>> groups;
   std::unordered_set<size_t> covered;
-  for (const auto& g : tmpl->shared_groups()) {
+  for (const auto& g : tmpl.shared_groups()) {
     std::vector<size_t> mapped;
     for (size_t c : g) {
       if (covered.insert(to_base(c)).second) mapped.push_back(to_base(c));
     }
     if (!mapped.empty()) groups.push_back(std::move(mapped));
   }
-  for (size_t c : tmpl->columns()) {
+  for (size_t c : tmpl.columns()) {
     if (covered.insert(to_base(c)).second) groups.push_back({to_base(c)});
   }
   for (size_t c : plan.blocking_columns) {
@@ -80,26 +101,22 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
   std::vector<std::string> group_sigs;
   group_sigs.reserve(groups.size());
   for (const auto& g : groups) {
-    std::vector<size_t> sorted = g;
-    std::sort(sorted.begin(), sorted.end());
-    std::string sig;
-    for (size_t c : sorted) sig += std::to_string(c) + ",";
-    group_sigs.push_back(sig);
-    if (caches->encoded.find(sig) == caches->encoded.end()) missing.push_back(g);
+    group_sigs.push_back(ColumnSig(g));
+    if (caches->encoded.find(group_sigs.back()) == caches->encoded.end()) {
+      missing.push_back(g);
+    }
   }
   if (!missing.empty()) {
     std::optional<ScopedSpan> encode_span;
-    if (trace.enabled()) encode_span.emplace("kernel:encode", "operator");
+    if (TraceRecorder::Instance().enabled()) {
+      encode_span.emplace("kernel:encode", "operator");
+    }
     EncodedColumnSet fresh = EncodeColumns(base, missing);
     for (const auto& g : missing) {
-      std::vector<size_t> sorted = g;
-      std::sort(sorted.begin(), sorted.end());
-      std::string sig;
-      for (size_t c : sorted) sig += std::to_string(c) + ",";
       EncodedColumnSet set;
       set.rows = fresh.rows;
       for (size_t c : g) set.columns.emplace(c, fresh.columns.at(c));
-      caches->encoded.emplace(std::move(sig), std::move(set));
+      caches->encoded.emplace(ColumnSig(g), std::move(set));
     }
   }
   // Gather this rule's columns from the per-group cache entries.
@@ -109,181 +126,179 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
     for (size_t c : groups[g]) enc.emplace(c, &set.columns.at(c));
   }
 
+  BoundKernel bound;
   std::vector<const ValuePool*> pools;
-  pools.reserve(tmpl->columns().size());
-  for (size_t c : tmpl->columns()) {
-    pools.push_back(enc.at(to_base(c))->pool.get());
+  pools.reserve(tmpl.columns().size());
+  for (size_t c : tmpl.columns()) {
+    bound.slot_cols.push_back(enc.at(to_base(c)));
+    pools.push_back(bound.slot_cols.back()->pool.get());
   }
-  const std::unique_ptr<DetectKernel> kernel = tmpl->Bind(pools);
-
-  const auto& bparts = base.partitions();
-  SlotPtrs slot_ptrs(bparts.size());
-  for (size_t p = 0; p < bparts.size(); ++p) {
-    slot_ptrs[p].reserve(tmpl->columns().size());
-    for (size_t c : tmpl->columns()) {
-      slot_ptrs[p].push_back(enc.at(to_base(c))->codes[p].data());
+  bound.kernel = tmpl.Bind(pools);
+  for (size_t c : plan.blocking_columns) {
+    const EncodedColumn* col = enc.at(to_base(c));
+    bound.key_cols.push_back({col->pool.get(), col});
+  }
+  const auto& parts = base.partitions();
+  bound.slot_ptrs.resize(parts.size());
+  for (size_t p = 0; p < parts.size(); ++p) {
+    bound.slot_ptrs[p].reserve(bound.slot_cols.size());
+    for (const EncodedColumn* col : bound.slot_cols) {
+      bound.slot_ptrs[p].push_back(col->codes[p].data());
     }
   }
   // Matched candidates are written by the rule's compiled GenFix, which
   // reads the base rows through the plan's scope; a cell's value stays at
-  // its row's table position (partition p starts at part_begin[p]).
-  const std::unique_ptr<ViolationWriter> writer =
-      tmpl->BindWriter(plan.rule->name(), plan.scope_columns);
-  std::vector<uint32_t> part_begin(bparts.size() + 1, 0);
-  for (size_t p = 0; p < bparts.size(); ++p) {
-    part_begin[p + 1] = part_begin[p] + static_cast<uint32_t>(bparts[p].size());
+  // its row's table position.
+  bound.writer = tmpl.BindWriter(plan.rule->name(), plan.scope_columns);
+  bound.part_begin.assign(parts.size() + 1, 0);
+  for (size_t p = 0; p < parts.size(); ++p) {
+    bound.part_begin[p + 1] =
+        bound.part_begin[p] + static_cast<uint32_t>(parts[p].size());
   }
+  return bound;
+}
 
-  // --- Arity-1 rules: evaluate every unit against the code vectors.
-  if (single) {
-    std::optional<ScopedSpan> op_span;
-    if (trace.enabled()) op_span.emplace("kernel:detect|genfix", "operator");
-    std::vector<TaskOutput> tasks = base.RunStageMorsels<TaskOutput>(
-        "kernel:detect:single|genfix",
-        [&](size_t p) { return bparts[p].size(); },
-        [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
-          TaskOutput out;
-          const uint32_t* const* cols = slot_ptrs[p].data();
+/// Arity-1 rules: every unit is decided on its own.
+void DetectSingle(const PhysicalRulePlan& plan, const PartitionView<Row>& base,
+                  const BoundKernel* k, ViolationBuffer* violations,
+                  DetectionResult* result) {
+  const auto& parts = base.partitions();
+  std::vector<TaskOutput> tasks = base.RunStageMorsels<TaskOutput>(
+      k != nullptr ? "kernel:detect:single|genfix" : "detect:single|genfix",
+      [&](size_t p) { return parts[p].size(); },
+      [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
+        TaskOutput out;
+        if (k != nullptr) {
+          const uint32_t* const* cols = k->slot_ptrs[p].data();
           for (size_t i = begin; i < end; ++i) {
             ++out.detect_calls;
-            if (kernel->MatchesSingle(CodeTuple{cols, i})) {
-              writer->WriteSingle(
-                  {&bparts[p][i], part_begin[p] + static_cast<uint32_t>(i)},
-                  &out.violations);
+            if (k->kernel->MatchesSingle(CodeTuple{cols, i})) {
+              k->writer->WriteSingle(k->UnitAt(base, p, i), &out.violations);
             }
           }
-          tc.records_in = end - begin;
-          tc.records_out = out.violations.size();
-          return out;
-        },
-        [](size_t, std::vector<TaskOutput>&& pieces) {
-          return MergeTaskPieces(std::move(pieces));
-        });
-    MergeOutputs(&tasks, violations, result);
-    return true;
-  }
+        } else {
+          Row projected;
+          for (size_t i = begin; i < end; ++i) {
+            ProbeSingle(*plan.rule,
+                        DetectRow(parts[p][i], plan.scope_columns, &projected),
+                        &out);
+          }
+        }
+        tc.records_in = end - begin;
+        tc.records_out = out.violations.size();
+        return out;
+      },
+      [](size_t, std::vector<TaskOutput>&& pieces) {
+        return MergeTaskPieces(std::move(pieces));
+      });
+  MergeOutputs(&tasks, violations, result);
+}
 
-  // --- Blocked rules: block keys hashed from precomputed per-code hashes
-  // in one tight loop, then 8-byte RowRefs shuffled instead of whole rows.
-  if (has_blocking) {
-    std::optional<ScopedSpan> op_span;
-    if (trace.enabled()) {
-      op_span.emplace("kernel:block|iterate|detect|genfix", "operator");
-    }
-    std::string block_sig;
+/// The plan's blocks over `base`, built once per blocking signature: one
+/// block-key stage keying every row that joins a block as a RowRef, then
+/// GroupByKey. With a kernel the keys hash the blocking columns' per-code
+/// hashes in one tight loop; without one ComputeBlockKey hashes each row's
+/// Values. The keys are equal either way, so kernel and interpreted rules
+/// share blocks.
+const Blocks& BlockRows(ExecutionContext* ctx, const PhysicalRulePlan& plan,
+                        const PartitionView<Row>& base, const BoundKernel* k,
+                        ColumnarCaches* caches) {
+  std::string sig;
+  if (plan.block_key_fn) {
+    // The UDF key reads the scoped row.
+    sig = "udf:" + plan.rule->name() + "|";
+    for (size_t c : plan.scope_columns) sig += std::to_string(c) + ",";
+  } else {
     for (size_t c : plan.blocking_columns) {
-      block_sig += std::to_string(to_base(c)) + ",";
+      sig += std::to_string(ToBase(plan, c)) + ",";
     }
-    auto block_it = caches->blocks.find(block_sig);
-    if (block_it == caches->blocks.end()) {
-      struct KeyCol {
-        const ValuePool* pool;
-        const EncodedColumn* col;
-      };
-      std::vector<KeyCol> key_cols;
-      key_cols.reserve(plan.blocking_columns.size());
-      for (size_t c : plan.blocking_columns) {
-        const EncodedColumn* col = enc.at(to_base(c));
-        key_cols.push_back({col->pool.get(), col});
-      }
-      using KeyedPiece = std::vector<std::pair<uint64_t, RowRef>>;
-      std::vector<KeyedPiece> keyed_parts = base.RunStageMorsels<KeyedPiece>(
-          "kernel:block",
-          [&](size_t p) { return bparts[p].size(); },
-          [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
-            KeyedPiece out;
-            out.reserve(end - begin);
-            for (size_t i = begin; i < end; ++i) {
-              uint64_t h = 0x42D;
-              bool keyed = true;
-              for (const KeyCol& kc : key_cols) {
-                const uint32_t code = kc.col->codes[p][i];
-                if (code == ValuePool::kNullCode) {
-                  keyed = false;  // null key component: row joins no block
-                  break;
-                }
-                h = StableHashUint64(h ^ kc.pool->hash(code));
-              }
-              if (keyed) {
-                out.emplace_back(h, RowRef{static_cast<uint32_t>(p),
-                                           static_cast<uint32_t>(i)});
-              }
-            }
-            tc.records_in = end - begin;
-            tc.records_out = out.size();
-            return out;
-          },
-          [](size_t, std::vector<KeyedPiece>&& pieces) {
-            KeyedPiece merged;
-            size_t total = 0;
-            for (const auto& piece : pieces) total += piece.size();
-            merged.reserve(total);
-            for (auto& piece : pieces) {
-              merged.insert(merged.end(), piece.begin(), piece.end());
-            }
-            return merged;
-          });
-      Dataset<std::pair<uint64_t, RowRef>> keyed(ctx, std::move(keyed_parts));
-      block_it = caches->blocks.emplace(block_sig, GroupByKey(keyed)).first;
-    }
-    const auto& blocks = block_it->second;
-    const auto& gparts = blocks.partitions();
-    std::vector<TaskOutput> tasks = blocks.RunStageMorsels<TaskOutput>(
-        "kernel:iterate|detect|genfix",
-        [&](size_t p) { return gparts[p].size(); },
-        [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
-          TaskOutput out;
-          BlockScratch scratch;
-          for (size_t b = begin; b < end; ++b) {
-            const std::vector<RowRef>& block = gparts[p][b].second;
-            IterateBlock(
-                plan, block.size(), detect::NoRows(), &scratch, &out,
-                kernel.get(), writer.get(), [&](size_t i) {
-                  const RowRef& r = block[i];
-                  return KernelUnit{
-                      CodeTuple{slot_ptrs[r.part].data(), r.idx},
-                      {&bparts[r.part][r.idx], part_begin[r.part] + r.idx}};
-                });
-          }
-          ctx->metrics().AddPairsEnumerated(out.detect_calls);
-          tc.records_in = end - begin;
-          tc.records_out = out.violations.size();
-          return out;
-        },
-        [](size_t, std::vector<TaskOutput>&& pieces) {
-          return MergeTaskPieces(std::move(pieces));
-        });
-    MergeOutputs(&tasks, violations, result);
-    return true;
   }
+  auto cached = caches->blocks.find(sig);
+  if (cached != caches->blocks.end()) return cached->second;
 
-  // --- No blocking key: whole-dataset chunk-pair enumeration over flat
-  // contiguous code arrays (partition codes concatenated in Collect order).
-  std::optional<ScopedSpan> op_span;
-  if (trace.enabled()) {
-    op_span.emplace("kernel:iterate|detect|genfix", "operator");
-  }
+  const auto& parts = base.partitions();
+  using KeyedPiece = std::vector<std::pair<uint64_t, RowRef>>;
+  std::vector<KeyedPiece> keyed_parts = base.RunStageMorsels<KeyedPiece>(
+      k != nullptr ? "kernel:block" : "block",
+      [&](size_t p) { return parts[p].size(); },
+      [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
+        KeyedPiece out;
+        out.reserve(end - begin);
+        if (k != nullptr) {
+          for (size_t i = begin; i < end; ++i) {
+            uint64_t h = 0x42D;
+            bool keyed = true;
+            for (const BoundKernel::KeyCol& kc : k->key_cols) {
+              const uint32_t code = kc.col->codes[p][i];
+              if (code == ValuePool::kNullCode) {
+                keyed = false;  // null key component: row joins no block
+                break;
+              }
+              h = StableHashUint64(h ^ kc.pool->hash(code));
+            }
+            if (keyed) {
+              out.emplace_back(h, RowRef{static_cast<uint32_t>(p),
+                                         static_cast<uint32_t>(i)});
+            }
+          }
+        } else {
+          Row projected;
+          uint64_t key = 0;
+          for (size_t i = begin; i < end; ++i) {
+            if (ComputeBlockKey(plan, parts[p][i], &projected, &key)) {
+              out.emplace_back(key, RowRef{static_cast<uint32_t>(p),
+                                           static_cast<uint32_t>(i)});
+            }
+          }
+        }
+        tc.records_in = end - begin;
+        tc.records_out = out.size();
+        return out;
+      },
+      [](size_t, std::vector<KeyedPiece>&& pieces) {
+        KeyedPiece merged;
+        size_t total = 0;
+        for (const auto& piece : pieces) total += piece.size();
+        merged.reserve(total);
+        for (auto& piece : pieces) {
+          merged.insert(merged.end(), piece.begin(), piece.end());
+        }
+        return merged;
+      });
+  Dataset<std::pair<uint64_t, RowRef>> keyed(ctx, std::move(keyed_parts));
+  return caches->blocks.emplace(sig, GroupByKey(keyed)).first->second;
+}
+
+/// No blocking key: whole-table chunk-pair enumeration. Rows are cut into
+/// 2 * workers chunks in table order, and each chunk pair (i <= j) is one
+/// task. A kernel reads flat contiguous code arrays (partition codes
+/// concatenated in table order); without one each task builds its two
+/// chunks' detect-schema rows once.
+void IterateUnblocked(ExecutionContext* ctx, const PhysicalRulePlan& plan,
+                      const PartitionView<Row>& base, const BoundKernel* k,
+                      ViolationBuffer* violations, DetectionResult* result) {
   std::vector<const Row*> base_rows;
   base_rows.reserve(base.Count());
-  for (const auto& part : bparts) {
+  for (const auto& part : base.partitions()) {
     for (const Row& row : part) base_rows.push_back(&row);
   }
-  std::vector<std::vector<uint32_t>> flat(tmpl->columns().size());
-  for (size_t s = 0; s < tmpl->columns().size(); ++s) {
-    const EncodedColumn& col = *enc.at(to_base(tmpl->columns()[s]));
-    flat[s].reserve(base_rows.size());
-    for (const auto& part : col.codes) {
-      flat[s].insert(flat[s].end(), part.begin(), part.end());
+  std::vector<std::vector<uint32_t>> flat;
+  std::vector<const uint32_t*> flat_ptrs;
+  if (k != nullptr) {
+    flat.resize(k->slot_cols.size());
+    for (size_t s = 0; s < flat.size(); ++s) {
+      flat[s].reserve(base_rows.size());
+      for (const auto& part : k->slot_cols[s]->codes) {
+        flat[s].insert(flat[s].end(), part.begin(), part.end());
+      }
+      flat_ptrs.push_back(flat[s].data());
     }
   }
-  std::vector<const uint32_t*> flat_ptrs;
-  flat_ptrs.reserve(flat.size());
-  for (const auto& codes : flat) flat_ptrs.push_back(codes.data());
 
-  // Chunking replicated from the interpreted RunUnblocked so tasks, pair
-  // order and therefore violation order line up exactly.
-  const bool unordered = plan.strategy == IterateStrategy::kUCrossProduct &&
-                         plan.rule->IsSymmetric();
+  // Symmetric rules under UCrossProduct probe each unordered pair once;
+  // every other plan probes both orientations, (i, j) then (j, i).
+  const bool both = !(plan.strategy == IterateStrategy::kUCrossProduct &&
+                      plan.rule->IsSymmetric());
   size_t num_chunks = std::max<size_t>(1, ctx->num_workers() * 2);
   if (num_chunks > base_rows.size()) {
     num_chunks = std::max<size_t>(1, base_rows.size());
@@ -297,38 +312,52 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
   for (size_t i = 0; i < num_chunks; ++i) {
     for (size_t j = i; j < num_chunks; ++j) chunk_pairs.push_back({i, j});
   }
-  const bool materialize = plan.strategy == IterateStrategy::kCrossProduct;
   auto tasks = StageExecutor(ctx).RunProducing<TaskOutput>(
-      "kernel:iterate|detect|genfix:unblocked", chunk_pairs.size(),
-      [&](size_t t, TaskContext& tc) {
+      k != nullptr ? "kernel:iterate|detect|genfix:unblocked"
+                   : "iterate|detect|genfix:unblocked",
+      chunk_pairs.size(), [&](size_t t, TaskContext& tc) {
         auto [ci, cj] = chunk_pairs[t];
         const size_t ibegin = ci * chunk;
         const size_t iend = std::min(base_rows.size(), ibegin + chunk);
         const size_t jbegin = cj * chunk;
         const size_t jend = std::min(base_rows.size(), jbegin + chunk);
         TaskOutput out;
-        const uint32_t* const* cols = flat_ptrs.data();
-        auto eval = [&](size_t i, size_t j) {
-          ++out.detect_calls;
-          if (kernel->Matches(CodeTuple{cols, i}, CodeTuple{cols, j})) {
-            writer->WritePair({base_rows[i], static_cast<uint32_t>(i)},
-                              {base_rows[j], static_cast<uint32_t>(j)},
-                              &out.violations);
-          }
-        };
-        for (size_t i = ibegin; i < iend; ++i) {
-          const size_t jstart = (ci == cj) ? i + 1 : jbegin;
-          for (size_t j = jstart; j < jend; ++j) {
-            if (materialize) {
-              // CrossProduct wrapper order: (i, j) then (j, i), exactly
-              // the interpreted pair-list materialization order.
+        auto each_pair = [&](auto&& eval) {
+          for (size_t i = ibegin; i < iend; ++i) {
+            const size_t jstart = (ci == cj) ? i + 1 : jbegin;
+            for (size_t j = jstart; j < jend; ++j) {
               eval(i, j);
-              eval(j, i);
-            } else {
-              eval(i, j);
-              if (!unordered) eval(j, i);
+              if (both) eval(j, i);
             }
           }
+        };
+        if (k != nullptr) {
+          const uint32_t* const* cols = flat_ptrs.data();
+          each_pair([&](size_t i, size_t j) {
+            ++out.detect_calls;
+            if (k->kernel->Matches(CodeTuple{cols, i}, CodeTuple{cols, j})) {
+              k->writer->WritePair({base_rows[i], static_cast<uint32_t>(i)},
+                                   {base_rows[j], static_cast<uint32_t>(j)},
+                                   &out.violations);
+            }
+          });
+        } else {
+          // The task's chunks' detect-schema rows, chunk i's first.
+          const size_t ilen = iend - ibegin;
+          const size_t jlen = ci == cj ? 0 : jend - jbegin;
+          std::vector<Row> projected(ilen + jlen);
+          std::vector<const Row*> rows(ilen + jlen);
+          for (size_t x = 0; x < rows.size(); ++x) {
+            const size_t pos = x < ilen ? ibegin + x : jbegin + (x - ilen);
+            rows[x] =
+                &DetectRow(*base_rows[pos], plan.scope_columns, &projected[x]);
+          }
+          auto row = [&](size_t pos) -> const Row& {
+            return *rows[pos < iend ? pos - ibegin : ilen + (pos - jbegin)];
+          };
+          each_pair([&](size_t i, size_t j) {
+            Probe(*plan.rule, row(i), row(j), &out);
+          });
         }
         ctx->metrics().AddPairsEnumerated(out.detect_calls);
         tc.records_in = iend - ibegin;
@@ -337,7 +366,198 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
       });
   if (!tasks.ok()) throw StageError(tasks.status());
   MergeOutputs(&*tasks, violations, result);
+}
+
+/// Global inequality self-join (no blocking key): OCJoin or IEJoin encode
+/// the condition columns straight from the table's rows and return row
+/// positions. A compiled `writer` decides and writes each pair over the
+/// base rows in place (position = table position); without one,
+/// Rule::Detect probes the pair's detect-schema rows.
+void JoinGlobal(ExecutionContext* ctx, const PhysicalRulePlan& plan,
+                bool use_iejoin, const PartitionView<Row>& base,
+                const ViolationWriter* writer, ViolationBuffer* violations,
+                DetectionResult* result) {
+  std::vector<const Row*> rows;
+  rows.reserve(base.Count());
+  for (const auto& part : base.partitions()) {
+    for (const Row& row : part) rows.push_back(&row);
+  }
+  std::vector<OrderingCondition> conditions = plan.ocjoin_conditions;
+  for (auto& c : conditions) {
+    c.left_column = ToBase(plan, c.left_column);
+    c.right_column = ToBase(plan, c.right_column);
+  }
+  std::vector<RowIndexPair> pairs;
+  if (use_iejoin && IEJoinApplicable(conditions)) {
+    pairs = IEJoin(ctx, base, conditions, &result->iejoin_stats);
+  } else {
+    OCJoinOptions oc_options;
+    oc_options.order_conditions_by_selectivity = true;
+    pairs = OCJoin(ctx, base, conditions, oc_options, &result->ocjoin_stats);
+  }
+  std::optional<ScopedSpan> op_span;
+  if (TraceRecorder::Instance().enabled()) {
+    op_span.emplace("detect|genfix", "operator");
+  }
+  // Tasks probe contiguous runs of the pair list, cut like a dataset of
+  // the pairs would be. The pairs are join output, not input records, so
+  // they are not counted as read.
+  const size_t num_tasks = std::max<size_t>(1, ctx->default_partitions());
+  const size_t per =
+      Dataset<RowIndexPair>::PartitionSize(pairs.size(), num_tasks);
+  auto first_pair = [&](size_t t) { return std::min(pairs.size(), t * per); };
+  auto tasks = StageExecutor(ctx).RunMorsels<TaskOutput>(
+      "detect|genfix:ocjoin-pairs", num_tasks,
+      [&](size_t t) { return first_pair(t + 1) - first_pair(t); },
+      [&](size_t t, size_t begin, size_t end, TaskContext& tc) {
+        TaskOutput out;
+        const size_t first = first_pair(t) + begin;
+        const size_t last = first_pair(t) + end;
+        if (writer != nullptr) {
+          for (size_t i = first; i < last; ++i) {
+            const RowIndexPair& pr = pairs[i];
+            const Row& a = *rows[pr.left];
+            const Row& b = *rows[pr.right];
+            ++out.detect_calls;
+            if (writer->MatchesPair(a, b)) {
+              writer->WritePair({&a, static_cast<uint32_t>(pr.left)},
+                                {&b, static_cast<uint32_t>(pr.right)},
+                                &out.violations);
+            }
+          }
+        } else {
+          Row left;
+          Row right;
+          for (size_t i = first; i < last; ++i) {
+            const RowIndexPair& pr = pairs[i];
+            Probe(*plan.rule,
+                  DetectRow(*rows[pr.left], plan.scope_columns, &left),
+                  DetectRow(*rows[pr.right], plan.scope_columns, &right),
+                  &out);
+          }
+        }
+        tc.records_in = end - begin;
+        tc.records_out = out.violations.size();
+        return out;
+      },
+      [](size_t, std::vector<TaskOutput>&& pieces) {
+        return MergeTaskPieces(std::move(pieces));
+      });
+  if (!tasks.ok()) throw StageError(tasks.status());
+  MergeOutputs(&*tasks, violations, result);
+}
+
+}  // namespace
+
+bool ComputeBlockKey(const PhysicalRulePlan& plan, const Row& row,
+                     Row* projected, uint64_t* key) {
+  if (plan.block_key_fn) {
+    Value v = plan.block_key_fn(plan.detect_schema,
+                                DetectRow(row, plan.scope_columns, projected));
+    if (v.is_null()) return false;
+    *key = v.Hash();
+    return true;
+  }
+  uint64_t h = 0x42D;
+  for (size_t c : plan.blocking_columns) {
+    const Value& v = row.value(ToBase(plan, c));
+    if (v.is_null()) return false;
+    h = StableHashUint64(h ^ v.Hash());
+  }
+  *key = h;
   return true;
+}
+
+void DetectRule(ExecutionContext* ctx, const PhysicalRulePlan& plan,
+                bool use_iejoin, const PartitionView<Row>& base,
+                ColumnarCaches* caches, ViolationBuffer* violations,
+                DetectionResult* result) {
+  // A kernel needs a registered compiler; procedural UDF keys are never
+  // compiled.
+  std::shared_ptr<const KernelTemplate> tmpl;
+  if (ctx->kernels_enabled() && !plan.block_key_fn) {
+    tmpl = KernelRegistry::Instance().Compile(*plan.rule, plan.detect_schema);
+  }
+  const bool has_blocking =
+      !plan.blocking_columns.empty() || static_cast<bool>(plan.block_key_fn);
+  if (plan.strategy == IterateStrategy::kOCJoin && !has_blocking) {
+    const std::unique_ptr<ViolationWriter> writer =
+        tmpl != nullptr
+            ? tmpl->BindWriter(plan.rule->name(), plan.scope_columns)
+            : nullptr;
+    JoinGlobal(ctx, plan, use_iejoin, base, writer.get(), violations, result);
+    return;
+  }
+
+  std::optional<BoundKernel> bound;
+  if (tmpl != nullptr) {
+    result->plan_description += " [kernel]";
+    bound = BindKernel(plan, *tmpl, base, caches);
+  }
+  const BoundKernel* k = bound ? &*bound : nullptr;
+  const std::string prefix = k != nullptr ? "kernel:" : "";
+  std::optional<ScopedSpan> op_span;
+  const bool traced = TraceRecorder::Instance().enabled();
+
+  if (plan.strategy == IterateStrategy::kSingle) {
+    if (traced) op_span.emplace(prefix + "detect|genfix", "operator");
+    DetectSingle(plan, base, k, violations, result);
+  } else if (has_blocking) {
+    if (traced) {
+      op_span.emplace(prefix + "block|iterate|detect|genfix", "operator");
+    }
+    IterateBlocks(ctx, plan, base, BlockRows(ctx, plan, base, k, caches),
+                  violations, result, k);
+  } else {
+    if (traced) op_span.emplace(prefix + "iterate|detect|genfix", "operator");
+    IterateUnblocked(ctx, plan, base, k, violations, result);
+  }
+}
+
+void IterateBlocks(ExecutionContext* ctx, const PhysicalRulePlan& plan,
+                   const PartitionView<Row>& base, const Blocks& blocks,
+                   ViolationBuffer* violations, DetectionResult* result,
+                   const BoundKernel* kernel) {
+  // Morsel units are whole blocks: a skewed partition (one giant dedup
+  // block plus many tiny ones) no longer pins a single worker — idle
+  // workers steal its block ranges. The quadratic interior of one block is
+  // the floor of splittability here; OCJoin handles that case upstream by
+  // never building giant blocks.
+  const auto& bparts = base.partitions();
+  const auto& gparts = blocks.partitions();
+  std::vector<TaskOutput> tasks = blocks.RunStageMorsels<TaskOutput>(
+      kernel != nullptr ? "kernel:iterate|detect|genfix"
+                        : "iterate|detect|genfix",
+      [&](size_t p) { return gparts[p].size(); },
+      [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
+        TaskOutput out;
+        BlockScratch scratch;
+        for (size_t b = begin; b < end; ++b) {
+          const std::vector<RowRef>& block = gparts[p][b].second;
+          IterateBlock(
+              plan, block.size(),
+              [&](size_t i, Row* storage) -> const Row& {
+                const RowRef& r = block[i];
+                return DetectRow(bparts[r.part][r.idx], plan.scope_columns,
+                                 storage);
+              },
+              &scratch, &out, kernel ? kernel->kernel.get() : nullptr,
+              kernel ? kernel->writer.get() : nullptr, [&](size_t i) {
+                const RowRef& r = block[i];
+                return KernelUnit{
+                    CodeTuple{kernel->slot_ptrs[r.part].data(), r.idx},
+                    kernel->UnitAt(base, r.part, r.idx)};
+              });
+        }
+        ctx->metrics().AddPairsEnumerated(out.detect_calls);
+        tc.records_in = end - begin;
+        tc.records_out = out.violations.size();
+        return out;
+      },
+      [](size_t, std::vector<TaskOutput>&& pieces) {
+        return MergeTaskPieces(std::move(pieces));
+      });
+  MergeOutputs(&tasks, violations, result);
 }
 
 }  // namespace columnar

@@ -17,20 +17,20 @@
 namespace bigdansing {
 namespace columnar {
 
-/// Compact handle to a base-table row: partition + index within the
-/// partition. The kernel path shuffles these 8-byte refs instead of whole
-/// Rows; the grouped block layout stays identical because GroupByKey's
-/// output depends only on the key sequence, never on the value type.
+/// Compact handle to a viewed row: partition + index within the partition.
+/// The blocked stages shuffle these 8-byte refs instead of whole Rows; the
+/// grouped block layout depends only on the key sequence, never on the
+/// value type.
 struct RowRef {
   uint32_t part;
   uint32_t idx;
 };
 
 /// The per-row projection PScope applies (values + source-column mapping,
-/// id preserved). The kernel path skips it altogether — codes are built
-/// straight from base rows and compiled GenFix maps detect-schema columns
-/// to base columns — while the interpreted stages and UDF block keys
-/// project with it.
+/// id preserved). No stage projects a whole table: a unit's detect-schema
+/// row is built on demand (DetectRow) where Rule::Detect, Rule::GenFix or
+/// a UDF block key reads it, while kernels read codes encoded straight from
+/// base rows and compiled GenFix maps detect-schema columns to base columns.
 inline Row ScopeProject(const Row& row,
                         const std::vector<size_t>& scope_columns) {
   std::vector<Value> values;
@@ -56,30 +56,66 @@ inline const Row& DetectRow(const Row& row,
   return *storage;
 }
 
-/// Per-DetectAll caches for the kernel path, keyed in base-column space so
-/// rules with different scopes still share work: encoded column sets keyed
-/// by pool-sharing group, and grouped RowRef blocks keyed by the blocking
-/// columns.
+/// A blocked plan's blocks: per block key, RowRefs into the view the keys
+/// were computed over, each block in view order.
+using Blocks = Dataset<std::pair<uint64_t, std::vector<RowRef>>>;
+
+/// Per-DetectAll caches, keyed in base-column space so rules with
+/// different scopes still share work: encoded column sets keyed by
+/// pool-sharing group, and blocks keyed by the blocking columns (or by the
+/// rule and scope a UDF block key reads).
 struct ColumnarCaches {
   std::unordered_map<std::string, EncodedColumnSet> encoded;
-  std::unordered_map<std::string,
-                     Dataset<std::pair<uint64_t, std::vector<RowRef>>>>
-      blocks;
+  std::unordered_map<std::string, Blocks> blocks;
 };
 
-/// Runs one rule's Detect through the columnar kernel path when the rule is
-/// kernelizable (a registered compiler accepts it, no UDF block key, not a
-/// global OCJoin). Appends its violations to `violations` and its counters
-/// to `result` and returns true on success; returns false — without
-/// running any stage — when the rule must take the interpreted path.
-/// `base` must view a table's rows in order (PartitionView::Split), since
-/// the cells written carry table positions. Output is bit-identical to the
-/// interpreted path: the kernel decides which candidates match and the
-/// rule's compiled GenFix writes what Rule::Detect/GenFix would, in the
-/// same enumeration order.
-bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
-                       const PartitionView<Row>& base, ColumnarCaches* caches,
-                       ViolationBuffer* violations, DetectionResult* result);
+/// A rule's compiled kernel bound to its columns encoded over one view
+/// (defined in columnar_detect.cc).
+struct BoundKernel;
+
+/// The block key of the table row `row` under `plan`, computed from its
+/// Values: a stable hash of its blocking values, or the hash of the UDF
+/// block key, which reads the row's detect-schema row (projected into
+/// `*projected` when the plan has a scope). Returns false when the row
+/// belongs to no block (a null key component or a null UDF key).
+/// Collisions only merge blocks (Detect re-checks the actual predicates),
+/// never lose pairs that belong together. A kernel hashes the same values
+/// from per-code hashes (ValuePool::hash is Value::Hash), so both yield the
+/// same keys.
+bool ComputeBlockKey(const PhysicalRulePlan& plan, const Row& row,
+                     Row* projected, uint64_t* key);
+
+/// Runs one rule's Detect over the table `base` views, through the one
+/// stage routine of its Iterate strategy: single units, blocks (block keys,
+/// RowRef blocks, detect::IterateBlock), unblocked chunk pairs, or the
+/// global inequality join. Appends its violations to `violations` and its
+/// counters to `result`. `base` must view a table's rows in order
+/// (PartitionView::Split), since the cells compiled GenFix writes carry
+/// table positions.
+///
+/// With kernels enabled and a registered compiler for the rule (and no UDF
+/// block key), exactly three things change, each under a `kernel:` stage
+/// name: block keys come from the pools' per-code hashes instead of
+/// ComputeBlockKey over Values, the compiled kernel decides each candidate
+/// instead of Rule::Detect, and a ViolationWriter writes each violation
+/// instead of Rule::GenFix. Enumeration and violation order are shared, so
+/// the output is byte-identical either way. The global join runs OCJoin (or
+/// IEJoin with `use_iejoin`) for every rule, with the compiled GenFix
+/// deciding and writing its pairs when there is one.
+void DetectRule(ExecutionContext* ctx, const PhysicalRulePlan& plan,
+                bool use_iejoin, const PartitionView<Row>& base,
+                ColumnarCaches* caches, ViolationBuffer* violations,
+                DetectionResult* result);
+
+/// The blocked Iterate -> Detect -> GenFix stage over `blocks` of `base`'s
+/// rows, with morsels of whole blocks. Without a `kernel` (the changed-rows
+/// and storage-pushdown requests' blocked passes, and rules that have none)
+/// each unit's detect-schema row is built on demand and Rule::Detect and
+/// Rule::GenFix run on every candidate pair.
+void IterateBlocks(ExecutionContext* ctx, const PhysicalRulePlan& plan,
+                   const PartitionView<Row>& base, const Blocks& blocks,
+                   ViolationBuffer* violations, DetectionResult* result,
+                   const BoundKernel* kernel = nullptr);
 
 }  // namespace columnar
 }  // namespace bigdansing

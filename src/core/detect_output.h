@@ -15,19 +15,18 @@
 namespace bigdansing {
 namespace detect {
 
-/// Per-task accumulation of detection output, shared by the interpreted
-/// stages (rule_engine.cc), the columnar kernel stages (columnar_detect.cc)
-/// and the stream session's window stage (stream_session.cc).
-/// `detect_calls` counts candidate-pair (or unit) evaluations — for the
-/// kernel path that is kernel evaluations, so the counter stays identical
-/// to the interpreted path's Detect-call count.
+/// Per-task accumulation of detection output, shared by the engine's
+/// detection stages (columnar_detect.cc) and the stream session's window
+/// stage (stream_session.cc). `detect_calls` counts candidate-pair (or
+/// unit) evaluations — with a kernel that is kernel evaluations, so the
+/// counter stays identical to the Rule::Detect call count without one.
 struct TaskOutput {
   ViolationBuffer violations;
   uint64_t detect_calls = 0;
 };
 
 /// Runs Detect (and GenFix) on the ordered pair (a, b), appending the
-/// objects to `out`: the interpreted path.
+/// objects to `out`: the decision and the write of a rule without a kernel.
 inline void Probe(const Rule& rule, const Row& a, const Row& b,
                   TaskOutput* out) {
   ++out->detect_calls;
@@ -52,7 +51,7 @@ inline void ProbeSingle(const Rule& rule, const Row& row, TaskOutput* out) {
   }
 }
 
-/// A unit on the kernel path: its code tuple, and its base row and table
+/// A unit under a kernel: its code tuple, and its base row and table
 /// position for the compiled GenFix.
 struct KernelUnit {
   CodeTuple codes;
@@ -68,45 +67,47 @@ struct BlockScratch {
   std::vector<Row> projected;
 };
 
-/// Row accessor of the kernel path: never called.
-struct NoRows {
-  const Row& operator()(size_t, Row* storage) const { return *storage; }
-};
-
-/// Unit accessor of the interpreted path: never called.
-struct NoUnits {
-  KernelUnit operator()(size_t) const { return KernelUnit{{nullptr, 0}, {}}; }
-};
-
 /// The Iterate -> Detect -> GenFix pass over one block of `n` units, shared
-/// by the engine's interpreted and kernel blocked stages and the stream
-/// session's in-place stage, so pair order and detect_calls counting live
-/// here only. `row(i, storage)` returns unit i's detect-schema row; it may
+/// by the engine's blocked stage and the stream session's in-place stage,
+/// so pair order and detect_calls counting live here only, with a kernel or
+/// without. `row(i, storage)` returns unit i's detect-schema row; it may
 /// fill `*storage` (an on-demand scope projection) and return it.
 ///
 ///  - UCrossProduct: pairs i < j in i-outer j-inner order; symmetric rules
 ///    probe (i, j), asymmetric ones (i, j) then (j, i).
 ///  - CrossProduct, and the within-block fallback of blocked OCJoin plans
 ///    (blocks are small, so the quadratic pass stays local): every ordered
-///    pair i != j, row-major. Interpreted, this wrapper materializes its
-///    pair list before Detect runs — the overhead the enhancers avoid.
+///    pair i != j, row-major.
 ///
-/// With a `kernel`, `unit(i)` returns unit i as a KernelUnit and the
-/// kernel decides each pair in the same order (a symmetric block in one
+/// With a `kernel` (null: none), `unit(i)` returns unit i as a KernelUnit
+/// and the kernel decides each pair in the same order (a symmetric block in one
 /// batched MatchUpper call); only matches reach the compiled GenFix
-/// `writer`, so the violations are byte-equal to the interpreted pass and
+/// `writer`, so the violations are byte-equal to Rule::Detect/GenFix's and
 /// detect_calls counts every evaluated pair either way; `row` is not
 /// called. Without one, each unit's row is resolved once and Probe runs on
 /// every pair.
-template <typename RowAt, typename UnitAt = NoUnits>
+template <typename RowAt, typename UnitAt>
 void IterateBlock(const PhysicalRulePlan& plan, size_t n, const RowAt& row,
                   BlockScratch* scratch, TaskOutput* out,
-                  const DetectKernel* kernel = nullptr,
-                  const ViolationWriter* writer = nullptr,
-                  const UnitAt& unit = UnitAt()) {
+                  const DetectKernel* kernel, const ViolationWriter* writer,
+                  const UnitAt& unit) {
   const Rule& rule = *plan.rule;
   const bool unordered = plan.strategy == IterateStrategy::kUCrossProduct;
   const bool symmetric = rule.IsSymmetric();
+  auto each_pair = [&](auto&& eval) {
+    for (size_t i = 0; i < n; ++i) {
+      if (unordered) {
+        for (size_t j = i + 1; j < n; ++j) {
+          eval(i, j);
+          if (!symmetric) eval(j, i);
+        }
+      } else {
+        for (size_t j = 0; j < n; ++j) {
+          if (i != j) eval(i, j);
+        }
+      }
+    }
+  };
   if (kernel == nullptr) {
     auto& rows = scratch->rows;
     if (scratch->projected.size() < n) scratch->projected.resize(n);
@@ -114,23 +115,7 @@ void IterateBlock(const PhysicalRulePlan& plan, size_t n, const RowAt& row,
     for (size_t i = 0; i < n; ++i) {
       rows.push_back(&row(i, &scratch->projected[i]));
     }
-    if (unordered) {
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t j = i + 1; j < n; ++j) {
-          Probe(rule, *rows[i], *rows[j], out);
-          if (!symmetric) Probe(rule, *rows[j], *rows[i], out);
-        }
-      }
-      return;
-    }
-    std::vector<std::pair<const Row*, const Row*>> pairs;
-    pairs.reserve(n * n);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        if (i != j) pairs.emplace_back(rows[i], rows[j]);
-      }
-    }
-    for (const auto& [a, b] : pairs) Probe(rule, *a, *b, out);
+    each_pair([&](size_t i, size_t j) { Probe(rule, *rows[i], *rows[j], out); });
     return;
   }
 
@@ -146,10 +131,6 @@ void IterateBlock(const PhysicalRulePlan& plan, size_t n, const RowAt& row,
   auto materialize = [&](size_t i, size_t j) {
     writer->WritePair(units[i], units[j], &out->violations);
   };
-  auto eval = [&](size_t i, size_t j) {
-    ++out->detect_calls;
-    if (kernel->Matches(tuples[i], tuples[j])) materialize(i, j);
-  };
   if (unordered && symmetric) {
     // The hot shape (FDs, symmetric DCs): one branch-light batched call
     // over contiguous codes, reporting matches in (i, j) loop order.
@@ -159,18 +140,10 @@ void IterateBlock(const PhysicalRulePlan& plan, size_t n, const RowAt& row,
     for (const auto& [i, j] : scratch->matches) materialize(i, j);
     return;
   }
-  for (size_t i = 0; i < n; ++i) {
-    if (unordered) {
-      for (size_t j = i + 1; j < n; ++j) {
-        eval(i, j);
-        eval(j, i);
-      }
-    } else {
-      for (size_t j = 0; j < n; ++j) {
-        if (i != j) eval(i, j);
-      }
-    }
-  }
+  each_pair([&](size_t i, size_t j) {
+    ++out->detect_calls;
+    if (kernel->Matches(tuples[i], tuples[j])) materialize(i, j);
+  });
 }
 
 /// Appends every task's violations to `out` in task order, reserving once.

@@ -70,8 +70,6 @@ struct PlannerOptions {
   bool enable_blocking = true;
   bool enable_ucross_product = true;
   bool enable_ocjoin = true;
-  /// Let OCJoin reorder its conditions by sampled selectivity (§4.3).
-  bool ocjoin_selectivity_ordering = true;
   /// Use IEJoin (the sort/permutation/bit-array follow-on algorithm)
   /// instead of OCJoin's partitioned sort-merge when a rule has two or
   /// more ordering conditions.

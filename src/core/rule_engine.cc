@@ -21,51 +21,13 @@ namespace bigdansing {
 
 namespace {
 
-/// Block key type: a stable hash of the blocking-key values. Collisions only
-/// merge blocks (Detect re-checks the actual predicates), never lose pairs
-/// that belong together, so correctness is preserved.
-using BlockKey = uint64_t;
-
 /// The viewed rows copied into a dataset on the view's partitions, for the
-/// interpreted stages. The copy is serial driver work; published to the
-/// sampling profiler so profiled runs attribute it instead of counting idle
-/// ticks.
+/// changed-rows request's single and unblocked passes and two-table
+/// detection. The copy is serial driver work; published to the sampling
+/// profiler so profiled runs attribute it instead of counting idle ticks.
 Dataset<Row> LoadTable(const PartitionView<Row>& view) {
   ScopedActivity activity(Profiler::Instance().Intern("load:table", "driver"));
   return view.Materialize();
-}
-
-/// PScope over viewed rows as one "scope" stage, without copying the base
-/// rows first: the projected rows, partitioned like `view`.
-Dataset<Row> ScopeView(const PartitionView<Row>& view,
-                       const std::vector<size_t>& scope_columns) {
-  const auto& parts = view.partitions();
-  return Dataset<Row>(
-      view.context(),
-      view.RunStageMorsels<std::vector<Row>>(
-          "scope", [&](size_t p) { return parts[p].size(); },
-          [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
-            std::vector<Row> out;
-            out.reserve(end - begin);
-            for (size_t i = begin; i < end; ++i) {
-              out.push_back(columnar::ScopeProject(parts[p][i], scope_columns));
-            }
-            tc.records_in = end - begin;
-            tc.records_out = out.size();
-            return out;
-          },
-          [](size_t, std::vector<std::vector<Row>>&& pieces) {
-            size_t total = 0;
-            for (const auto& piece : pieces) total += piece.size();
-            std::vector<Row> merged;
-            merged.reserve(total);
-            for (auto& piece : pieces) {
-              merged.insert(merged.end(),
-                            std::make_move_iterator(piece.begin()),
-                            std::make_move_iterator(piece.end()));
-            }
-            return merged;
-          }));
 }
 
 /// Applies PScope: projects each row to `scope_columns`, recording source
@@ -78,31 +40,10 @@ Dataset<Row> ApplyScope(const Dataset<Row>& data,
   }, "scope");
 }
 
-/// Computes the blocking key of `row` under `plan`; returns false when the
-/// row belongs to no block (null key component / null UDF key).
-bool ComputeBlockKey(const PhysicalRulePlan& plan, const Row& row,
-                     BlockKey* key) {
-  if (plan.block_key_fn) {
-    Value v = plan.block_key_fn(plan.detect_schema, row);
-    if (v.is_null()) return false;
-    *key = v.Hash();
-    return true;
-  }
-  uint64_t h = 0x42D;
-  for (size_t c : plan.blocking_columns) {
-    const Value& v = row.value(c);
-    if (v.is_null()) return false;
-    h = StableHashUint64(h ^ v.Hash());
-  }
-  *key = h;
-  return true;
-}
-
-// Detection task accumulation, the per-block pair enumeration and the merge
-// helpers live in detect_output.h, shared with the columnar kernel path
-// (columnar_detect.cc) and the stream session's window stage.
-using detect::BlockScratch;
-using detect::IterateBlock;
+// Detection task accumulation and the merge helpers live in
+// detect_output.h, shared with the detection stages (columnar_detect.cc)
+// and the stream session's window stage.
+using columnar::RowRef;
 using detect::MergeOutputs;
 using detect::MergeTaskPieces;
 using detect::Probe;
@@ -142,106 +83,6 @@ std::vector<ViolationWithFixes> BuildObjects(ExecutionContext* ctx,
       });
   if (!status.ok()) throw StageError(status);
   return out;
-}
-
-/// Executes the blocked pipeline: Iterate within blocks -> Detect -> GenFix.
-/// The task body accumulates into a per-attempt TaskOutput and returns it,
-/// so a retried or speculative attempt never double-appends (the executor
-/// commits exactly one buffer per task).
-void RunBlocked(ExecutionContext* ctx, const PhysicalRulePlan& plan,
-                const Dataset<std::pair<BlockKey, std::vector<Row>>>& blocks,
-                ViolationBuffer* violations, DetectionResult* result) {
-  // Morsel units are whole blocks: a skewed partition (one giant dedup
-  // block plus many tiny ones) no longer pins a single worker — idle
-  // workers steal its block ranges. The quadratic interior of one block is
-  // the floor of splittability here; OCJoin handles that case upstream by
-  // never building giant blocks.
-  const auto& parts = blocks.partitions();
-  std::vector<TaskOutput> tasks = blocks.RunStageMorsels<TaskOutput>(
-      "iterate|detect|genfix",
-      [&](size_t p) { return parts[p].size(); },
-      [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
-        TaskOutput out;
-        BlockScratch scratch;
-        for (size_t b = begin; b < end; ++b) {
-          const std::vector<Row>& block = parts[p][b].second;
-          IterateBlock(
-              plan, block.size(),
-              [&block](size_t i, Row*) -> const Row& { return block[i]; },
-              &scratch, &out);
-        }
-        ctx->metrics().AddPairsEnumerated(out.detect_calls);
-        tc.records_in = end - begin;
-        tc.records_out = out.violations.size();
-        return out;
-      },
-      [](size_t, std::vector<TaskOutput>&& pieces) {
-        return MergeTaskPieces(std::move(pieces));
-      });
-  MergeOutputs(&tasks, violations, result);
-}
-
-/// Executes the whole-dataset pair enumeration (no blocking key): rows are
-/// chunked and chunk pairs are processed as parallel tasks.
-void RunUnblocked(ExecutionContext* ctx, const PhysicalRulePlan& plan,
-                  const std::vector<Row>& rows, ViolationBuffer* violations,
-                  DetectionResult* result) {
-  const bool unordered = plan.strategy == IterateStrategy::kUCrossProduct &&
-                         plan.rule->IsSymmetric();
-  size_t num_chunks = std::max<size_t>(1, ctx->num_workers() * 2);
-  if (num_chunks > rows.size()) num_chunks = std::max<size_t>(1, rows.size());
-  size_t chunk = (rows.size() + num_chunks - 1) / num_chunks;
-  // Task list: chunk pairs (i <= j). For unordered enumeration each chunk
-  // pair is visited once; for ordered enumeration both orientations are
-  // probed inside the task.
-  struct ChunkPair {
-    size_t i;
-    size_t j;
-  };
-  std::vector<ChunkPair> chunk_pairs;
-  for (size_t i = 0; i < num_chunks; ++i) {
-    for (size_t j = i; j < num_chunks; ++j) chunk_pairs.push_back({i, j});
-  }
-  const bool materialize = plan.strategy == IterateStrategy::kCrossProduct;
-  auto tasks = StageExecutor(ctx).RunProducing<TaskOutput>(
-      "iterate|detect|genfix:unblocked", chunk_pairs.size(),
-      [&](size_t t, TaskContext& tc) {
-    auto [ci, cj] = chunk_pairs[t];
-    size_t ibegin = ci * chunk;
-    size_t iend = std::min(rows.size(), ibegin + chunk);
-    size_t jbegin = cj * chunk;
-    size_t jend = std::min(rows.size(), jbegin + chunk);
-    TaskOutput task_out;
-    TaskOutput* out = &task_out;
-    const Rule& rule = *plan.rule;
-    if (materialize) {
-      // Wrapper semantics: PIterate materializes the candidate pair list,
-      // then PDetect consumes it.
-      std::vector<std::pair<const Row*, const Row*>> pairs;
-      for (size_t i = ibegin; i < iend; ++i) {
-        size_t jstart = (ci == cj) ? i + 1 : jbegin;
-        for (size_t j = jstart; j < jend; ++j) {
-          pairs.emplace_back(&rows[i], &rows[j]);
-          pairs.emplace_back(&rows[j], &rows[i]);
-        }
-      }
-      for (const auto& [a, b] : pairs) Probe(rule, *a, *b, out);
-    } else {
-      for (size_t i = ibegin; i < iend; ++i) {
-        size_t jstart = (ci == cj) ? i + 1 : jbegin;
-        for (size_t j = jstart; j < jend; ++j) {
-          Probe(rule, rows[i], rows[j], out);
-          if (!unordered) Probe(rule, rows[j], rows[i], out);
-        }
-      }
-    }
-    ctx->metrics().AddPairsEnumerated(out->detect_calls);
-    tc.records_in = iend - ibegin;
-    tc.records_out = out->violations.size();
-    return task_out;
-  });
-  if (!tasks.ok()) throw StageError(tasks.status());
-  MergeOutputs(&*tasks, violations, result);
 }
 
 }  // namespace
@@ -406,211 +247,10 @@ Status RuleEngine::DetectAllImpl(const Table& table,
   }
 
   // Shared scan (plan consolidation, §4.2): every rule reads the table in
-  // place through one partitioned view. Only rules that take the
-  // interpreted stages need the rows copied into a dataset, made once on
-  // first use. Scoped/blocked intermediates are cached by their parameter
-  // signature so rules with equal Scope/Block params reuse one pass.
+  // place through one partitioned view, and rules with equal encode or
+  // Block parameters reuse one pass through the caches.
   const PartitionView<Row> view = PartitionView<Row>::Split(ctx_, table.rows());
-  std::optional<Dataset<Row>> base;
-  std::unordered_map<std::string, Dataset<Row>> scoped_cache;
-  std::unordered_map<std::string,
-                     Dataset<std::pair<BlockKey, std::vector<Row>>>>
-      block_cache;
-  columnar::ColumnarCaches columnar_caches;
-  ViolationBuffer* violations = &out->violations;
-
-  auto detect_rule = [&](const PhysicalRulePlan& plan,
-                         DetectionResult& result) {
-    // Columnar kernel path (default; BD_KERNELS=0 disables): declarative
-    // rules with a registered kernel compiler evaluate candidates over
-    // dictionary codes encoded straight from the table's rows — no eager
-    // scope stage — and fall through to the interpreted stages below when
-    // not kernelizable (UDF rules, similarity predicates, global OCJoin).
-    // Bit-identical output either way.
-    if (ctx_->kernels_enabled() &&
-        columnar::TryDetectColumnar(ctx_, plan, view, &columnar_caches,
-                                    violations, &result)) {
-      return;
-    }
-
-    // OCJoin enhancer: global inequality self-join (no blocking key). The
-    // join encodes its condition columns straight from the table's rows, so
-    // the conditions are mapped to base columns; it returns row positions,
-    // which index the scoped rows as well (scope is a per-row projection).
-    const bool has_blocking =
-        !plan.blocking_columns.empty() || static_cast<bool>(plan.block_key_fn);
-    if (plan.strategy == IterateStrategy::kOCJoin && !has_blocking) {
-      // With kernels on, a compiled rule decides and writes each pair over
-      // the base rows in place (position = table position); otherwise
-      // Rule::Detect probes the scoped rows.
-      std::unique_ptr<ViolationWriter> writer;
-      if (ctx_->kernels_enabled()) {
-        if (auto tmpl = KernelRegistry::Instance().Compile(
-                *plan.rule, plan.detect_schema)) {
-          writer = tmpl->BindWriter(plan.rule->name(), plan.scope_columns);
-        }
-      }
-      Dataset<Row> scoped;
-      std::vector<const Row*> rows;
-      {
-        std::optional<ScopedSpan> op_span;
-        if (trace.enabled()) op_span.emplace("scope", "operator");
-        rows.reserve(view.Count());
-        if (writer != nullptr || plan.scope_columns.empty()) {
-          for (const auto& part : view.partitions()) {
-            for (const Row& row : part) rows.push_back(&row);
-          }
-        } else {
-          scoped = ScopeView(view, plan.scope_columns);
-          for (const auto& part : scoped.partitions()) {
-            for (const Row& row : part) rows.push_back(&row);
-          }
-        }
-      }
-      std::vector<OrderingCondition> conditions = plan.ocjoin_conditions;
-      if (!plan.scope_columns.empty()) {
-        for (auto& c : conditions) {
-          c.left_column = plan.scope_columns[c.left_column];
-          c.right_column = plan.scope_columns[c.right_column];
-        }
-      }
-      std::vector<RowIndexPair> pairs;
-      if (options_.use_iejoin && IEJoinApplicable(conditions)) {
-        pairs = IEJoin(ctx_, view, conditions, &result.iejoin_stats);
-      } else {
-        OCJoinOptions oc_options;
-        oc_options.order_conditions_by_selectivity =
-            options_.ocjoin_selectivity_ordering;
-        pairs = OCJoin(ctx_, view, conditions, oc_options,
-                       &result.ocjoin_stats);
-      }
-      std::optional<ScopedSpan> op_span;
-      if (trace.enabled()) op_span.emplace("detect|genfix", "operator");
-      // Tasks probe contiguous runs of the pair list, cut like a dataset
-      // of the pairs would be. The pairs are join output, not input
-      // records, so they are not counted as read.
-      const size_t num_tasks = std::max<size_t>(1, ctx_->default_partitions());
-      const size_t per =
-          Dataset<RowIndexPair>::PartitionSize(pairs.size(), num_tasks);
-      auto first_pair = [&](size_t t) {
-        return std::min(pairs.size(), t * per);
-      };
-      auto tasks = StageExecutor(ctx_).RunMorsels<TaskOutput>(
-          "detect|genfix:ocjoin-pairs", num_tasks,
-          [&](size_t t) { return first_pair(t + 1) - first_pair(t); },
-          [&](size_t t, size_t begin, size_t end, TaskContext& tc) {
-            TaskOutput out;
-            for (size_t i = first_pair(t) + begin; i < first_pair(t) + end;
-                 ++i) {
-              const RowIndexPair& pr = pairs[i];
-              const Row& a = *rows[pr.left];
-              const Row& b = *rows[pr.right];
-              if (writer == nullptr) {
-                Probe(*plan.rule, a, b, &out);
-                continue;
-              }
-              ++out.detect_calls;
-              if (writer->MatchesPair(a, b)) {
-                writer->WritePair({&a, static_cast<uint32_t>(pr.left)},
-                                  {&b, static_cast<uint32_t>(pr.right)},
-                                  &out.violations);
-              }
-            }
-            tc.records_in = end - begin;
-            tc.records_out = out.violations.size();
-            return out;
-          },
-          [](size_t, std::vector<TaskOutput>&& pieces) {
-            return MergeTaskPieces(std::move(pieces));
-          });
-      if (!tasks.ok()) throw StageError(tasks.status());
-      MergeOutputs(&*tasks, violations, &result);
-      return;
-    }
-
-    // Interpreted stages: the table's rows as a dataset, copied once.
-    if (!base) base = LoadTable(view);
-
-    // PScope (cached across rules with identical column sets).
-    std::string scope_sig;
-    for (size_t c : plan.scope_columns) {
-      scope_sig += std::to_string(c) + ",";
-    }
-    auto scoped_it = scoped_cache.find(scope_sig);
-    if (scoped_it == scoped_cache.end()) {
-      scoped_it =
-          scoped_cache.emplace(scope_sig, ApplyScope(*base, plan.scope_columns))
-              .first;
-    }
-    const Dataset<Row>& scoped = scoped_it->second;
-
-    // Arity-1 rules: units flow straight to Detect.
-    if (plan.strategy == IterateStrategy::kSingle) {
-      std::optional<ScopedSpan> op_span;
-      if (trace.enabled()) op_span.emplace("scope|detect|genfix", "operator");
-      const auto& parts = scoped.partitions();
-      std::vector<TaskOutput> tasks = scoped.RunStageMorsels<TaskOutput>(
-          "detect:single|genfix",
-          [&](size_t p) { return parts[p].size(); },
-          [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
-            TaskOutput out;
-            for (size_t i = begin; i < end; ++i) {
-              ProbeSingle(*plan.rule, parts[p][i], &out);
-            }
-            tc.records_in = end - begin;
-            tc.records_out = out.violations.size();
-            return out;
-          },
-          [](size_t, std::vector<TaskOutput>&& pieces) {
-            return MergeTaskPieces(std::move(pieces));
-          });
-      MergeOutputs(&tasks, violations, &result);
-      return;
-    }
-
-    if (has_blocking) {
-      // PBlock (cached): key rows, drop keyless rows, group.
-      std::string block_sig = scope_sig + "|";
-      if (plan.block_key_fn) {
-        block_sig += "udf:" + plan.rule->name();
-      } else {
-        for (size_t c : plan.blocking_columns) {
-          block_sig += std::to_string(c) + ",";
-        }
-      }
-      std::optional<ScopedSpan> op_span;
-      if (trace.enabled()) {
-        op_span.emplace("scope|block|iterate|detect|genfix", "operator");
-      }
-      auto block_it = block_cache.find(block_sig);
-      if (block_it == block_cache.end()) {
-        auto keyed = scoped.MapPartitions<std::pair<BlockKey, Row>>(
-            [&plan](const std::vector<Row>& part) {
-              std::vector<std::pair<BlockKey, Row>> out;
-              out.reserve(part.size());
-              BlockKey key = 0;
-              for (const Row& row : part) {
-                if (ComputeBlockKey(plan, row, &key)) {
-                  out.emplace_back(key, row);
-                }
-              }
-              return out;
-            }, "block");
-        block_it = block_cache.emplace(block_sig, GroupByKey(keyed)).first;
-      }
-      RunBlocked(ctx_, plan, block_it->second, violations, &result);
-      return;
-    }
-
-    // No blocking key: whole-dataset enumeration.
-    std::optional<ScopedSpan> op_span;
-    if (trace.enabled()) {
-      op_span.emplace("scope|iterate|detect|genfix", "operator");
-    }
-    std::vector<Row> rows = scoped.Collect();
-    RunUnblocked(ctx_, plan, rows, violations, &result);
-  };
-
+  columnar::ColumnarCaches caches;
   for (size_t r = 0; r < rules.size(); ++r) {
     const PhysicalRulePlan& plan = plans[r];
     DetectionResult& result = out->results[r];
@@ -624,8 +264,9 @@ Status RuleEngine::DetectAllImpl(const Table& table,
       rule_span.emplace(plan.rule->name(), "rule");
       plan.AnnotateSpan(&*rule_span);
     }
-    detect_rule(plan, result);
-    out->rule_end.push_back(violations->size());
+    columnar::DetectRule(ctx_, plan, options_.use_iejoin, view, &caches,
+                         &out->violations, &result);
+    out->rule_end.push_back(out->violations.size());
   }
   return Status::OK();
 }
@@ -645,9 +286,61 @@ Status RuleEngine::DetectIncrementalImpl(
                             " changed rows]";
   if (changed_rows.empty()) return Status::OK();
 
-  Dataset<Row> base =
-      LoadTable(PartitionView<Row>::Split(ctx_, table.rows()));
-  Dataset<Row> scoped = ApplyScope(base, plan->scope_columns);
+  const PartitionView<Row> view = PartitionView<Row>::Split(ctx_, table.rows());
+  const bool has_blocking =
+      !plan->blocking_columns.empty() || static_cast<bool>(plan->block_key_fn);
+  if (plan->strategy != IterateStrategy::kSingle && has_blocking) {
+    // Only blocks containing a changed row can gain or lose violations.
+    // First pass: the changed rows' block keys (a small driver-side set);
+    // second pass: key only the rows landing in those blocks, so the
+    // shuffle moves a fraction of the data. Then the blocked stage of a
+    // whole-table Detect, without a kernel.
+    const auto& parts = view.partitions();
+    std::vector<std::vector<uint64_t>> per_part_keys =
+        view.RunStageProducing<std::vector<uint64_t>>(
+            "block:dirty-keys", [&](size_t p, TaskContext& tc) {
+              std::vector<uint64_t> keys;
+              Row projected;
+              uint64_t key = 0;
+              for (const Row& row : parts[p]) {
+                if (changed_rows.count(row.id()) > 0 &&
+                    columnar::ComputeBlockKey(*plan, row, &projected, &key)) {
+                  keys.push_back(key);
+                }
+              }
+              tc.records_out = keys.size();
+              return keys;
+            });
+    std::unordered_set<uint64_t> dirty_keys;
+    for (const auto& keys : per_part_keys) {
+      dirty_keys.insert(keys.begin(), keys.end());
+    }
+    using KeyedPart = std::vector<std::pair<uint64_t, RowRef>>;
+    std::vector<KeyedPart> keyed = view.RunStageProducing<KeyedPart>(
+        "block:dirty", [&](size_t p, TaskContext& tc) {
+          KeyedPart out;
+          Row projected;
+          uint64_t key = 0;
+          for (size_t i = 0; i < parts[p].size(); ++i) {
+            if (columnar::ComputeBlockKey(*plan, parts[p][i], &projected,
+                                          &key) &&
+                dirty_keys.count(key) > 0) {
+              out.emplace_back(key, RowRef{static_cast<uint32_t>(p),
+                                           static_cast<uint32_t>(i)});
+            }
+          }
+          tc.records_out = out.size();
+          return out;
+        });
+    columnar::IterateBlocks(
+        ctx_, *plan, view,
+        GroupByKey(Dataset<std::pair<uint64_t, RowRef>>(ctx_, std::move(keyed))),
+        violations, &result);
+    out->rule_end[0] = violations->size();
+    return Status::OK();
+  }
+
+  Dataset<Row> scoped = ApplyScope(LoadTable(view), plan->scope_columns);
 
   // Arity-1: only the changed units can have new violations.
   if (plan->strategy == IterateStrategy::kSingle) {
@@ -663,48 +356,6 @@ Status RuleEngine::DetectIncrementalImpl(
           return out;
         });
     MergeOutputs(&tasks, violations, &result);
-    out->rule_end[0] = violations->size();
-    return Status::OK();
-  }
-
-  const bool has_blocking =
-      !plan->blocking_columns.empty() || static_cast<bool>(plan->block_key_fn);
-  if (has_blocking) {
-    // Only blocks containing a changed row can gain or lose violations.
-    // First pass: the changed rows' block keys (a small driver-side set);
-    // second pass: key and group only the rows landing in those blocks, so
-    // the shuffle moves a fraction of the data.
-    std::vector<std::vector<BlockKey>> per_part_keys =
-        scoped.RunStageProducing<std::vector<BlockKey>>(
-            "block:dirty-keys", [&](size_t p, TaskContext& tc) {
-              std::vector<BlockKey> keys;
-              BlockKey key = 0;
-              for (const Row& row : scoped.partitions()[p]) {
-                if (changed_rows.count(row.id()) > 0 &&
-                    ComputeBlockKey(*plan, row, &key)) {
-                  keys.push_back(key);
-                }
-              }
-              tc.records_out = keys.size();
-              return keys;
-            });
-    std::unordered_set<BlockKey> dirty_keys;
-    for (const auto& keys : per_part_keys) {
-      dirty_keys.insert(keys.begin(), keys.end());
-    }
-    auto keyed = scoped.MapPartitions<std::pair<BlockKey, Row>>(
-        [&plan = *plan, &dirty_keys](const std::vector<Row>& part) {
-          std::vector<std::pair<BlockKey, Row>> out;
-          BlockKey key = 0;
-          for (const Row& row : part) {
-            if (ComputeBlockKey(plan, row, &key) &&
-                dirty_keys.count(key) > 0) {
-              out.emplace_back(key, row);
-            }
-          }
-          return out;
-        }, "block:dirty");
-    RunBlocked(ctx_, *plan, GroupByKey(keyed), violations, &result);
     out->rule_end[0] = violations->size();
     return Status::OK();
   }
@@ -782,23 +433,34 @@ Status RuleEngine::DetectWithStorageImpl(const StorageManager& storage,
       plan->ToString() + " [block pushed down to storage replica '" +
       replica->attribute + "']";
   // Rows sharing a blocking key are co-located in one storage partition,
-  // so grouping is local to each partition — no shuffle.
-  Dataset<Row> data(ctx_, replica->partitions);
-  ctx_->metrics().AddRecordsRead(data.Count());
-  auto scoped = ApplyScope(data, plan->scope_columns);
-  auto blocks = scoped.MapPartitions<std::pair<BlockKey, std::vector<Row>>>(
-      [&plan = *plan](const std::vector<Row>& part) {
-        std::unordered_map<BlockKey, std::vector<Row>> groups;
-        BlockKey key = 0;
-        for (const Row& row : part) {
-          if (ComputeBlockKey(plan, row, &key)) groups[key].push_back(row);
+  // so grouping is local to each partition — no shuffle. Then the blocked
+  // stage of a whole-table Detect, without a kernel.
+  const Dataset<Row> data(ctx_, replica->partitions);
+  const PartitionView<Row> view(data);
+  ctx_->metrics().AddRecordsRead(view.Count());
+  const auto& parts = view.partitions();
+  using LocalBlocks = std::vector<std::pair<uint64_t, std::vector<RowRef>>>;
+  std::vector<LocalBlocks> blocks = view.RunStageProducing<LocalBlocks>(
+      "block:local", [&](size_t p, TaskContext& tc) {
+        std::unordered_map<uint64_t, std::vector<RowRef>> groups;
+        Row projected;
+        uint64_t key = 0;
+        for (size_t i = 0; i < parts[p].size(); ++i) {
+          if (columnar::ComputeBlockKey(*plan, parts[p][i], &projected,
+                                        &key)) {
+            groups[key].push_back(RowRef{static_cast<uint32_t>(p),
+                                         static_cast<uint32_t>(i)});
+          }
         }
-        std::vector<std::pair<BlockKey, std::vector<Row>>> out;
+        LocalBlocks out;
         out.reserve(groups.size());
         for (auto& g : groups) out.emplace_back(g.first, std::move(g.second));
+        tc.records_out = out.size();
         return out;
-      }, "block:local");
-  RunBlocked(ctx_, *plan, blocks, &out->violations, &result);
+      });
+  columnar::IterateBlocks(ctx_, *plan, view,
+                          columnar::Blocks(ctx_, std::move(blocks)),
+                          &out->violations, &result);
   out->rule_end.assign(1, out->violations.size());
   return Status::OK();
 }
@@ -869,7 +531,7 @@ Status RuleEngine::DetectAcrossImpl(const Table& left, const Table& right,
   auto key_rows = [](const Dataset<Row>& ds, const std::vector<size_t>& cols) {
     // Deferred until the CoGroup below: capture the column list by value.
     return ds.FlatMap([cols](const Row& row) {
-      std::vector<std::pair<BlockKey, Row>> out;
+      std::vector<std::pair<uint64_t, Row>> out;
       uint64_t h = 0x42D;
       for (size_t c : cols) {
         const Value& v = row.value(c);

@@ -47,15 +47,20 @@ class ExecutionContext {
     morsel_rows_ = std::max<size_t>(1, rows);
   }
 
-  /// Whether declarative rules route through the columnar detect kernels
+  /// Whether declarative rules run with the columnar detect kernels
   /// (dictionary-encoded keys + compiled predicate kernels). Off, every
-  /// rule takes the interpreted path — the bit-identical oracle. Defaults
-  /// from BD_KERNELS; override per context for tests and ablations.
+  /// rule runs the same detection stages without one — the bit-identical
+  /// oracle. Defaults from BD_KERNELS; override per context for tests and
+  /// ablations.
   bool kernels_enabled() const { return kernels_enabled_; }
   void set_kernels_enabled(bool enabled) { kernels_enabled_ = enabled; }
 
-  /// BD_KERNELS unset or any value but "0" enables the kernel path; "0"
-  /// restores the exact interpreted engine.
+  /// BD_KERNELS unset or any value but "0" enables the kernels. "0" keeps
+  /// the stages and their enumeration order and changes three things:
+  /// block keys come from Values through ComputeBlockKey instead of
+  /// per-code hashes, Rule::Detect decides each candidate instead of the
+  /// compiled kernel, and Rule::GenFix writes each violation instead of the
+  /// compiled ViolationWriter.
   static bool DefaultKernelsEnabled() {
     if (const char* env = std::getenv("BD_KERNELS")) {
       return std::string_view(env) != "0";

@@ -563,6 +563,37 @@ TEST(KernelStages, ReportedWithKernelPrefixOnlyWhenEnabled) {
     ASSERT_TRUE(engine.Detect(table, rule).ok());
     EXPECT_FALSE(has_kernel_stage(ctx.metrics()));
   }
+
+  // Without a kernel, a scoped rule still reads the table in place: each
+  // unit's detect-schema row is built on demand inside the block and
+  // iterate stages, so no stage projects the table first.
+  auto udf = std::make_shared<UdfRule>("u");
+  udf->set_relevant_attributes({"zipcode", "city"})
+      .set_block_key([](const Schema& schema, const Row& row) {
+        return row.value(*schema.IndexOf("zipcode"));
+      })
+      .set_detect([](const Schema& schema, const Row& a, const Row& b,
+                     std::vector<Violation>* out) {
+        const size_t city = *schema.IndexOf("city");
+        if (a.value(city) == b.value(city)) return;
+        Violation v;
+        v.rule_name = "u";
+        v.cells.push_back(UdfRule::MakeUdfCell(a, city, schema));
+        v.cells.push_back(UdfRule::MakeUdfCell(b, city, schema));
+        out->push_back(std::move(v));
+      });
+  for (const RulePtr& scoped : {rule, RulePtr(udf)}) {
+    ExecutionContext ctx(4);
+    ctx.set_kernels_enabled(false);
+    RuleEngine engine(&ctx);
+    auto result = engine.Detect(table, scoped);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->violations.size(), 2u) << scoped->name();
+    for (const auto& report : ctx.metrics().StageReports()) {
+      EXPECT_EQ(report.name.find("scope"), std::string::npos)
+          << scoped->name() << " ran " << report.name;
+    }
+  }
 }
 
 }  // namespace

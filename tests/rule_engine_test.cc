@@ -311,6 +311,105 @@ TEST(RuleEngine, DetectInPlaceKeepsViolationOrder) {
       }
     }
   }
+
+  // Rules and requests that never take a kernel, kernels on or off: a UDF
+  // rule with a scope and a procedural block key, a similarity DC, and the
+  // changed-rows and storage-pushdown requests of a blocked FD. Their
+  // expected fingerprints were recorded from the engine that copied the
+  // table, projected it and shuffled whole rows for them.
+  auto udf = std::make_shared<UdfRule>("udf");
+  udf->set_symmetric(false)
+      .set_relevant_attributes({"zipcode", "city"})
+      .set_block_key([](const Schema& schema, const Row& row) {
+        return row.value(*schema.IndexOf("zipcode"));
+      })
+      .set_detect([](const Schema& schema, const Row& a, const Row& b,
+                     std::vector<Violation>* out) {
+        // One violation per unordered pair of differing cities, in the
+        // orientation that puts the smaller city first.
+        const size_t city = *schema.IndexOf("city");
+        if (!(a.value(city) < b.value(city))) return;
+        Violation v;
+        v.rule_name = "udf";
+        v.cells.push_back(UdfRule::MakeUdfCell(a, city, schema));
+        v.cells.push_back(UdfRule::MakeUdfCell(b, city, schema));
+        out->push_back(std::move(v));
+      })
+      .set_gen_fix([](const Schema&, const Violation& v,
+                      std::vector<Fix>* out) {
+        Fix fix;
+        fix.left = v.cells[1];
+        fix.op = FixOp::kEq;
+        fix.right = FixTerm::MakeCell(v.cells[0]);
+        out->push_back(std::move(fix));
+      });
+  const RulePtr fd = *ParseRule("fd: FD: zipcode -> city");
+  enum class Shape { kTable, kChangedRows, kStorage };
+  struct RequestCase {
+    const char* label;
+    RulePtr rule;
+    Shape shape;
+  };
+  const std::vector<RequestCase> requests = {
+      {"udf", udf, Shape::kTable},
+      {"similarity dc",
+       *ParseRule("sim: DC: t1.zipcode = t2.zipcode & t1.name ~0.6 t2.name & "
+                  "t1.city != t2.city"),
+       Shape::kTable},
+      {"changed-rows fd", fd, Shape::kChangedRows},
+      {"storage-pushdown fd", fd, Shape::kStorage},
+  };
+  const uint64_t expected_requests[4][4] = {
+      {kEmpty, kEmpty, 0xb15b1bb01216508cULL, 0x917c13f6d50d11b0ULL},
+      {kEmpty, kEmpty, 0xdf83a752897191ccULL, 0x2f7ff3fd81570ff6ULL},
+      {kEmpty, kEmpty, 0x81caeeb131b4a57bULL, 0x0fb4ccddd4f10121ULL},
+      {kEmpty, kEmpty, 0x81caeeb131b4a57bULL, 0xa751178e21b461e6ULL},
+  };
+
+  for (size_t s = 0; s < sizes.size(); ++s) {
+    Table tax_a = GenerateTaxA(sizes[s], 0.5, /*seed=*/5).dirty;
+    // Names a few edits apart, so the similarity predicate holds on some
+    // pairs and not on others.
+    for (size_t i = 0; i < tax_a.num_rows(); ++i) {
+      tax_a.mutable_row(i).set_value(
+          0, Value(std::string(i % 3 == 0 ? "annie" : "anna") +
+                   std::string(i % 5, 'x')));
+    }
+    std::unordered_set<RowId> changed;
+    for (const Row& row : tax_a.rows()) {
+      if (row.id() % 17 == 5) changed.insert(row.id());
+    }
+    StorageManager storage;
+    ASSERT_TRUE(storage.Store("taxa", tax_a, "zipcode", 8).ok());
+    for (size_t c = 0; c < requests.size(); ++c) {
+      const Shape shape = requests[c].shape;
+      for (bool kernels : {true, false}) {
+        ExecutionContext ctx(4);
+        ctx.set_kernels_enabled(kernels);
+        RuleEngine engine(&ctx);
+        DetectRequest request;
+        request.rules = {requests[c].rule};
+        if (shape == Shape::kStorage) {
+          request.storage = &storage;
+          request.dataset = "taxa";
+        } else {
+          request.table = &tax_a;
+        }
+        if (shape == Shape::kChangedRows) request.changed_rows = &changed;
+        auto result = engine.Detect(request);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        // An empty changed-row set returns before reading the table.
+        EXPECT_EQ(ctx.metrics().records_read(),
+                  shape == Shape::kChangedRows && changed.empty() ? 0
+                                                                  : sizes[s]);
+        EXPECT_EQ(
+            StableHashBytes(join_test::DetectFingerprint((*result)[0])),
+            expected_requests[c][s])
+            << requests[c].label << ", " << sizes[s] << " rows, kernels "
+            << (kernels ? "on" : "off");
+      }
+    }
+  }
 }
 
 }  // namespace
