@@ -12,9 +12,11 @@
 //    only.
 //
 // Both run the same stages in the same enumeration order, so output must
-// be bit-identical; the bench checks that and reports the simulated-wall
-// ratio per workload, plus a microbench of the dictionary-encode cost in
-// ns/row — the price paid before the kernel can run at all.
+// be bit-identical; the bench checks that (exiting 1, after printing and
+// emitting every record, when any workload differs) and reports the
+// simulated-wall ratio per workload, plus a microbench of the
+// dictionary-encode cost in ns/row — the price paid before the kernel can
+// run at all.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -96,7 +98,9 @@ ModeRun RunMode(ExecutionContext& ctx, const Table& table, const RulePtr& rule,
   return run;
 }
 
-void RunWorkload(const char* key, const char* rule_text, const Table& table,
+/// Runs one workload both ways, prints and emits its record; returns
+/// whether the two runs were bit-identical.
+bool RunWorkload(const char* key, const char* rule_text, const Table& table,
                  size_t workers) {
   auto rule = *ParseRule(rule_text);
   ExecutionContext interp_ctx(workers);
@@ -137,6 +141,7 @@ void RunWorkload(const char* key, const char* rule_text, const Table& table,
   // simulated_wall_seconds (the checker's keyed metric) is the kernel run's.
   record.CaptureMetrics(kernel_ctx.metrics());
   record.Emit();
+  return identical;
 }
 
 void RunEncodeMicrobench(const Table& table, size_t workers) {
@@ -172,7 +177,8 @@ void RunEncodeMicrobench(const Table& table, size_t workers) {
   record.Emit();
 }
 
-void Run() {
+/// Returns false when any workload's two runs differed.
+bool Run() {
   const size_t kWorkers = 8;
   const size_t fd_rows = ScaledRows(200000);
   const size_t dc_rows = ScaledRows(40000);
@@ -188,14 +194,16 @@ void Run() {
   auto fd_data = DriverPhase("bench:datagen", [&] {
     return GenerateTaxA(fd_rows, 0.02, /*seed=*/fd_rows);
   });
-  RunWorkload("fd", "phi1: FD: zipcode -> city", fd_data.dirty, kWorkers);
+  bool identical =
+      RunWorkload("fd", "phi1: FD: zipcode -> city", fd_data.dirty, kWorkers);
 
   // Blocked DC workload: equality blocking on zipcode, inequality on state.
   auto dc_data = DriverPhase("bench:datagen", [&] {
     return GenerateTaxA(dc_rows, 0.02, /*seed=*/dc_rows);
   });
-  RunWorkload("dc", "phiD: DC: t1.zipcode = t2.zipcode & t1.state != t2.state",
-              dc_data.dirty, kWorkers);
+  identical &= RunWorkload(
+      "dc", "phiD: DC: t1.zipcode = t2.zipcode & t1.state != t2.state",
+      dc_data.dirty, kWorkers);
 
   RunEncodeMicrobench(fd_data.dirty, kWorkers);
 
@@ -205,12 +213,16 @@ void Run() {
       "calls and compiled GenFix replaces violation objects) with "
       "bit-identical output; encode cost stays tens of ns/row — amortized "
       "across every rule sharing the scope.\n");
+  return identical;
 }
 
 }  // namespace
 }  // namespace bigdansing
 
 int main() {
-  bigdansing::Run();
-  return 0;
+  if (bigdansing::Run()) return 0;
+  std::fprintf(stderr,
+               "kernel and interpreted detection differ: fingerprints or "
+               "detect_calls (see \"bit-identical: NO\" above)\n");
+  return 1;
 }

@@ -1,5 +1,6 @@
 #include "core/multi_dc.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/fault.h"
@@ -7,55 +8,8 @@
 #include "common/string_util.h"
 #include "dataflow/dataset.h"
 #include "rules/parser.h"
-#include "rules/similarity.h"
 
 namespace bigdansing {
-
-namespace {
-
-bool EvalOp(const Value& left, CmpOp op, const Value& right,
-            double threshold) {
-  if (left.is_null() || right.is_null()) return false;
-  switch (op) {
-    case CmpOp::kEq:
-      return left == right;
-    case CmpOp::kNeq:
-      return left != right;
-    case CmpOp::kLt:
-      return left < right;
-    case CmpOp::kGt:
-      return left > right;
-    case CmpOp::kLeq:
-      return left <= right;
-    case CmpOp::kGeq:
-      return left >= right;
-    case CmpOp::kSimilar:
-      return IsSimilar(left.ToString(), right.ToString(), threshold);
-  }
-  return false;
-}
-
-FixOp ToFixOp(CmpOp op) {
-  switch (op) {
-    case CmpOp::kEq:
-      return FixOp::kEq;
-    case CmpOp::kNeq:
-      return FixOp::kNeq;
-    case CmpOp::kLt:
-      return FixOp::kLt;
-    case CmpOp::kGt:
-      return FixOp::kGt;
-    case CmpOp::kLeq:
-      return FixOp::kLeq;
-    case CmpOp::kGeq:
-      return FixOp::kGeq;
-    case CmpOp::kSimilar:
-      return FixOp::kEq;
-  }
-  return FixOp::kEq;
-}
-
-}  // namespace
 
 Status ThreeTupleDcRule::Bind(const Schema& pair_schema,
                               const Schema& third_schema) {
@@ -111,21 +65,22 @@ Status ThreeTupleDcRule::Bind(const Schema& pair_schema,
   return Status::OK();
 }
 
+bool ThreeTupleDcRule::PredicateHolds(size_t i, const Row& t1, const Row& t2,
+                                      const Row* t3) const {
+  const Predicate& p = predicates_[i];
+  auto row_of = [&](int tuple) -> const Row& {
+    return tuple == 1 ? t1 : (tuple == 2 ? t2 : *t3);
+  };
+  const Value& left = row_of(p.left_tuple).value(left_columns_[i]);
+  return p.Holds(left, p.right_is_constant
+                           ? p.constant
+                           : row_of(p.right_tuple).value(right_columns_[i]));
+}
+
 bool ThreeTupleDcRule::Matches(const Row& t1, const Row& t2,
                                const Row& t3) const {
   for (size_t i = 0; i < predicates_.size(); ++i) {
-    const Predicate& p = predicates_[i];
-    const Row& lrow = p.left_tuple == 1 ? t1 : (p.left_tuple == 2 ? t2 : t3);
-    const Value& left = lrow.value(left_columns_[i]);
-    const Value* right;
-    if (p.right_is_constant) {
-      right = &p.constant;
-    } else {
-      const Row& rrow =
-          p.right_tuple == 1 ? t1 : (p.right_tuple == 2 ? t2 : t3);
-      right = &rrow.value(right_columns_[i]);
-    }
-    if (!EvalOp(left, p.op, *right, p.similarity_threshold)) return false;
+    if (!PredicateHolds(i, t1, t2, &t3)) return false;
   }
   return true;
 }
@@ -161,7 +116,7 @@ std::vector<Fix> ThreeTupleDcRule::GenFixes(const Violation& violation) const {
     if (cell >= violation.cells.size()) break;
     Fix fix;
     fix.left = violation.cells[cell++];
-    fix.op = ToFixOp(NegateOp(p.op));
+    fix.op = FixOpFor(NegateOp(p.op));
     if (p.right_is_constant) {
       fix.right = FixTerm::MakeConstant(p.constant);
     } else {
@@ -266,18 +221,13 @@ Result<std::vector<ViolationWithFixes>> DetectThreeTuple(
                  (!preds[i].right_is_constant && preds[i].right_tuple == 3);
     (third ? with_third : pair_only).push_back(i);
   }
-  auto eval_pred = [&](size_t i, const Row& t1, const Row& t2,
-                       const Row* t3) {
-    const Predicate& p = preds[i];
-    auto row_of = [&](int tuple) -> const Row& {
-      return tuple == 1 ? t1 : (tuple == 2 ? t2 : *t3);
-    };
-    const Value& left = row_of(p.left_tuple).value(rule->left_columns_[i]);
-    const Value* right = p.right_is_constant
-                             ? &p.constant
-                             : &row_of(p.right_tuple)
-                                    .value(rule->right_columns_[i]);
-    return EvalOp(left, p.op, *right, p.similarity_threshold);
+  // Whether every predicate in `indices` holds; t3 is null before the
+  // third table joins.
+  auto all_hold = [&](const std::vector<size_t>& indices, const Row& t1,
+                      const Row& t2, const Row* t3) {
+    return std::all_of(indices.begin(), indices.end(), [&](size_t i) {
+      return rule->PredicateHolds(i, t1, t2, t3);
+    });
   };
 
   // Candidate pairs keyed by their t3 join value. Each task returns its
@@ -291,14 +241,7 @@ Result<std::vector<ViolationWithFixes>> DetectThreeTuple(
               for (const Row& a : kv.second.first) {
                 for (const Row& b : kv.second.second) {
                   if (a.id() == b.id()) continue;
-                  bool ok = true;
-                  for (size_t i : pair_only) {
-                    if (!eval_pred(i, a, b, nullptr)) {
-                      ok = false;
-                      break;
-                    }
-                  }
-                  if (!ok) continue;
+                  if (!all_hold(pair_only, a, b, nullptr)) continue;
                   const Row& join_row = pair_side_tuple == 1 ? a : b;
                   const Value& jv = join_row.value(pair_side_col);
                   if (jv.is_null()) continue;
@@ -334,14 +277,7 @@ Result<std::vector<ViolationWithFixes>> DetectThreeTuple(
         std::vector<std::pair<uint64_t, Row>> out;
         for (const Row& row : part) {
           // Scope: predicates touching only t3 (e.g. t3.Role = "M").
-          bool ok = true;
-          for (size_t i : third_only) {
-            if (!eval_pred(i, row, row, &row)) {
-              ok = false;
-              break;
-            }
-          }
-          if (!ok) continue;
+          if (!all_hold(third_only, row, row, &row)) continue;
           const Value& v = row.value(t3_col);
           if (!v.is_null()) out.emplace_back(v.Hash(), row);
         }
@@ -361,14 +297,7 @@ Result<std::vector<ViolationWithFixes>> DetectThreeTuple(
           for (const RowPair& pair : kv.second.first) {
             for (const Row& t3 : kv.second.second) {
               ++out.probes;
-              bool ok = true;
-              for (size_t i : with_third) {
-                if (!eval_pred(i, pair.left, pair.right, &t3)) {
-                  ok = false;
-                  break;
-                }
-              }
-              if (!ok) continue;
+              if (!all_hold(with_third, pair.left, pair.right, &t3)) continue;
               ViolationWithFixes vf;
               vf.violation = rule->MakeViolation(pair.left, pair.right, t3);
               vf.fixes = rule->GenFixes(vf.violation);

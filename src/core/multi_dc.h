@@ -62,6 +62,11 @@ class ThreeTupleDcRule {
 
   static constexpr size_t kNoLink = static_cast<size_t>(-1);
 
+  /// Whether predicate `i` holds over the tuples; `t3` may be null when
+  /// the predicate does not reference it.
+  bool PredicateHolds(size_t i, const Row& t1, const Row& t2,
+                      const Row* t3) const;
+
   std::string name_;
   std::vector<Predicate> predicates_;
   /// Resolved column of each predicate's left/right operand (right unused

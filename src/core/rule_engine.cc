@@ -435,8 +435,7 @@ Status RuleEngine::DetectWithStorageImpl(const StorageManager& storage,
   // Rows sharing a blocking key are co-located in one storage partition,
   // so grouping is local to each partition — no shuffle. Then the blocked
   // stage of a whole-table Detect, without a kernel.
-  const Dataset<Row> data(ctx_, replica->partitions);
-  const PartitionView<Row> view(data);
+  const PartitionView<Row> view(ctx_, replica->partitions);
   ctx_->metrics().AddRecordsRead(view.Count());
   const auto& parts = view.partitions();
   using LocalBlocks = std::vector<std::pair<uint64_t, std::vector<RowRef>>>;

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/json_writer.h"
 #include "common/string_util.h"
 #include "common/trace.h"
-#include "data/dictionary.h"
 #include "dataflow/dataset.h"
 
 namespace bigdansing {
@@ -32,14 +33,125 @@ std::string ValueJson(const Value& v) {
   return "null";
 }
 
-/// Count-descending, value-ascending order; keeps the first kProfileTopK.
-std::vector<TopValue> SelectTopK(std::vector<TopValue> all) {
-  std::sort(all.begin(), all.end(), [](const TopValue& a, const TopValue& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.value < b.value;
-  });
-  if (all.size() > kProfileTopK) all.resize(kProfileTopK);
-  return all;
+/// A count map's key: the first occurrence of a value among the counted
+/// rows, by address (no Value is copied), with its hash, so that routing,
+/// lookup and rehashing hash each cell once.
+struct CellKey {
+  const Value* value;
+  uint64_t hash;
+
+  bool operator==(const CellKey& other) const {
+    return hash == other.hash && *value == *other.value;
+  }
+};
+
+struct CellKeyHash {
+  size_t operator()(const CellKey& key) const noexcept { return key.hash; }
+};
+
+using CountMap = std::unordered_map<CellKey, uint64_t, CellKeyHash>;
+
+/// The counts of one run of rows: per column, its nulls and one count map
+/// per hash range. Equal values hash alike, so all occurrences of a value
+/// meet in one range.
+struct RunCounts {
+  std::vector<uint64_t> nulls;              // [column]
+  std::vector<std::vector<CountMap>> maps;  // [column][range]
+};
+
+RunCounts CountRows(std::span<const Row> rows, size_t num_cols,
+                    size_t num_ranges) {
+  RunCounts out;
+  out.nulls.assign(num_cols, 0);
+  out.maps.assign(num_cols, std::vector<CountMap>(num_ranges));
+  for (const Row& row : rows) {
+    for (size_t c = 0; c < num_cols; ++c) {
+      const Value& v = row.value(row.source_column(c));
+      if (v.is_null()) {
+        ++out.nulls[c];
+        continue;
+      }
+      const uint64_t hash = v.Hash();
+      ++out.maps[c][StableHashUint64(hash) % num_ranges][CellKey{&v, hash}];
+    }
+  }
+  return out;
+}
+
+struct Counted {
+  const Value* value;
+  uint64_t count;
+};
+
+/// Count-descending, then Value-ascending: the order of ColumnProfile::top.
+bool Precedes(const Counted& a, const Counted& b) {
+  if (a.count != b.count) return a.count > b.count;
+  return *a.value < *b.value;
+}
+
+/// Distinct count, min, max and the kProfileTopK most frequent of the
+/// distinct values of one column folded so far, held by address. Whatever
+/// is added or merged is distinct from what is held, so no two values
+/// compare equal.
+struct ColumnFold {
+  uint64_t distinct = 0;
+  const Value* min = nullptr;
+  const Value* max = nullptr;
+  std::vector<Counted> top;  // Precedes order.
+
+  void Add(const Counted& entry) {
+    ++distinct;
+    Bound(entry.value, entry.value);
+    Keep(entry);
+  }
+
+  void Merge(const ColumnFold& other) {
+    distinct += other.distinct;
+    if (other.min != nullptr) Bound(other.min, other.max);
+    for (const Counted& entry : other.top) Keep(entry);
+  }
+
+ private:
+  void Bound(const Value* lo, const Value* hi) {
+    if (min == nullptr || *lo < *min) min = lo;
+    if (max == nullptr || *hi > *max) max = hi;
+  }
+
+  void Keep(const Counted& entry) {
+    if (top.size() == kProfileTopK) {
+      if (!Precedes(entry, top.back())) return;
+      top.pop_back();
+    }
+    top.insert(std::upper_bound(top.begin(), top.end(), entry, Precedes),
+               entry);
+  }
+};
+
+/// Folds hash range `r` of every column over `runs`, which hold the
+/// table's rows in order: the first run holding a value keys it by its
+/// first occurrence in the table, which is the form the profile reports
+/// for equal values such as 0 and -0.0, or 1 and 1.0.
+std::vector<ColumnFold> FoldRange(const std::vector<RunCounts>& runs,
+                                  size_t r, TaskContext& tc) {
+  const size_t num_cols = runs.front().maps.size();
+  std::vector<ColumnFold> out(num_cols);
+  for (size_t c = 0; c < num_cols; ++c) {
+    const CountMap* counts = &runs.front().maps[c][r];
+    CountMap merged;
+    if (runs.size() > 1) {
+      size_t entries = 0;
+      for (const RunCounts& run : runs) entries += run.maps[c][r].size();
+      merged.reserve(entries);
+      for (const RunCounts& run : runs) {
+        for (const auto& [key, n] : run.maps[c][r]) merged[key] += n;
+      }
+      counts = &merged;
+      tc.records_in += entries;
+    }
+    for (const auto& [key, n] : *counts) out[c].Add({key.value, n});
+    tc.records_out += counts->size();
+  }
+  return out;
 }
 
 }  // namespace
@@ -100,111 +212,43 @@ TableProfile ProfileTable(ExecutionContext* ctx, const Table& table) {
     span->Annotate("columns", static_cast<uint64_t>(num_cols));
   }
 
+  // Count runs of rows into hash ranges, fold each range, combine the
+  // folds: inline as one run and one range, or in two stages.
+  std::vector<RunCounts> runs;
+  std::vector<std::vector<ColumnFold>> ranges;  // [range][column]
   if (table.num_rows() < kProfileInlineRows) {
-    // Small-table path: a driver-side loop with no stage dispatch — below
-    // this size the dispatch overhead exceeds the profiling work (the same
-    // economics as the morsel-size cutoff). Output is identical to the
-    // encoded path.
-    std::vector<std::unordered_map<Value, uint64_t>> counts(num_cols);
-    for (const Row& row : table.rows()) {
-      for (size_t c = 0; c < num_cols; ++c) {
-        const Value& v = row.value(row.source_column(c));
-        if (v.is_null()) {
-          ++out.columns[c].nulls;
-        } else {
-          ++counts[c][v];
-        }
-      }
-    }
-    for (size_t c = 0; c < num_cols; ++c) {
-      ColumnProfile& prof = out.columns[c];
-      prof.distinct = counts[c].size();
-      std::vector<TopValue> all;
-      all.reserve(counts[c].size());
-      for (const auto& [v, n] : counts[c]) {
-        if (prof.min.is_null() || v < prof.min) prof.min = v;
-        if (prof.max.is_null() || v > prof.max) prof.max = v;
-        all.push_back({v, n});
-      }
-      prof.top = SelectTopK(std::move(all));
-    }
-    return out;
+    TaskContext unused;
+    runs.push_back(CountRows(table.rows(), num_cols, 1));
+    ranges.push_back(FoldRange(runs, 0, unused));
+  } else {
+    const PartitionView<Row> data =
+        PartitionView<Row>::Split(ctx, table.rows());
+    const auto& parts = data.partitions();
+    const size_t num_ranges = parts.size();
+    runs = data.RunStageProducing<RunCounts>(
+        "profile:count", [&](size_t p, TaskContext&) {
+          return CountRows(parts[p], num_cols, num_ranges);
+        });
+    auto folded = StageExecutor(ctx).RunProducing<std::vector<ColumnFold>>(
+        "profile:merge", num_ranges,
+        [&](size_t r, TaskContext& tc) { return FoldRange(runs, r, tc); });
+    if (!folded.ok()) throw StageError(folded.status());
+    ranges = std::move(*folded);
   }
 
-  // Encoded path: the sorted pools give distinct/min/max for free (every
-  // pooled value occurs in the data, and code order is Value order); only
-  // null counts and the frequency histogram need a pass, and that pass
-  // touches dense u32 codes, never a Value. Reads the table in place.
-  const PartitionView<Row> data =
-      PartitionView<Row>::Split(ctx, table.rows());
-  const auto& parts = data.partitions();
-
-  std::vector<std::vector<size_t>> groups(num_cols);
-  for (size_t c = 0; c < num_cols; ++c) groups[c] = {c};
-  EncodedColumnSet encoded = EncodeColumns(data, groups);
-
-  struct ColumnCounts {
-    std::vector<uint64_t> counts;
-    uint64_t nulls = 0;
-  };
-  using Piece = std::vector<ColumnCounts>;
-  std::vector<Piece> hist = data.RunStageMorsels<Piece>(
-      "profile:histogram", [&](size_t p) { return parts[p].size(); },
-      [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
-        Piece piece(num_cols);
-        for (size_t c = 0; c < num_cols; ++c) {
-          const EncodedColumn& col = encoded.columns.at(c);
-          piece[c].counts.assign(col.pool->size(), 0);
-          const std::vector<uint32_t>& codes = col.codes[p];
-          for (size_t i = begin; i < end; ++i) {
-            const uint32_t code = codes[i];
-            if (code >= col.pool->size()) {
-              ++piece[c].nulls;
-            } else {
-              ++piece[c].counts[code];
-            }
-          }
-        }
-        tc.records_in = end - begin;
-        return piece;
-      },
-      [&](size_t, std::vector<Piece>&& pieces) {
-        Piece merged(num_cols);
-        for (size_t c = 0; c < num_cols; ++c) {
-          merged[c].counts.assign(encoded.columns.at(c).pool->size(), 0);
-        }
-        for (const Piece& piece : pieces) {
-          for (size_t c = 0; c < num_cols; ++c) {
-            merged[c].nulls += piece[c].nulls;
-            for (size_t k = 0; k < piece[c].counts.size(); ++k) {
-              merged[c].counts[k] += piece[c].counts[k];
-            }
-          }
-        }
-        return merged;
-      });
-
   for (size_t c = 0; c < num_cols; ++c) {
-    const ValuePool& pool = *encoded.columns.at(c).pool;
     ColumnProfile& prof = out.columns[c];
-    std::vector<uint64_t> counts(pool.size(), 0);
-    for (const Piece& part : hist) {
-      prof.nulls += part[c].nulls;
-      for (size_t k = 0; k < part[c].counts.size(); ++k) {
-        counts[k] += part[c].counts[k];
-      }
+    for (const RunCounts& run : runs) prof.nulls += run.nulls[c];
+    ColumnFold fold;
+    for (const std::vector<ColumnFold>& range : ranges) fold.Merge(range[c]);
+    prof.distinct = fold.distinct;
+    if (fold.min != nullptr) {
+      prof.min = *fold.min;
+      prof.max = *fold.max;
     }
-    prof.distinct = pool.size();
-    if (pool.size() > 0) {
-      prof.min = pool.value(0);
-      prof.max = pool.value(static_cast<uint32_t>(pool.size() - 1));
+    for (const Counted& entry : fold.top) {
+      prof.top.push_back({*entry.value, entry.count});
     }
-    std::vector<TopValue> all;
-    all.reserve(counts.size());
-    for (uint32_t code = 0; code < counts.size(); ++code) {
-      if (counts[code] > 0) all.push_back({pool.value(code), counts[code]});
-    }
-    prof.top = SelectTopK(std::move(all));
   }
   return out;
 }

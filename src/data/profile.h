@@ -55,16 +55,21 @@ struct TableProfile {
 /// Frequent values kept per column (ColumnProfile::top).
 constexpr size_t kProfileTopK = 5;
 
-/// Tables under this many rows are profiled inline on the calling thread:
-/// below it even one stage dispatch costs more than the profiling work.
+/// Tables under this many rows are profiled on the calling thread: below
+/// it even one stage dispatch costs more than the profiling work. It
+/// decides only where the profile runs, not how.
 constexpr size_t kProfileInlineRows = 4096;
 
-/// Profiles every column of `table`. Tables under kProfileInlineRows run a
-/// driver-side loop with no stages; larger ones run the kernel encode
-/// stages plus one morselized "profile:histogram" stage over the code
-/// vectors, which publishes through stage reports, trace spans, EXPLAIN
-/// and the sampling profiler like any other engine stage. Both paths
-/// produce identical profiles.
+/// Profiles every column of `table`. Runs of rows are counted per column
+/// into hash ranges, keyed by the address of each value's first
+/// occurrence (no Value is copied); each range's counts fold into its
+/// distinct count, min, max and top-k candidates; the folds combine. Under
+/// kProfileInlineRows that runs on the calling thread as one run and one
+/// range; larger tables run a "profile:count" stage over the partitions of
+/// a view of the table and a "profile:merge" stage over as many ranges,
+/// which publish like any other engine stage. Equal values of different
+/// forms (0 and -0.0, 1 and 1.0) report their first occurrence in table
+/// order.
 TableProfile ProfileTable(ExecutionContext* ctx, const Table& table);
 
 }  // namespace bigdansing

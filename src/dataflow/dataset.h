@@ -635,11 +635,16 @@ class PartitionView {
  public:
   PartitionView() = default;
 
+  /// Views `partitions` as they are. No stage runs, and the records are
+  /// not counted as read.
+  PartitionView(ExecutionContext* ctx,
+                const std::vector<std::vector<T>>& partitions)
+      : ctx_(ctx), parts_(partitions.begin(), partitions.end()) {}
+
   /// Views the partitions of `data`, forcing it. Implicit, so every
   /// operator that reads a view also reads a dataset.
-  PartitionView(const Dataset<T>& data) : ctx_(data.context()) {
-    for (const auto& part : data.partitions()) parts_.emplace_back(part);
-  }
+  PartitionView(const Dataset<T>& data)
+      : PartitionView(data.context(), data.partitions()) {}
 
   /// `items` cut into ctx->default_partitions() contiguous spans on the
   /// boundaries Dataset::FromVector uses, so positions within a partition,

@@ -89,6 +89,14 @@ CmpOp NegateOp(CmpOp op) {
   return CmpOp::kNeq;
 }
 
+bool Predicate::Holds(const Value& left, const Value& right) const {
+  if (op == CmpOp::kSimilar) {
+    return !left.is_null() && !right.is_null() &&
+           IsSimilar(left.ToString(), right.ToString(), similarity_threshold);
+  }
+  return EvalCmp(left, op, right);
+}
+
 std::string Predicate::ToString() const {
   std::string out =
       "t" + std::to_string(left_tuple) + "." + left_attr + " ";
@@ -145,12 +153,7 @@ bool BoundPredicate::Eval(const Row& t1, const Row& t2) const {
     const Row& right_row = pred_.right_tuple == 1 ? t1 : t2;
     right = &right_row.value(right_column_);
   }
-  if (pred_.op == CmpOp::kSimilar) {
-    return !left.is_null() && !right->is_null() &&
-           IsSimilar(left.ToString(), right->ToString(),
-                     pred_.similarity_threshold);
-  }
-  return EvalCmp(left, pred_.op, *right);
+  return pred_.Holds(left, *right);
 }
 
 }  // namespace bigdansing

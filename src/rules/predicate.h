@@ -39,7 +39,7 @@ FixOp FixOpFor(CmpOp op);
 
 /// `left op right` for the comparison operators. Null operands make every
 /// comparison false (SQL-like three-valued logic collapsed to false).
-/// kSimilar needs its threshold and is false here; BoundPredicate::Eval
+/// kSimilar needs its threshold and is false here; Predicate::Holds
 /// decides it.
 inline bool EvalCmp(const Value& left, CmpOp op, const Value& right) {
   if (left.is_null() || right.is_null()) return false;
@@ -76,6 +76,11 @@ struct Predicate {
   Value constant;
   /// Threshold for kSimilar (normalized Levenshtein similarity).
   double similarity_threshold = 0.8;
+
+  /// `left op right`: EvalCmp, or for kSimilar a similarity of at least
+  /// `similarity_threshold` between the rendered values. Null operands
+  /// make it false.
+  bool Holds(const Value& left, const Value& right) const;
 
   /// "t1.salary > t2.salary" rendering.
   std::string ToString() const;

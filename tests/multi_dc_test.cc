@@ -7,6 +7,7 @@
 #include "common/random.h"
 #include "data/csv.h"
 #include "rules/parser.h"
+#include "rules/similarity.h"
 
 namespace bigdansing {
 namespace {
@@ -137,6 +138,67 @@ TEST(ThreeTupleDc, MatchesBruteForceOnRandomData) {
   }
   EXPECT_EQ(violations->size(), expected);
   EXPECT_GT(expected, 0u);  // The fixture must actually exercise the path.
+}
+
+TEST(ThreeTupleDc, SimilarityPredicatesMatchBruteForce) {
+  // `~` on a pair predicate (the co-block's early filter) and on a t3
+  // predicate (the residual after the join), against triple-nested loops
+  // deciding similarity straight from LevenshteinSimilarity.
+  const char* names[] = {"johnson", "jonson", "johnsen", "smith", "smyth",
+                         "brown"};
+  Random rng(83);
+  Table pair_table(Schema({"id", "link", "name", "city"}));
+  for (int64_t i = 0; i < 50; ++i) {
+    pair_table.AppendRow(
+        {Value(i), Value(static_cast<int64_t>(rng.NextBounded(50))),
+         Value(names[rng.NextBounded(6)]),
+         Value("c" + std::to_string(rng.NextBounded(3)))});
+  }
+  Table third_table(Schema({"gid", "city", "name"}));
+  for (int64_t i = 0; i < 30; ++i) {
+    third_table.AppendRow({Value(i),
+                           Value("c" + std::to_string(rng.NextBounded(3))),
+                           Value(names[rng.NextBounded(6)])});
+  }
+  auto rule = ParseThreeTupleDc(
+      "r: DC3: t1.id = t2.link & t1.name ~0.6 t2.name & "
+      "t1.city = t3.city & t2.name ~0.8 t3.name");
+  ASSERT_TRUE(rule.ok()) << rule.status().ToString();
+
+  ExecutionContext ctx(3);
+  auto violations = DetectThreeTuple(&ctx, pair_table, third_table, *rule);
+  ASSERT_TRUE(violations.ok()) << violations.status().ToString();
+
+  auto similar = [](const Value& a, const Value& b, double threshold) {
+    return LevenshteinSimilarity(a.as_string(), b.as_string()) >= threshold;
+  };
+  std::multiset<std::vector<RowId>> expected;
+  for (const Row& t1 : pair_table.rows()) {
+    for (const Row& t2 : pair_table.rows()) {
+      if (t1.id() == t2.id() || t1.value(0) != t2.value(1)) continue;
+      if (!similar(t1.value(2), t2.value(2), 0.6)) continue;
+      for (const Row& t3 : third_table.rows()) {
+        if (t1.value(3) != t3.value(1)) continue;
+        if (!similar(t2.value(2), t3.value(2), 0.8)) continue;
+        expected.insert({t1.id(), t2.id(), t3.id()});
+      }
+    }
+  }
+  // Cells come one per predicate operand: t1.id, t2.link, t1.name,
+  // t2.name, t1.city, t3.city, t2.name, t3.name.
+  std::multiset<std::vector<RowId>> got;
+  for (const auto& vf : *violations) {
+    ASSERT_EQ(vf.violation.cells.size(), 8u);
+    got.insert({vf.violation.cells[0].ref.row_id,
+                vf.violation.cells[1].ref.row_id,
+                vf.violation.cells[5].ref.row_id});
+    // `~` negates to != of the compared cells.
+    ASSERT_EQ(vf.fixes.size(), 4u);
+    EXPECT_EQ(vf.fixes[1].op, FixOp::kNeq);
+    EXPECT_EQ(vf.fixes[3].op, FixOp::kNeq);
+  }
+  EXPECT_EQ(got, expected);
+  EXPECT_GT(expected.size(), 0u);  // The fixture must exercise the path.
 }
 
 TEST(ThreeTupleDc, GenFixNegatesEachPredicate) {

@@ -1,9 +1,10 @@
 // Column profiler tests: known-table statistics (null rate, distinct,
-// min/max, top-k with deterministic tie-breaks), the inline and the
-// dictionary-encoded path each matching a brute-force reference profile
-// (down to which of two equal values, such as 0 and -0.0, it reports),
-// strict JSON rendering, and the profile stages publishing through the
-// metrics plane like any other engine stage.
+// min/max, top-k with deterministic tie-breaks), the profile on the
+// calling thread and in stages each matching a brute-force reference
+// profile (down to which of two equal values, such as 0 and -0.0, it
+// reports) at several worker counts, strict JSON rendering, and the
+// profile stages publishing through the metrics plane like any other
+// engine stage.
 #include "data/profile.h"
 
 #include <gtest/gtest.h>
@@ -71,6 +72,19 @@ Table MakeMixedFormTable(size_t rows) {
       mixed = Value("s" + std::to_string(i % 3));
     }
     t.AppendRow({number, mixed});
+  }
+  return t;
+}
+
+/// `rows` rows of three column shapes: all-distinct strings in no sorted
+/// order (every value in one partition), three ints that occur in every
+/// partition, and nothing but nulls.
+Table MakeShapesTable(size_t rows) {
+  Table t(Schema({"distinct", "few", "empty"}));
+  for (size_t i = 0; i < rows; ++i) {
+    // 7919 is prime and divides no row count used here: a permutation.
+    t.AppendRow({Value("k" + std::to_string(i * 7919 % rows)),
+                 Value(static_cast<int64_t>(i % 3)), Value()});
   }
   return t;
 }
@@ -176,19 +190,49 @@ TEST(ColumnProfiler, TopKTruncates) {
 }
 
 TEST(ColumnProfiler, BothPathsMatchBruteForceProfile) {
-  // No option forces a path: one row under the cutoff takes the inline
-  // loop, the cutoff itself the encoded stages. Byte-identical JSON, not
-  // just equal stats: the paths must be indistinguishable to every
-  // downstream consumer (drift diff, JSONL).
+  // No option forces a path: one row under the cutoff profiles on the
+  // calling thread, the cutoff itself in the count and merge stages.
+  // Byte-identical JSON, not just equal stats: the paths must be
+  // indistinguishable to every downstream consumer (drift diff, JSONL).
   for (const size_t rows : {kProfileInlineRows - 1, kProfileInlineRows}) {
     for (const Table& t : {MakeSkewedTable(rows), MakeMixedFormTable(rows)}) {
       ExecutionContext ctx(4);
       EXPECT_EQ(ProfileTable(&ctx, t).ToJson(), ReferenceProfile(t).ToJson())
           << rows << " rows";
-      EXPECT_EQ(RanStage(ctx, "profile:histogram"),
-                rows >= kProfileInlineRows)
-          << rows << " rows";
+      for (const char* stage : {"profile:count", "profile:merge"}) {
+        EXPECT_EQ(RanStage(ctx, stage), rows >= kProfileInlineRows)
+            << rows << " rows, " << stage;
+      }
     }
+  }
+}
+
+TEST(ColumnProfiler, ColumnShapesMatchBruteForceAtEveryWorkerCount) {
+  // Worker counts change the partitions counted and the hash ranges
+  // folded in the stages, never the profile.
+  for (const size_t rows : {kProfileInlineRows, size_t{20000}}) {
+    const Table t = MakeShapesTable(rows);
+    const std::string expected = ReferenceProfile(t).ToJson();
+    for (const size_t workers : {1, 2, 4}) {
+      ExecutionContext ctx(workers);
+      EXPECT_EQ(ProfileTable(&ctx, t).ToJson(), expected)
+          << rows << " rows, " << workers << " workers";
+    }
+  }
+}
+
+TEST(ColumnProfiler, RunsNoStageUnderTheCutoffAndNoEncodeAtIt) {
+  ExecutionContext small_ctx(4);
+  ProfileTable(&small_ctx, MakeSkewedTable(kProfileInlineRows - 1));
+  EXPECT_TRUE(small_ctx.metrics().StageReports().empty());
+
+  // Counting by hash needs no dictionary: a large table runs no
+  // kernel:encode:* stage.
+  ExecutionContext ctx(4);
+  ProfileTable(&ctx, MakeSkewedTable(kProfileInlineRows));
+  EXPECT_TRUE(RanStage(ctx, "profile:count"));
+  for (const StageReport& r : ctx.metrics().StageReports()) {
+    EXPECT_FALSE(r.name.starts_with("kernel:encode:")) << r.name;
   }
 }
 
@@ -237,17 +281,21 @@ TEST(ColumnProfiler, PublishesProfileStages) {
   ExecutionContext ctx(4);
   const Table t = MakeSkewedTable(kProfileInlineRows);
   ProfileTable(&ctx, t);
-  bool saw_histogram = false;
+  bool saw_count = false;
+  bool saw_merge = false;
   for (const StageReport& r : ctx.metrics().StageReports()) {
-    if (r.name == "profile:histogram") {
-      saw_histogram = true;
-      EXPECT_TRUE(r.finished);
+    if (r.name != "profile:count" && r.name != "profile:merge") continue;
+    saw_count |= r.name == "profile:count";
+    saw_merge |= r.name == "profile:merge";
+    EXPECT_TRUE(r.finished);
+    if (r.name == "profile:count") {
       EXPECT_EQ(r.records_in, t.num_rows());
-      EXPECT_GT(r.start_ms, 0u);
-      EXPECT_GE(r.end_ms, r.start_ms);
     }
+    EXPECT_GT(r.start_ms, 0u);
+    EXPECT_GE(r.end_ms, r.start_ms);
   }
-  EXPECT_TRUE(saw_histogram);
+  EXPECT_TRUE(saw_count);
+  EXPECT_TRUE(saw_merge);
 }
 
 }  // namespace
