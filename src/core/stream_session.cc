@@ -123,10 +123,18 @@ Status StreamSession::Init() {
   code_cols_.resize(indexed_cols_.size());
   for (size_t s = 0; s < indexed_cols_.size(); ++s) {
     if (component[s] == s) {
-      col_group_[s] = pools_.size();
-      pools_.push_back(std::make_shared<const ValuePool>(std::vector<Value>()));
+      col_group_[s] = groups_.size();
+      groups_.emplace_back();
     } else {
       col_group_[s] = col_group_[component[s]];
+    }
+  }
+  // A group stays in value order only when some kernel compares its codes
+  // by order; every other group's codes are compared for equality only.
+  for (const auto& ri : indexes_) {
+    if (!ri.tmpl) continue;
+    for (uint16_t slot : ri.tmpl->ordered_slots()) {
+      groups_[col_group_[ri.kernel_slots[slot]]].sorted = true;
     }
   }
 
@@ -153,28 +161,39 @@ Status StreamSession::Init() {
   return Status::OK();
 }
 
-void StreamSession::GrowPools(const std::vector<size_t>& positions) {
-  if (pools_.empty() || positions.empty()) return;
-  std::vector<std::vector<Value>> fresh(pools_.size());
+void StreamSession::EncodeRows(const std::vector<size_t>& positions) {
+  std::vector<size_t> sizes(groups_.size());
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    sizes[g] = groups_[g].pool.size();
+  }
+  // Cells of sorted groups whose value the pool lacks: (slot, position),
+  // encoded once their group has grown.
+  std::vector<std::pair<size_t, size_t>> unplaced;
+  std::vector<std::vector<Value>> fresh(groups_.size());
   for (size_t pos : positions) {
     const Row& row = table_->row(pos);
     for (size_t s = 0; s < indexed_cols_.size(); ++s) {
       const Value& v = row.value(indexed_cols_[s]);
-      if (v.is_null()) continue;
-      if (pools_[col_group_[s]]->CodeOf(v) == ValuePool::kAbsentCode) {
+      PoolGroup& group = groups_[col_group_[s]];
+      if (!group.sorted) {
+        code_cols_[s][pos] = group.pool.Intern(v);
+        continue;
+      }
+      const uint32_t code = group.pool.CodeOf(v);
+      code_cols_[s][pos] = code;
+      if (code == ValuePool::kAbsentCode) {
         fresh[col_group_[s]].push_back(v);
+        unplaced.emplace_back(s, pos);
       }
     }
   }
-  for (size_t g = 0; g < pools_.size(); ++g) {
+  for (size_t g = 0; g < groups_.size(); ++g) {
     if (fresh[g].empty()) continue;
     std::vector<uint32_t> old_to_new;
-    auto grown = GrowPool(pools_[g], fresh[g], &old_to_new);
-    if (grown == pools_[g]) continue;
-    pools_[g] = std::move(grown);
-    ++pool_epoch_;
-    ++stats_.pool_growths;
-    // Monotone remap of this group's code columns (null codes stay).
+    groups_[g].pool = GrowPool(groups_[g].pool, fresh[g], &old_to_new);
+    ++groups_[g].remaps;
+    // Monotone remap of this group's code columns (null and unplaced
+    // codes stay).
     for (size_t s = 0; s < code_cols_.size(); ++s) {
       if (col_group_[s] != g) continue;
       for (uint32_t& c : code_cols_[s]) {
@@ -182,13 +201,12 @@ void StreamSession::GrowPools(const std::vector<size_t>& positions) {
       }
     }
   }
-}
-
-void StreamSession::EncodeRow(size_t pos) {
-  const Row& row = table_->row(pos);
-  for (size_t s = 0; s < indexed_cols_.size(); ++s) {
-    code_cols_[s][pos] =
-        pools_[col_group_[s]]->CodeOf(row.value(indexed_cols_[s]));
+  for (const auto& [s, pos] : unplaced) {
+    code_cols_[s][pos] = groups_[col_group_[s]].pool.CodeOf(
+        table_->row(pos).value(indexed_cols_[s]));
+  }
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    if (groups_[g].pool.size() > sizes[g]) ++stats_.pool_growths;
   }
 }
 
@@ -211,7 +229,7 @@ bool StreamSession::KeyOf(const RuleIndex& ri, size_t pos,
   for (size_t slot : ri.key_slots) {
     const uint32_t code = code_cols_[slot][pos];
     if (code == ValuePool::kNullCode) return false;
-    h = StableHashUint64(h ^ pools_[col_group_[slot]]->hash(code));
+    h = StableHashUint64(h ^ groups_[col_group_[slot]].pool.hash(code));
   }
   *key = h;
   return true;
@@ -247,9 +265,8 @@ void StreamSession::IndexRows(const std::vector<size_t>& positions) {
   for (auto& ri : indexes_) {
     if (ri.blocked) ri.block_of.resize(table_->num_rows(), nullptr);
   }
-  GrowPools(positions);
+  EncodeRows(positions);
   for (size_t pos : positions) {
-    EncodeRow(pos);
     for (auto& ri : indexes_) {
       if (!ri.blocked) continue;
       LeaveBlock(&ri, pos);
@@ -404,17 +421,43 @@ bool StreamSession::HasWork() const {
   return false;
 }
 
+uint64_t StreamSession::KernelRemaps(const RuleIndex& ri) const {
+  uint64_t remaps = 0;
+  for (size_t slot : ri.kernel_slots) {
+    remaps += groups_[col_group_[slot]].remaps;
+  }
+  return remaps;
+}
+
+bool StreamSession::KernelStale(const RuleIndex& ri) const {
+  if (KernelRemaps(ri) != ri.bound_remaps) return true;
+  for (size_t i : ri.absent_constants) {
+    const KernelTemplate::Constant& c = ri.tmpl->constants()[i];
+    const ValuePool& pool = groups_[col_group_[ri.kernel_slots[c.slot]]].pool;
+    if (pool.CodeOf(c.value) != ValuePool::kAbsentCode) return true;
+  }
+  return false;
+}
+
 void StreamSession::EnsureKernelBound(RuleIndex* ri) {
   if (!ri->tmpl) return;
-  if (ri->kernel && ri->kernel_pool_epoch == pool_epoch_) return;
+  if (ri->kernel && !KernelStale(*ri)) return;
   std::vector<const ValuePool*> pools;
   pools.reserve(ri->kernel_slots.size());
   for (size_t slot : ri->kernel_slots) {
-    pools.push_back(pools_[col_group_[slot]].get());
+    pools.push_back(&groups_[col_group_[slot]].pool);
   }
   const bool rebind = ri->kernel != nullptr;
   ri->kernel = ri->tmpl->Bind(pools);
-  ri->kernel_pool_epoch = pool_epoch_;
+  ri->bound_remaps = KernelRemaps(*ri);
+  ri->absent_constants.clear();
+  const auto& constants = ri->tmpl->constants();
+  for (size_t i = 0; i < constants.size(); ++i) {
+    if (pools[constants[i].slot]->CodeOf(constants[i].value) ==
+        ValuePool::kAbsentCode) {
+      ri->absent_constants.push_back(i);
+    }
+  }
   if (rebind) {
     ++stats_.kernel_rebinds;
     MetricsRegistry::Instance().GetCounter("stream.kernel_rebinds").Add(1);
@@ -721,7 +764,7 @@ StreamSessionStats StreamSession::stats() const {
   s.index_blocks = blocks;
   s.index_rows = index_rows_;
   size_t pool_values = 0;
-  for (const auto& pool : pools_) pool_values += pool->size();
+  for (const auto& group : groups_) pool_values += group.pool.size();
   s.pool_values = pool_values;
   return s;
 }

@@ -171,13 +171,19 @@ class StreamSession {
     /// rules.
     std::vector<Block*> block_of;
     /// Detect kernel (null when the rule is not kernelizable or kernels are
-    /// off): bound against the session pools, rebound whenever a pool it
-    /// reads grows. It prescreens dirty blocks and decides their pairs.
+    /// off): bound against the session pools, rebound only when a sorted
+    /// group it reads was remapped or a constant it bound as absent has
+    /// since arrived (KernelStale). It prescreens dirty blocks and decides
+    /// their pairs.
     std::shared_ptr<const KernelTemplate> tmpl;
     std::unique_ptr<DetectKernel> kernel;
     /// The rule's compiled GenFix (null exactly when `tmpl` is).
     std::unique_ptr<ViolationWriter> writer;
-    uint64_t kernel_pool_epoch = 0;
+    /// KernelRemaps at the last bind.
+    uint64_t bound_remaps = 0;
+    /// Indices into tmpl->constants() of the constants absent from their
+    /// pools at the last bind.
+    std::vector<size_t> absent_constants;
     /// Code column (indexed slot) per kernel slot.
     std::vector<size_t> kernel_slots;
     /// Pending dirty keys for the next window.
@@ -193,14 +199,13 @@ class StreamSession {
 
   ExecutionContext* ctx() { return session_ctx_.get(); }
 
-  /// Grows the session pools to cover every indexed value of the rows at
-  /// `positions` and bumps pool_epoch_ so stale kernels rebind lazily. A
-  /// grown group's codes are remapped (monotone) by one sweep over that
-  /// group's code columns; other groups' columns are not touched.
-  void GrowPools(const std::vector<size_t>& positions);
-  /// Dictionary-encodes the indexed columns of the row at table position
-  /// `pos` into code_cols_ (GrowPools must already cover its values).
-  void EncodeRow(size_t pos);
+  /// Dictionary-encodes the indexed columns of the rows at `positions`
+  /// into code_cols_. An equality group interns each cell once, appending
+  /// values new to its pool. A sorted group looks each cell up, then merges
+  /// the values new to it into its pool (GrowPool), remaps the group's
+  /// code columns in one sweep and encodes those cells; other groups'
+  /// columns are not touched.
+  void EncodeRows(const std::vector<size_t>& positions);
   /// Key of the row at table position `pos` under rule index `ri`, folded
   /// from the pooled hashes of its key_slots codes; false when the row has
   /// a null key component (the row joins no block).
@@ -213,15 +218,20 @@ class StreamSession {
   /// no-op when it has none), marking the block dirty.
   void LeaveBlock(RuleIndex* ri, size_t pos);
   /// Extends code_cols_ and the block handles over rows appended to the
-  /// table, grows the pools over the rows at `positions`, encodes them and
-  /// (re)joins each to its current block of every rule index; the blocks a
-  /// row leaves and joins become dirty.
+  /// table, encodes the rows at `positions` and (re)joins each to its
+  /// current block of every rule index; the blocks a row leaves and joins
+  /// become dirty.
   void IndexRows(const std::vector<size_t>& positions);
 
   /// True when a window has anything to do.
   bool HasWork() const;
 
-  /// Rebinds rule `ri`'s kernel when a pool it reads grew since last bind.
+  /// Remaps summed over the pool groups of rule `ri`'s kernel slots.
+  uint64_t KernelRemaps(const RuleIndex& ri) const;
+  /// True when `ri`'s bound kernel may decide wrongly: a sorted group it
+  /// reads was remapped, or a constant it bound as absent has arrived.
+  bool KernelStale(const RuleIndex& ri) const;
+  /// Binds rule `ri`'s kernel when it has none or it is stale.
   void EnsureKernelBound(RuleIndex* ri);
   /// Kernel prescreen of one block (its member table positions): false
   /// only when the compiled kernel proves no ordered pair in the block can
@@ -293,18 +303,30 @@ class StreamSession {
   std::deque<std::vector<Row>> pending_;
   std::unordered_set<RowId> pending_ids_;
 
+  /// One dictionary shared by the indexed slots of a pool group.
+  struct PoolGroup {
+    /// Equality groups append to it (ValuePool::Intern): a new value takes
+    /// the next code and no code moves. Sorted groups keep it in value
+    /// order.
+    ValuePool pool{std::vector<Value>()};
+    /// True when a bound kernel compares the group's codes by order
+    /// (KernelTemplate::ordered_slots): LowerBound/UpperBound and code
+    /// order must hold, so growth merges and remaps.
+    bool sorted = false;
+    /// Growths of a sorted group, each of which remapped its codes.
+    uint64_t remaps = 0;
+  };
+
   /// Indexed base columns (blocking + kernel slots; slot s indexes base
   /// column indexed_cols_[s]) and their shared-pool groups.
   std::vector<size_t> indexed_cols_;
-  std::vector<size_t> col_group_;                 // slot -> pool group
-  std::vector<std::shared_ptr<const ValuePool>> pools_;  // per group
+  std::vector<size_t> col_group_;  // slot -> pool group
+  std::vector<PoolGroup> groups_;
   /// One code column per indexed slot, aligned with table_->rows():
   /// code_cols_[s][pos] is the code of table row `pos` in slot s. Retract
   /// compacts them together with the rows; IndexRows extends them over
   /// appended rows.
   std::vector<std::vector<uint32_t>> code_cols_;
-  /// Bumped on every pool growth; kernels rebind lazily when stale.
-  uint64_t pool_epoch_ = 0;
 
   std::vector<RuleIndex> indexes_;
   /// Block members summed over every rule index (stats().index_rows).

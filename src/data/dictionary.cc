@@ -111,9 +111,12 @@ ValuePool::ValuePool(std::vector<Value> values)
     : values_(std::move(values)) {
   hashes_.reserve(values_.size());
   for (const Value& v : values_) hashes_.push_back(v.Hash());
-  const uint64_t size = NextPow2(2 * values_.size() + 16);
-  index_.assign(size, 0);
-  index_mask_ = size - 1;
+  Reindex(NextPow2(2 * values_.size() + 16));
+}
+
+void ValuePool::Reindex(uint64_t slots) {
+  index_.assign(slots, 0);
+  index_mask_ = slots - 1;
   for (uint32_t code = 0; code < values_.size(); ++code) {
     uint64_t i = hashes_[code] & index_mask_;
     while (index_[i]) i = (i + 1) & index_mask_;
@@ -121,16 +124,38 @@ ValuePool::ValuePool(std::vector<Value> values)
   }
 }
 
-uint32_t ValuePool::CodeOf(const Value& v) const {
-  if (v.is_null()) return kNullCode;
-  const uint64_t h = v.Hash();
+uint32_t ValuePool::Find(const Value& v, uint64_t h, uint64_t* slot) const {
   uint64_t i = h & index_mask_;
-  while (uint32_t slot = index_[i]) {
-    const uint32_t code = slot - 1;
+  while (uint32_t entry = index_[i]) {
+    const uint32_t code = entry - 1;
     if (hashes_[code] == h && values_[code] == v) return code;
     i = (i + 1) & index_mask_;
   }
+  *slot = i;
   return kAbsentCode;
+}
+
+uint32_t ValuePool::CodeOf(const Value& v) const {
+  if (v.is_null()) return kNullCode;
+  uint64_t slot = 0;
+  return Find(v, v.Hash(), &slot);
+}
+
+uint32_t ValuePool::Intern(const Value& v) {
+  if (v.is_null()) return kNullCode;
+  const uint64_t h = v.Hash();
+  uint64_t i = 0;
+  const uint32_t found = Find(v, h, &i);
+  if (found != kAbsentCode) return found;
+  const auto code = static_cast<uint32_t>(values_.size());
+  values_.push_back(v);
+  hashes_.push_back(h);
+  if (2 * values_.size() > index_.size()) {
+    Reindex(2 * index_.size());
+  } else {
+    index_[i] = code + 1;
+  }
+  return code;
 }
 
 uint32_t ValuePool::LowerBound(const Value& v) const {
@@ -263,45 +288,33 @@ EncodedColumnSet EncodeColumns(
   return out;
 }
 
-std::shared_ptr<const ValuePool> GrowPool(
-    std::shared_ptr<const ValuePool> base, const std::vector<Value>& fresh,
-    std::vector<uint32_t>* old_to_new) {
+ValuePool GrowPool(const ValuePool& base, const std::vector<Value>& fresh,
+                   std::vector<uint32_t>* old_to_new) {
   // Distinct genuinely-new values, sorted.
   FlatValueSet seen;
   seen.Reserve(fresh.size());
   for (const Value& v : fresh) {
     if (v.is_null()) continue;
-    if (base->CodeOf(v) == ValuePool::kAbsentCode) seen.Insert(v);
+    if (base.CodeOf(v) == ValuePool::kAbsentCode) seen.Insert(v);
   }
   std::vector<Value> added = seen.Take();
-  if (added.empty()) {
-    if (old_to_new != nullptr) {
-      old_to_new->resize(base->size());
-      for (uint32_t c = 0; c < base->size(); ++c) (*old_to_new)[c] = c;
-    }
-    return base;
-  }
   std::sort(added.begin(), added.end(), ValueLess);
 
   // Merge the two sorted runs; record where each old code lands.
   std::vector<Value> merged;
-  merged.reserve(base->size() + added.size());
-  if (old_to_new != nullptr) {
-    old_to_new->assign(base->size(), 0);
-  }
+  merged.reserve(base.size() + added.size());
+  old_to_new->assign(base.size(), 0);
   size_t a = 0;
-  for (uint32_t c = 0; c < base->size(); ++c) {
-    const Value& old = base->value(c);
+  for (uint32_t c = 0; c < base.size(); ++c) {
+    const Value& old = base.value(c);
     while (a < added.size() && ValueLess(added[a], old)) {
       merged.push_back(added[a++]);
     }
-    if (old_to_new != nullptr) {
-      (*old_to_new)[c] = static_cast<uint32_t>(merged.size());
-    }
+    (*old_to_new)[c] = static_cast<uint32_t>(merged.size());
     merged.push_back(old);
   }
   while (a < added.size()) merged.push_back(added[a++]);
-  return std::make_shared<ValuePool>(std::move(merged));
+  return ValuePool(std::move(merged));
 }
 
 }  // namespace bigdansing

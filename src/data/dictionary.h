@@ -12,10 +12,16 @@
 
 namespace bigdansing {
 
-/// An interned pool of distinct non-null values, sorted by Value's total
-/// order. Code order equals Value order, so every ordering comparison over
-/// encoded columns is a u32 compare, and per-code hashes are precomputed so
-/// block keys can be rebuilt from codes without touching a Value.
+/// An interned pool of distinct non-null values: dense u32 codes with
+/// per-code hashes precomputed, so block keys can be rebuilt from codes
+/// without touching a Value. A pool holds its values in one of two orders:
+///  - value order (the constructor, which EncodeColumns and GrowPool use):
+///    code order equals Value order, so every ordering comparison over
+///    encoded columns is a u32 compare and LowerBound/UpperBound place
+///    range constants;
+///  - arrival order (Intern): an absent value takes the next code and no
+///    code ever moves, so codes decide equality only, and LowerBound and
+///    UpperBound must not be asked.
 ///
 /// Values that compare equal across physical types (int 1 == double 1.0)
 /// intern to one code; which representative the pool keeps is
@@ -40,25 +46,38 @@ class ValuePool {
   uint64_t hash(uint32_t code) const { return hashes_[code]; }
 
   /// Code of `v`: kNullCode for null, kAbsentCode when no pooled value
-  /// compares equal, else the dense code. O(1): served from a hash index
-  /// built once at construction.
+  /// compares equal, else the dense code. O(1): served from a hash index.
   uint32_t CodeOf(const Value& v) const;
+
+  /// Code of `v`, appending it as the next code when no pooled value
+  /// compares equal (kNullCode for null). Earlier codes, hashes and values
+  /// stay where they are; the hash index doubles when half full. A pool
+  /// that gained a value this way is no longer in value order.
+  uint32_t Intern(const Value& v);
 
   /// First code whose value is >= `v` (clamped to size()). Together with
   /// UpperBound this turns constant range predicates into code compares:
   ///   value <  c  ⟺  code < LowerBound(c)
   ///   value <= c  ⟺  code < UpperBound(c)
+  /// Valid only while the pool is in value order.
   uint32_t LowerBound(const Value& v) const;
-  /// First code whose value is > `v` (clamped to size()).
+  /// First code whose value is > `v` (clamped to size()); same caveat.
   uint32_t UpperBound(const Value& v) const;
 
  private:
+  /// Code of non-null `v` with hash `h`, or kAbsentCode with `*slot` set
+  /// to the empty index slot where it would go.
+  uint32_t Find(const Value& v, uint64_t h, uint64_t* slot) const;
+  /// Rebuilds the hash index over `slots` slots (a power of two).
+  void Reindex(uint64_t slots);
+
   std::vector<Value> values_;
   std::vector<uint64_t> hashes_;
   /// value -> code, for O(1) CodeOf (equality lookups dominate: every row
   /// of every encoded column makes one). Open-addressing over code+1 slots
-  /// (0 = empty) — probing touches a flat array and compares precomputed
-  /// hashes before ever touching a Value, with no per-node allocation.
+  /// (0 = empty), at most half full — probing touches a flat array and
+  /// compares precomputed hashes before ever touching a Value, with no
+  /// per-node allocation.
   std::vector<uint32_t> index_;
   uint64_t index_mask_ = 0;
 };
@@ -88,19 +107,18 @@ struct EncodedColumnSet {
 EncodedColumnSet EncodeColumns(const PartitionView<Row>& data,
                                const std::vector<std::vector<size_t>>& groups);
 
-/// Pool-growth policy for long-lived encodings (stream sessions): pools are
-/// append-only in *value set* but not in *code assignment* — growing merges
-/// the fresh values into the sorted order, producing a new pool whose codes
-/// are a monotone remap of the old ones. `old_to_new[c]` is the new code of
-/// old code `c` (old-code order is preserved, codes only shift upward), so a
-/// holder of per-row code vectors re-encodes in O(rows) without touching a
-/// Value, and bound kernels simply re-Bind against the new pool (constant
-/// positions shift with the same map). `fresh` may contain nulls and
-/// duplicates (both ignored); values already pooled are ignored. Returns the
-/// old pool unchanged (and an identity map) when nothing new was added.
-std::shared_ptr<const ValuePool> GrowPool(
-    std::shared_ptr<const ValuePool> base, const std::vector<Value>& fresh,
-    std::vector<uint32_t>* old_to_new);
+/// Growth in value order, for a long-lived pool whose codes a kernel
+/// compares by order (a stream session's sorted pool groups): merges the
+/// fresh values into `base`'s sorted values and returns the merged pool.
+/// `old_to_new[c]` is the new code of old code `c` (old-code order is
+/// preserved, codes only shift upward), so a holder of per-row code vectors
+/// remaps them in O(rows) without touching a Value, and kernels bound to
+/// `base` must re-Bind (constant positions shift with the same map).
+/// `fresh` may contain nulls, duplicates and pooled values, all ignored.
+/// Pools whose codes are compared for equality only grow by Intern instead:
+/// no code moves, so nothing is remapped or rebound.
+ValuePool GrowPool(const ValuePool& base, const std::vector<Value>& fresh,
+                   std::vector<uint32_t>* old_to_new);
 
 }  // namespace bigdansing
 

@@ -89,25 +89,40 @@ int Value::Compare(const Value& other) const {
   return as_string().compare(other.as_string());
 }
 
+namespace {
+
+uint64_t HashDouble(double d) {
+  // Every NaN is one value under Compare, whatever its sign or payload.
+  if (std::isnan(d)) return 0x4E614E4E614EULL;  // "NaNNaN"
+  // Integral doubles hash like ints so 1 == 1.0 implies equal hashes.
+  if (d == std::floor(d) && std::abs(d) < 9.2e18) {
+    return StableHashUint64(static_cast<uint64_t>(static_cast<int64_t>(d)));
+  }
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(d));
+  __builtin_memcpy(&bits, &d, sizeof(bits));
+  return StableHashUint64(bits);
+}
+
+}  // namespace
+
 uint64_t Value::Hash() const {
   switch (type()) {
     case ValueType::kNull:
       return 0x4E554C4CULL;  // "NULL"
-    case ValueType::kInt:
-      return StableHashUint64(static_cast<uint64_t>(as_int()));
-    case ValueType::kDouble: {
-      double d = as_double();
-      // Every NaN is one value under Compare, whatever its sign or payload.
-      if (std::isnan(d)) return 0x4E614E4E614EULL;  // "NaNNaN"
-      // Integral doubles hash like ints so 1 == 1.0 implies equal hashes.
-      if (d == std::floor(d) && std::abs(d) < 9.2e18) {
-        return StableHashUint64(static_cast<uint64_t>(static_cast<int64_t>(d)));
+    case ValueType::kInt: {
+      // Compare widens ints to doubles, which are exact only up to 2^53:
+      // beyond it an int hashes as the double it compares as, so ints that
+      // compare equal (2^53 and 2^53 + 1) hash alike.
+      constexpr int64_t kExact = int64_t{1} << 53;
+      const int64_t v = as_int();
+      if (v < -kExact || v > kExact) {
+        return HashDouble(static_cast<double>(v));
       }
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      __builtin_memcpy(&bits, &d, sizeof(bits));
-      return StableHashUint64(bits);
+      return StableHashUint64(static_cast<uint64_t>(v));
     }
+    case ValueType::kDouble:
+      return HashDouble(as_double());
     case ValueType::kString:
       return StableHashBytes(as_string());
   }

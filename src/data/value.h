@@ -66,8 +66,8 @@ class Value {
   bool operator>(const Value& other) const { return Compare(other) > 0; }
   bool operator>=(const Value& other) const { return Compare(other) >= 0; }
 
-  /// Platform-stable hash; equal values (including int 1 == double 1.0)
-  /// hash identically.
+  /// Platform-stable hash; equal values (including int 1 == double 1.0,
+  /// and ints beyond 2^53 that widen to one double) hash identically.
   uint64_t Hash() const;
 
  private:

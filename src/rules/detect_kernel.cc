@@ -235,6 +235,10 @@ class CfdTemplate : public KernelTemplate {
         constant_cfd_(constant_cfd),
         rhs_constant_(std::move(rhs_constant)) {
     columns_ = std::move(cols);
+    for (const PatternSlot& p : pattern_) {
+      constants_.push_back({p.slot, p.constant});
+    }
+    if (rhs_constant_) constants_.push_back({rhs_, *rhs_constant_});
     if (constant_cfd_) {
       // CfdRule::GenFix: the RHS cell gets the RHS constant.
       ViolationWriter::Term term;
@@ -307,7 +311,12 @@ class ConjunctionTemplate : public KernelTemplate {
       a.compiled.left_slot = tmpl->SlotFor(*left);
       a.compiled.right_is_constant = p.right_is_constant;
       if (p.right_is_constant) {
-        if (p.constant.is_null()) a.compiled.never = true;
+        if (p.constant.is_null()) {
+          a.compiled.never = true;
+        } else {
+          tmpl->constants_.push_back({a.compiled.left_slot, p.constant});
+          if (IsOrderingOp(p.op)) tmpl->OrderSlot(a.compiled.left_slot);
+        }
         a.constant = p.constant;
       } else {
         auto right = schema.IndexOf(p.right_attr);
@@ -316,6 +325,10 @@ class ConjunctionTemplate : public KernelTemplate {
         term.right = *right;
         a.compiled.right_is_t1 = p.right_tuple == 1;
         a.compiled.right_slot = tmpl->SlotFor(*right);
+        if (IsOrderingOp(p.op)) {
+          tmpl->OrderSlot(a.compiled.left_slot);
+          tmpl->OrderSlot(a.compiled.right_slot);
+        }
         // Codes of the two sides are compared directly, so the columns
         // must intern into one pool.
         if (*left != *right) tmpl->ShareGroup(*left, *right);
@@ -336,8 +349,12 @@ class ConjunctionTemplate : public KernelTemplate {
       if (p.right_is_constant && !p.never) {
         const ValuePool& pool = *pools[p.left_slot];
         p.const_eq = pool.CodeOf(*a.constant);
-        p.const_lo = pool.LowerBound(*a.constant);
-        p.const_hi = pool.UpperBound(*a.constant);
+        // Range bounds only for ordering operators: only their slots'
+        // pools are in value order.
+        if (IsOrderingOp(p.op)) {
+          p.const_lo = pool.LowerBound(*a.constant);
+          p.const_hi = pool.UpperBound(*a.constant);
+        }
       }
       compiled.push_back(p);
     }
@@ -515,6 +532,13 @@ uint16_t KernelTemplate::SlotFor(size_t column) {
   }
   columns_.push_back(column);
   return static_cast<uint16_t>(columns_.size() - 1);
+}
+
+void KernelTemplate::OrderSlot(uint16_t slot) {
+  if (std::find(ordered_slots_.begin(), ordered_slots_.end(), slot) ==
+      ordered_slots_.end()) {
+    ordered_slots_.push_back(slot);
+  }
 }
 
 void KernelTemplate::ShareGroup(size_t a, size_t b) {

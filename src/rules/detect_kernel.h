@@ -197,8 +197,26 @@ class KernelTemplate {
     return shared_groups_;
   }
 
+  /// Slots whose codes the kernel compares by order: an ordering predicate
+  /// (`<`, `<=`, `>`, `>=`) between two columns or against a range
+  /// constant. Their pools must be in value order (code order = Value
+  /// order); the kernel compares every other slot's codes for equality
+  /// only, which holds in any pool.
+  const std::vector<uint16_t>& ordered_slots() const { return ordered_slots_; }
+
+  /// A rule constant that Bind looks up in slot `slot`'s pool.
+  struct Constant {
+    uint16_t slot;
+    Value value;
+  };
+  /// Every constant Bind looks up. A kernel bound while one was absent from
+  /// its pool decides as if no row holds it, so a holder whose pool later
+  /// gains that value must re-Bind.
+  const std::vector<Constant>& constants() const { return constants_; }
+
   /// Binds rule constants against the slots' pools; `pools[s]` is the pool
-  /// of `columns()[s]`.
+  /// of `columns()[s]`. Only the pools of ordered_slots() are asked for
+  /// value-order positions (LowerBound/UpperBound).
   virtual std::unique_ptr<DetectKernel> Bind(
       const std::vector<const ValuePool*>& pools) const = 0;
 
@@ -207,9 +225,13 @@ class KernelTemplate {
   uint16_t SlotFor(size_t column);
   /// Records that two columns' codes are compared against each other.
   void ShareGroup(size_t a, size_t b);
+  /// Records that a slot's codes are compared by order.
+  void OrderSlot(uint16_t slot);
 
   std::vector<size_t> columns_;
   std::vector<std::vector<size_t>> shared_groups_;
+  std::vector<uint16_t> ordered_slots_;
+  std::vector<Constant> constants_;
   /// Unbound compiled GenFix (detect-schema columns), set by the compiler.
   std::optional<ViolationWriter> writer_;
 };

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/nadeef_baseline.h"
 #include "common/fault.h"
 #include "core/bigdansing.h"
 #include "core/rule_engine.h"
@@ -235,6 +236,120 @@ TEST(ValuePoolTest, PoolFromTaskSortedRunsKeepsLowestPartitionValue) {
   }
 }
 
+TEST(ValuePoolTest, InternAppendsAndKeepsEveryEarlierCode) {
+  ValuePool pool({Value(int64_t{5}), Value(10.5), Value("NY")});
+  // Pooled values keep their codes; an absent value takes the next one.
+  EXPECT_EQ(pool.Intern(Value(10.5)), 1u);
+  EXPECT_EQ(pool.Intern(Value(int64_t{7})), 3u);
+  EXPECT_EQ(pool.Intern(Value("AB")), 4u);
+  EXPECT_EQ(pool.Intern(Value::Null()), ValuePool::kNullCode);
+  EXPECT_EQ(pool.Intern(Value(int64_t{7})), 3u);
+  ASSERT_EQ(pool.size(), 5u);
+  EXPECT_EQ(pool.CodeOf(Value(int64_t{5})), 0u);
+  EXPECT_EQ(pool.CodeOf(Value(10.5)), 1u);
+  EXPECT_EQ(pool.CodeOf(Value("NY")), 2u);
+  EXPECT_EQ(pool.CodeOf(Value(int64_t{7})), 3u);
+  EXPECT_EQ(pool.CodeOf(Value("AB")), 4u);
+  EXPECT_EQ(pool.CodeOf(Value("absent")), ValuePool::kAbsentCode);
+  for (uint32_t c = 0; c < pool.size(); ++c) {
+    EXPECT_EQ(pool.hash(c), pool.value(c).Hash());
+  }
+}
+
+TEST(ValuePoolTest, InternFoldsEqualValuesToOneCode) {
+  ValuePool pool(std::vector<Value>{});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const uint32_t one = pool.Intern(Value(int64_t{1}));
+  EXPECT_EQ(pool.Intern(Value(1.0)), one);
+  const uint32_t nan_code = pool.Intern(Value::Parse("nan"));
+  EXPECT_NE(nan_code, one);
+  EXPECT_EQ(pool.Intern(Value(nan)), nan_code);
+  EXPECT_EQ(pool.Intern(Value(-nan)), nan_code);
+  EXPECT_EQ(pool.Intern(Value(std::numeric_limits<double>::signaling_NaN())),
+            nan_code);
+  // 2^53 + 1 widens to 2^53, so the two ints are one value.
+  const uint32_t big = pool.Intern(Value(int64_t{1} << 53));
+  EXPECT_EQ(pool.Intern(Value((int64_t{1} << 53) + 1)), big);
+  EXPECT_EQ(pool.Intern(Value(static_cast<double>(int64_t{1} << 53))), big);
+  EXPECT_EQ(pool.size(), 3u);
+}
+
+TEST(ValuePoolTest, InternedCodesSurviveIndexGrowth) {
+  // 10,000 distinct values double the hash index many times over; every
+  // code must stay where Intern put it.
+  ValuePool pool(std::vector<Value>{});
+  std::vector<Value> values;
+  for (int64_t i = 0; i < 10000; ++i) {
+    values.push_back(i % 2 == 0 ? Value(i * 7919)
+                                : Value("s" + std::to_string(i)));
+  }
+  for (uint32_t code = 0; code < values.size(); ++code) {
+    ASSERT_EQ(pool.Intern(values[code]), code);
+  }
+  ASSERT_EQ(pool.size(), values.size());
+  for (uint32_t code = 0; code < values.size(); ++code) {
+    EXPECT_EQ(pool.CodeOf(values[code]), code);
+    EXPECT_EQ(pool.Intern(values[code]), code);
+    EXPECT_EQ(pool.hash(code), values[code].Hash());
+  }
+  EXPECT_EQ(pool.size(), values.size());
+  EXPECT_EQ(pool.CodeOf(Value("absent")), ValuePool::kAbsentCode);
+}
+
+TEST(ValuePoolTest, EncodeColumnsPoolStaysInValueOrder) {
+  // Mixed ints, doubles and strings with duplicates across partitions: the
+  // pool is sorted, so a value's code is its rank and LowerBound and
+  // UpperBound bracket it.
+  std::mt19937_64 rng(41);
+  std::vector<std::vector<Row>> parts(3);
+  RowId id = 0;
+  for (auto& part : parts) {
+    for (int i = 0; i < 700; ++i) {
+      const int64_t k = static_cast<int64_t>(rng() % 400);
+      Value v = k % 3 == 0   ? Value(k)
+                : k % 3 == 1 ? Value(k + 0.5)
+                             : Value("v" + std::to_string(k));
+      part.emplace_back(id++, std::vector<Value>{std::move(v)});
+    }
+  }
+  ExecutionContext ctx(2);
+  EncodedColumnSet set = EncodeColumns(Dataset<Row>(&ctx, parts), {{0}});
+  const ValuePool& pool = *set.columns.at(0).pool;
+  ASSERT_GT(pool.size(), 100u);
+  for (uint32_t code = 0; code < pool.size(); ++code) {
+    if (code > 0) {
+      EXPECT_LT(pool.value(code - 1), pool.value(code));
+    }
+    EXPECT_EQ(pool.LowerBound(pool.value(code)), code);
+    EXPECT_EQ(pool.UpperBound(pool.value(code)), code + 1);
+  }
+  for (size_t p = 0; p < parts.size(); ++p) {
+    for (size_t i = 0; i < parts[p].size(); ++i) {
+      EXPECT_EQ(pool.value(set.columns.at(0).codes[p][i]),
+                parts[p][i].value(0));
+    }
+  }
+}
+
+TEST(ValuePoolTest, GrowPoolMergesInValueOrderAndMapsOldCodes) {
+  ValuePool base({Value(int64_t{2}), Value(int64_t{5}), Value("b")});
+  std::vector<uint32_t> old_to_new;
+  ValuePool grown = GrowPool(
+      base,
+      {Value(int64_t{3}), Value::Null(), Value(5.0), Value("a"),
+       Value(int64_t{3}), Value(int64_t{9})},
+      &old_to_new);
+  // 2 < 3 < 5 < 9 < "a" < "b"; pooled, null and repeated values add nothing.
+  ASSERT_EQ(grown.size(), 6u);
+  for (uint32_t code = 1; code < grown.size(); ++code) {
+    EXPECT_LT(grown.value(code - 1), grown.value(code));
+  }
+  EXPECT_EQ(old_to_new, (std::vector<uint32_t>{0, 2, 5}));
+  for (uint32_t code = 0; code < base.size(); ++code) {
+    EXPECT_EQ(grown.value(old_to_new[code]), base.value(code));
+  }
+}
+
 TEST(KernelRegistryTest, CompilesDeclarativeRulesRejectsUdfAndSimilarity) {
   Table table = PaperTable();
   auto fd = *ParseRule("f: FD: zipcode -> city");
@@ -309,6 +424,53 @@ class AscendingKernel : public DetectKernel {
            t2.code(0) != ValuePool::kNullCode && t1.code(0) < t2.code(0);
   }
 };
+
+TEST(KernelRegistryTest, OrderedSlotsAndConstantsComeFromTheRule) {
+  const Table table = PaperTable();
+  const Schema& schema = table.schema();
+  auto compile = [&](const std::string& text) {
+    auto tmpl = KernelRegistry::Instance().Compile(**ParseRule(text), schema);
+    EXPECT_NE(tmpl, nullptr) << text;
+    return tmpl;
+  };
+  auto column_of = [](const KernelTemplate& tmpl, uint16_t slot) {
+    return tmpl.columns()[slot];
+  };
+  const size_t salary = *schema.IndexOf("salary");
+  const size_t rate = *schema.IndexOf("rate");
+
+  // Equality only: no slot needs value order, and no constant is bound.
+  auto fd = compile("f: FD: zipcode -> city");
+  EXPECT_TRUE(fd->ordered_slots().empty());
+  EXPECT_TRUE(fd->constants().empty());
+  auto dcb = compile("d: DC: t1.zipcode = t2.zipcode & t1.state != t2.state");
+  EXPECT_TRUE(dcb->ordered_slots().empty());
+
+  // An ordering predicate between tuples orders its column's slot.
+  auto dco = compile("d: DC: t1.zipcode = t2.zipcode & t1.salary > t2.salary");
+  ASSERT_EQ(dco->ordered_slots().size(), 1u);
+  EXPECT_EQ(column_of(*dco, dco->ordered_slots()[0]), salary);
+  EXPECT_TRUE(dco->constants().empty());
+
+  // A range constant orders its slot; an equality constant does not, and
+  // both are bound by lookup.
+  auto check = compile("c: CHECK: t1.salary > 30000 & t1.rate = 10");
+  ASSERT_EQ(check->ordered_slots().size(), 1u);
+  EXPECT_EQ(column_of(*check, check->ordered_slots()[0]), salary);
+  ASSERT_EQ(check->constants().size(), 2u);
+  EXPECT_EQ(column_of(*check, check->constants()[0].slot), salary);
+  EXPECT_EQ(check->constants()[0].value, Value(int64_t{30000}));
+  EXPECT_EQ(column_of(*check, check->constants()[1].slot), rate);
+  EXPECT_EQ(check->constants()[1].value, Value(int64_t{10}));
+
+  // A CFD binds its pattern constants and compares codes for equality.
+  auto cfd = compile("c: CFD: state=\"CA\", zipcode -> city");
+  EXPECT_TRUE(cfd->ordered_slots().empty());
+  ASSERT_EQ(cfd->constants().size(), 1u);
+  EXPECT_EQ(column_of(*cfd, cfd->constants()[0].slot),
+            *schema.IndexOf("state"));
+  EXPECT_EQ(cfd->constants()[0].value, Value("CA"));
+}
 
 TEST(KernelAnyMatchUpper, AgreesWithMatchUpper) {
   const Schema schema({"a", "b", "c"});
@@ -461,6 +623,38 @@ TEST(KernelBitEquality, ConstantsAbsentNullAndRanges) {
   auto results = RunDetect(table, {absent_rule, never_rule}, true);
   EXPECT_TRUE(results[0].violations.empty());
   EXPECT_TRUE(results[1].violations.empty());
+}
+
+TEST(KernelBitEquality, IntsBeyondTwoToThe53AgreeWithNadeef) {
+  // 2^53 and 2^53 + 1 compare equal (Compare widens ints to doubles), so
+  // rows 2 and 3 share their `a` and violate a -> b, while rows 0 and 1
+  // agree on `b`. Two workers cut the four rows into four partitions, so
+  // the two large `a` values are pooled from different partitions.
+  const char* csv =
+      "a,b\n"
+      "1,9007199254740992\n"
+      "1,9007199254740993\n"
+      "9007199254740992,7\n"
+      "9007199254740993,8\n";
+  auto table = ReadCsvString(csv, CsvOptions{});
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_TRUE(table->row(3).value(0).is_int());
+  auto rule = *ParseRule("fd: FD: a -> b");
+
+  auto nadeef = NadeefDetect(*table, rule);
+  ASSERT_TRUE(nadeef.ok()) << nadeef.status().ToString();
+  ASSERT_EQ(nadeef->violations.size(), 1u);
+  auto ids = nadeef->violations[0].violation.RowIds();
+  EXPECT_EQ(std::set<RowId>(ids.begin(), ids.end()), (std::set<RowId>{2, 3}));
+
+  ExpectBitIdentical(*table, {rule}, /*expect_kernel=*/true, /*workers=*/2);
+  for (bool kernels : {true, false}) {
+    auto results = RunDetect(*table, {rule}, kernels, /*workers=*/2);
+    ASSERT_EQ(results[0].violations.size(), 1u) << "kernels " << kernels;
+    ids = results[0].violations[0].violation.RowIds();
+    EXPECT_EQ(std::set<RowId>(ids.begin(), ids.end()),
+              (std::set<RowId>{2, 3}));
+  }
 }
 
 TEST(KernelBitEquality, UdfDedupStaysInterpreted) {

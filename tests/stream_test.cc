@@ -285,6 +285,7 @@ struct ScatteredRun {
   std::vector<std::pair<std::string, uint64_t>> fresh_index;
   size_t index_rows = 0;
   size_t fresh_index_rows = 0;
+  StreamSessionStats stats;
 };
 
 /// Streams `dirty` in rounds of Append(300 rows) -> Poll -> Retract the
@@ -336,7 +337,8 @@ ScatteredRun RunScatteredRetraction(const Table& dirty,
   }
   out.table = Fingerprint(table);
   out.index = s.IndexFingerprints();
-  out.index_rows = s.stats().index_rows;
+  out.stats = s.stats();
+  out.index_rows = out.stats.index_rows;
 
   Table copy = table;
   auto fresh = system.OpenStream(&copy, rules, StreamOptions{});
@@ -387,17 +389,81 @@ TEST(Stream, ScatteredRetractionKeepsPrescreenExact) {
 
 TEST(Stream, ScatteredRetractionKeepsDcAndCfdPrescreenExact) {
   // The same check for rules no FD shape covers: an asymmetric blocked DC
-  // (the prescreen's both-orders pair loop), a symmetric DC and a variable
-  // CFD (the kernels' default AnyMatchUpper).
+  // (the prescreen's both-orders pair loop), a symmetric DC, a variable
+  // CFD (the kernels' default AnyMatchUpper), and a DC with a range
+  // constant, whose window counts depend on the salary pool staying in
+  // value order through growth and retraction.
   const std::vector<RulePtr> rules = {
       *ParseRule("dco: DC: t1.zipcode = t2.zipcode & t1.salary > t2.salary"),
       *ParseRule("dcb: DC: t1.zipcode = t2.zipcode & t1.state != t2.state"),
-      *ParseRule("cfd: CFD: state=\"CA\", zipcode -> city")};
+      *ParseRule("cfd: CFD: state=\"CA\", zipcode -> city"),
+      *ParseRule("dcr: DC: t1.zipcode = t2.zipcode & t1.salary > 100000 & "
+                 "t1.city != t2.city")};
   for (uint64_t seed : {74u, 75u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     auto data = GenerateTaxA(1500, 0.1, seed);
     ExpectScatteredRetractionExact(data.dirty, rules, seed);
   }
+}
+
+TEST(Stream, CfdConstantLandingLateRebindsItsKernel) {
+  // The CFD's pattern constant state="CA" first lands in a later batch: the
+  // kernel bound before that holds it as absent and matches no row, so it
+  // must rebind once a CA row lands, or its prescreen drops every CA block.
+  auto data = GenerateTaxA(1500, 0.1, /*seed=*/76);
+  const size_t state = *data.dirty.schema().IndexOf("state");
+  Table late(data.dirty.schema());
+  std::vector<Row> ca;
+  for (const Row& row : data.dirty.rows()) {
+    if (row.value(state) == Value("CA")) {
+      ca.push_back(row);
+    } else {
+      late.AppendRowWithId(row);
+    }
+  }
+  ASSERT_GE(late.num_rows(), 600u) << "the first batches must hold no CA row";
+  ASSERT_FALSE(ca.empty());
+  for (Row& row : ca) late.AppendRowWithId(std::move(row));
+  ExpectScatteredRetractionExact(
+      late, {*ParseRule("cfd: CFD: state=\"CA\", zipcode -> city")}, 76);
+}
+
+TEST(Stream, EqualityKernelsNeverRebindWhilePoolsGrow) {
+  // Every batch brings zipcodes, cities, states and salaries no earlier
+  // batch held. FDs compare codes for equality only, so their pools only
+  // append and their kernels stay bound. The DCs compare salaries by order
+  // (`dcr` against a range constant), so the salary pool stays in value
+  // order: each growth remaps it and the DCs rebind. Window counts cannot
+  // tell `dco`'s order from its reverse (one of a pair's two orders
+  // violates either way); `dcr`'s count can.
+  auto table = ReadCsvString("zipcode,city,state,salary\n", CsvOptions{});
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  RowId id = 0;
+  for (int64_t batch = 0; batch < 5; ++batch) {
+    for (int64_t i = 0; i < 300; ++i) {
+      const int64_t zip = 1000 * batch + i / 3;
+      table->AppendRowWithId(Row(
+          id++, std::vector<Value>{
+                    Value(zip), Value("c" + std::to_string(zip + i % 2)),
+                    Value("s" + std::to_string(batch)),
+                    Value(1000 * batch + 300 - i)}));
+    }
+  }
+  const std::vector<RulePtr> fds = TaxRules();
+  ExpectScatteredRetractionExact(*table, fds, 77);
+  const ScatteredRun fd_run =
+      RunScatteredRetraction(*table, fds, 77, /*kernels=*/true);
+  EXPECT_GE(fd_run.stats.pool_growths, 5u);
+  EXPECT_EQ(fd_run.stats.kernel_rebinds, 0u);
+
+  const std::vector<RulePtr> dcs = {
+      *ParseRule("dco: DC: t1.zipcode = t2.zipcode & t1.salary > t2.salary"),
+      *ParseRule("dcr: DC: t1.zipcode = t2.zipcode & t1.salary > 2150 & "
+                 "t1.city != t2.city")};
+  ExpectScatteredRetractionExact(*table, dcs, 77);
+  EXPECT_GE(RunScatteredRetraction(*table, dcs, 77, /*kernels=*/true)
+                .stats.kernel_rebinds,
+            1u);
 }
 
 /// One Append + Poll of the three-row FD conflict from the failed-poll

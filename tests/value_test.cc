@@ -156,6 +156,13 @@ TEST(ValueNaN, CompareStaysTransitiveAndHashAgreesWithEquality) {
       Value(2.0),
       Value(std::numeric_limits<double>::infinity()),
       Value("nan"),
+      // Beyond 2^53 Compare widens ints to doubles that are no longer
+      // exact: 2^53 + 1 equals 2^53, so both must hash like the double.
+      Value(int64_t{1} << 53),
+      Value((int64_t{1} << 53) + 1),
+      Value(static_cast<double>(int64_t{1} << 53)),
+      Value(std::numeric_limits<int64_t>::max()),
+      Value(-(int64_t{1} << 53) - 1),
   };
   for (const auto& a : pool) {
     for (const auto& b : pool) {
