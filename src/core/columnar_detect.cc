@@ -158,8 +158,10 @@ BoundKernel BindKernel(const PhysicalRulePlan& plan,
   return bound;
 }
 
-/// Arity-1 rules: every unit is decided on its own.
+/// Arity-1 rules: every unit (every changed unit, with a `changed` set) is
+/// decided on its own.
 void DetectSingle(const PhysicalRulePlan& plan, const PartitionView<Row>& base,
+                  const std::unordered_set<RowId>* changed,
                   const BoundKernel* k, ViolationBuffer* violations,
                   DetectionResult* result) {
   const auto& parts = base.partitions();
@@ -179,9 +181,10 @@ void DetectSingle(const PhysicalRulePlan& plan, const PartitionView<Row>& base,
         } else {
           Row projected;
           for (size_t i = begin; i < end; ++i) {
+            const Row& row = parts[p][i];
+            if (changed != nullptr && changed->count(row.id()) == 0) continue;
             ProbeSingle(*plan.rule,
-                        DetectRow(parts[p][i], plan.scope_columns, &projected),
-                        &out);
+                        DetectRow(row, plan.scope_columns, &projected), &out);
           }
         }
         tc.records_in = end - begin;
@@ -194,61 +197,42 @@ void DetectSingle(const PhysicalRulePlan& plan, const PartitionView<Row>& base,
   MergeOutputs(&tasks, violations, result);
 }
 
-/// The plan's blocks over `base`, built once per blocking signature: one
-/// block-key stage keying every row that joins a block as a RowRef, then
-/// GroupByKey. With a kernel the keys hash the blocking columns' per-code
-/// hashes in one tight loop; without one ComputeBlockKey hashes each row's
-/// Values. The keys are equal either way, so kernel and interpreted rules
-/// share blocks.
-const Blocks& BlockRows(ExecutionContext* ctx, const PhysicalRulePlan& plan,
-                        const PartitionView<Row>& base, const BoundKernel* k,
-                        ColumnarCaches* caches) {
-  std::string sig;
-  if (plan.block_key_fn) {
-    // The UDF key reads the scoped row.
-    sig = "udf:" + plan.rule->name() + "|";
-    for (size_t c : plan.scope_columns) sig += std::to_string(c) + ",";
-  } else {
-    for (size_t c : plan.blocking_columns) {
-      sig += std::to_string(ToBase(plan, c)) + ",";
-    }
+/// The block-key hash fold over `row`'s values in `columns`, each read at
+/// base column `to_base(c)`; false when one of them is null (the row joins
+/// no block).
+template <typename ToBaseFn>
+bool FoldKey(const Row& row, const std::vector<size_t>& columns,
+             const ToBaseFn& to_base, uint64_t* key) {
+  uint64_t h = 0x42D;
+  for (size_t c : columns) {
+    const Value& v = row.value(to_base(c));
+    if (v.is_null()) return false;
+    h = StableHashUint64(h ^ v.Hash());
   }
-  auto cached = caches->blocks.find(sig);
-  if (cached != caches->blocks.end()) return cached->second;
+  *key = h;
+  return true;
+}
 
-  const auto& parts = base.partitions();
+using KeyedRows = Dataset<std::pair<uint64_t, RowRef>>;
+
+/// Every row of `view` that `key_of(p, i, &projected, &key)` keys, as a
+/// (key, RowRef) record in view order: one morsel stage named `stage`.
+template <typename KeyOf>
+KeyedRows KeyRows(const PartitionView<Row>& view, const std::string& stage,
+                  const KeyOf& key_of) {
+  const auto& parts = view.partitions();
   using KeyedPiece = std::vector<std::pair<uint64_t, RowRef>>;
-  std::vector<KeyedPiece> keyed_parts = base.RunStageMorsels<KeyedPiece>(
-      k != nullptr ? "kernel:block" : "block",
-      [&](size_t p) { return parts[p].size(); },
+  std::vector<KeyedPiece> keyed_parts = view.RunStageMorsels<KeyedPiece>(
+      stage, [&](size_t p) { return parts[p].size(); },
       [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
         KeyedPiece out;
         out.reserve(end - begin);
-        if (k != nullptr) {
-          for (size_t i = begin; i < end; ++i) {
-            uint64_t h = 0x42D;
-            bool keyed = true;
-            for (const BoundKernel::KeyCol& kc : k->key_cols) {
-              const uint32_t code = kc.col->codes[p][i];
-              if (code == ValuePool::kNullCode) {
-                keyed = false;  // null key component: row joins no block
-                break;
-              }
-              h = StableHashUint64(h ^ kc.pool->hash(code));
-            }
-            if (keyed) {
-              out.emplace_back(h, RowRef{static_cast<uint32_t>(p),
+        Row projected;
+        uint64_t key = 0;
+        for (size_t i = begin; i < end; ++i) {
+          if (key_of(p, i, &projected, &key)) {
+            out.emplace_back(key, RowRef{static_cast<uint32_t>(p),
                                          static_cast<uint32_t>(i)});
-            }
-          }
-        } else {
-          Row projected;
-          uint64_t key = 0;
-          for (size_t i = begin; i < end; ++i) {
-            if (ComputeBlockKey(plan, parts[p][i], &projected, &key)) {
-              out.emplace_back(key, RowRef{static_cast<uint32_t>(p),
-                                           static_cast<uint32_t>(i)});
-            }
           }
         }
         tc.records_in = end - begin;
@@ -265,8 +249,97 @@ const Blocks& BlockRows(ExecutionContext* ctx, const PhysicalRulePlan& plan,
         }
         return merged;
       });
-  Dataset<std::pair<uint64_t, RowRef>> keyed(ctx, std::move(keyed_parts));
+  return KeyedRows(view.context(), std::move(keyed_parts));
+}
+
+/// The plan's blocks over `base`, built once per blocking signature: one
+/// block-key stage keying every row that joins a block as a RowRef, then
+/// GroupByKey. With a kernel the keys hash the blocking columns' per-code
+/// hashes in one tight loop; without one ComputeBlockKey hashes each row's
+/// Values. The keys are equal either way, so kernel and interpreted rules
+/// share blocks.
+const Blocks& BlockRows(const PhysicalRulePlan& plan,
+                        const PartitionView<Row>& base, const BoundKernel* k,
+                        ColumnarCaches* caches) {
+  std::string sig;
+  if (plan.block_key_fn) {
+    // The UDF key reads the scoped row.
+    sig = "udf:" + plan.rule->name() + "|";
+    for (size_t c : plan.scope_columns) sig += std::to_string(c) + ",";
+  } else {
+    for (size_t c : plan.blocking_columns) {
+      sig += std::to_string(ToBase(plan, c)) + ",";
+    }
+  }
+  auto cached = caches->blocks.find(sig);
+  if (cached != caches->blocks.end()) return cached->second;
+
+  KeyedRows keyed;
+  if (k != nullptr) {
+    keyed = KeyRows(base, "kernel:block",
+                    [&](size_t p, size_t i, Row*, uint64_t* key) {
+                      uint64_t h = 0x42D;
+                      for (const BoundKernel::KeyCol& kc : k->key_cols) {
+                        const uint32_t code = kc.col->codes[p][i];
+                        // A null key component: the row joins no block.
+                        if (code == ValuePool::kNullCode) return false;
+                        h = StableHashUint64(h ^ kc.pool->hash(code));
+                      }
+                      *key = h;
+                      return true;
+                    });
+  } else {
+    const auto& parts = base.partitions();
+    keyed = KeyRows(base, "block",
+                    [&](size_t p, size_t i, Row* projected, uint64_t* key) {
+                      return ComputeBlockKey(plan, parts[p][i], projected, key);
+                    });
+  }
   return caches->blocks.emplace(sig, GroupByKey(keyed)).first->second;
+}
+
+/// The changed-rows request's blocks: only a block holding a changed row
+/// can gain or lose a violation. `block:dirty-keys` collects the changed
+/// rows' block keys (a small driver-side set), then `block:dirty` keys only
+/// the rows landing in those blocks, so the shuffle moves a fraction of the
+/// table.
+Blocks DirtyBlocks(const PhysicalRulePlan& plan,
+                   const PartitionView<Row>& base,
+                   const std::unordered_set<RowId>& changed) {
+  const auto& parts = base.partitions();
+  std::vector<std::vector<uint64_t>> per_part_keys =
+      base.RunStageProducing<std::vector<uint64_t>>(
+          "block:dirty-keys", [&](size_t p, TaskContext& tc) {
+            std::vector<uint64_t> keys;
+            Row projected;
+            uint64_t key = 0;
+            for (const Row& row : parts[p]) {
+              if (changed.count(row.id()) > 0 &&
+                  ComputeBlockKey(plan, row, &projected, &key)) {
+                keys.push_back(key);
+              }
+            }
+            tc.records_out = keys.size();
+            return keys;
+          });
+  std::unordered_set<uint64_t> dirty_keys;
+  for (const auto& keys : per_part_keys) {
+    dirty_keys.insert(keys.begin(), keys.end());
+  }
+  return GroupByKey(KeyRows(
+      base, "block:dirty",
+      [&](size_t p, size_t i, Row* projected, uint64_t* key) {
+        return ComputeBlockKey(plan, parts[p][i], projected, key) &&
+               dirty_keys.count(*key) > 0;
+      }));
+}
+
+/// The unblocked orientation rule: a symmetric rule under UCrossProduct
+/// probes each unordered pair once, lower table position first; every
+/// other plan probes both orders, (i, j) then (j, i).
+bool ProbesBothOrders(const PhysicalRulePlan& plan) {
+  return !(plan.strategy == IterateStrategy::kUCrossProduct &&
+           plan.rule->IsSymmetric());
 }
 
 /// No blocking key: whole-table chunk-pair enumeration. Rows are cut into
@@ -295,10 +368,7 @@ void IterateUnblocked(ExecutionContext* ctx, const PhysicalRulePlan& plan,
     }
   }
 
-  // Symmetric rules under UCrossProduct probe each unordered pair once;
-  // every other plan probes both orientations, (i, j) then (j, i).
-  const bool both = !(plan.strategy == IterateStrategy::kUCrossProduct &&
-                      plan.rule->IsSymmetric());
+  const bool both = ProbesBothOrders(plan);
   size_t num_chunks = std::max<size_t>(1, ctx->num_workers() * 2);
   if (num_chunks > base_rows.size()) {
     num_chunks = std::max<size_t>(1, base_rows.size());
@@ -363,6 +433,70 @@ void IterateUnblocked(ExecutionContext* ctx, const PhysicalRulePlan& plan,
         tc.records_in = iend - ibegin;
         tc.records_out = out.violations.size();
         return out;
+      });
+  if (!tasks.ok()) throw StageError(tasks.status());
+  MergeOutputs(&*tasks, violations, result);
+}
+
+/// The changed-rows request's unblocked pass, the global join's included:
+/// morsels of the changed rows, in table order, each probing every other
+/// row in table order under IterateUnblocked's orientation rule
+/// (ProbesBothOrders), both orders as (c, r) then (r, c). A pair of two
+/// changed rows is probed by its lower position's changed row only. Each
+/// row's detect-schema row is resolved once, up front.
+void PairChangedRows(ExecutionContext* ctx, const PhysicalRulePlan& plan,
+                     const PartitionView<Row>& base,
+                     const std::unordered_set<RowId>& changed,
+                     ViolationBuffer* violations, DetectionResult* result) {
+  const size_t n = base.Count();
+  std::vector<Row> projected(plan.scope_columns.empty() ? 0 : n);
+  std::vector<const Row*> rows;
+  rows.reserve(n);
+  std::vector<char> is_changed(n, 0);
+  std::vector<size_t> changed_pos;
+  for (const auto& part : base.partitions()) {
+    for (const Row& row : part) {
+      const size_t pos = rows.size();
+      if (changed.count(row.id()) > 0) {
+        is_changed[pos] = 1;
+        changed_pos.push_back(pos);
+      }
+      rows.push_back(projected.empty()
+                         ? &row
+                         : &DetectRow(row, plan.scope_columns, &projected[pos]));
+    }
+  }
+
+  const bool both = ProbesBothOrders(plan);
+  const size_t num_tasks = std::max<size_t>(1, ctx->default_partitions());
+  const size_t per =
+      Dataset<size_t>::PartitionSize(changed_pos.size(), num_tasks);
+  auto first = [&](size_t t) { return std::min(changed_pos.size(), t * per); };
+  auto tasks = StageExecutor(ctx).RunMorsels<TaskOutput>(
+      "iterate|detect:incremental", num_tasks,
+      [&](size_t t) { return first(t + 1) - first(t); },
+      [&](size_t t, size_t begin, size_t end, TaskContext& tc) {
+        TaskOutput out;
+        for (size_t x = first(t) + begin; x < first(t) + end; ++x) {
+          const size_t c = changed_pos[x];
+          for (size_t r = 0; r < n; ++r) {
+            if (r == c || (r < c && is_changed[r])) continue;
+            if (both) {
+              Probe(*plan.rule, *rows[c], *rows[r], &out);
+              Probe(*plan.rule, *rows[r], *rows[c], &out);
+            } else {
+              Probe(*plan.rule, *rows[std::min(c, r)], *rows[std::max(c, r)],
+                    &out);
+            }
+          }
+        }
+        ctx->metrics().AddPairsEnumerated(out.detect_calls);
+        tc.records_in = end - begin;
+        tc.records_out = out.violations.size();
+        return out;
+      },
+      [](size_t, std::vector<TaskOutput>&& pieces) {
+        return MergeTaskPieces(std::move(pieces));
       });
   if (!tasks.ok()) throw StageError(tasks.status());
   MergeOutputs(&*tasks, violations, result);
@@ -458,29 +592,25 @@ bool ComputeBlockKey(const PhysicalRulePlan& plan, const Row& row,
     *key = v.Hash();
     return true;
   }
-  uint64_t h = 0x42D;
-  for (size_t c : plan.blocking_columns) {
-    const Value& v = row.value(ToBase(plan, c));
-    if (v.is_null()) return false;
-    h = StableHashUint64(h ^ v.Hash());
-  }
-  *key = h;
-  return true;
+  return FoldKey(row, plan.blocking_columns,
+                 [&](size_t c) { return ToBase(plan, c); }, key);
 }
 
 void DetectRule(ExecutionContext* ctx, const PhysicalRulePlan& plan,
                 bool use_iejoin, const PartitionView<Row>& base,
+                const std::unordered_set<RowId>* changed,
                 ColumnarCaches* caches, ViolationBuffer* violations,
                 DetectionResult* result) {
-  // A kernel needs a registered compiler; procedural UDF keys are never
-  // compiled.
+  // A kernel needs a registered compiler and the whole table's codes;
+  // procedural UDF keys are never compiled.
   std::shared_ptr<const KernelTemplate> tmpl;
-  if (ctx->kernels_enabled() && !plan.block_key_fn) {
+  if (ctx->kernels_enabled() && !plan.block_key_fn && changed == nullptr) {
     tmpl = KernelRegistry::Instance().Compile(*plan.rule, plan.detect_schema);
   }
   const bool has_blocking =
       !plan.blocking_columns.empty() || static_cast<bool>(plan.block_key_fn);
-  if (plan.strategy == IterateStrategy::kOCJoin && !has_blocking) {
+  if (plan.strategy == IterateStrategy::kOCJoin && !has_blocking &&
+      changed == nullptr) {
     const std::unique_ptr<ViolationWriter> writer =
         tmpl != nullptr
             ? tmpl->BindWriter(plan.rule->name(), plan.scope_columns)
@@ -501,16 +631,22 @@ void DetectRule(ExecutionContext* ctx, const PhysicalRulePlan& plan,
 
   if (plan.strategy == IterateStrategy::kSingle) {
     if (traced) op_span.emplace(prefix + "detect|genfix", "operator");
-    DetectSingle(plan, base, k, violations, result);
+    DetectSingle(plan, base, changed, k, violations, result);
   } else if (has_blocking) {
     if (traced) {
       op_span.emplace(prefix + "block|iterate|detect|genfix", "operator");
     }
-    IterateBlocks(ctx, plan, base, BlockRows(ctx, plan, base, k, caches),
+    IterateBlocks(ctx, plan, base,
+                  changed != nullptr ? DirtyBlocks(plan, base, *changed)
+                                     : BlockRows(plan, base, k, caches),
                   violations, result, k);
   } else {
     if (traced) op_span.emplace(prefix + "iterate|detect|genfix", "operator");
-    IterateUnblocked(ctx, plan, base, k, violations, result);
+    if (changed != nullptr) {
+      PairChangedRows(ctx, plan, base, *changed, violations, result);
+    } else {
+      IterateUnblocked(ctx, plan, base, k, violations, result);
+    }
   }
 }
 
@@ -557,6 +693,80 @@ void IterateBlocks(ExecutionContext* ctx, const PhysicalRulePlan& plan,
       [](size_t, std::vector<TaskOutput>&& pieces) {
         return MergeTaskPieces(std::move(pieces));
       });
+  MergeOutputs(&tasks, violations, result);
+}
+
+void DetectAcross(ExecutionContext* ctx, const Rule& rule,
+                  const PartitionView<Row>& left,
+                  const PartitionView<Row>& right,
+                  const std::vector<size_t>& left_cols,
+                  const std::vector<size_t>& right_cols,
+                  ViolationBuffer* violations, DetectionResult* result) {
+  const bool traced = TraceRecorder::Instance().enabled();
+  std::optional<ScopedSpan> op_span;
+  const auto& lparts = left.partitions();
+  const auto& rparts = right.partitions();
+  std::vector<TaskOutput> tasks;
+  if (left_cols.empty()) {
+    // No equality link: every left row against the whole right table.
+    if (traced) op_span.emplace("iterate|detect|genfix", "operator");
+    tasks = left.RunStageMorsels<TaskOutput>(
+        "iterate|detect|genfix:unblocked",
+        [&](size_t p) { return lparts[p].size(); },
+        [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
+          TaskOutput out;
+          for (size_t i = begin; i < end; ++i) {
+            for (const auto& rpart : rparts) {
+              for (const Row& b : rpart) Probe(rule, lparts[p][i], b, &out);
+            }
+          }
+          ctx->metrics().AddPairsEnumerated(out.detect_calls);
+          tc.records_in = end - begin;
+          tc.records_out = out.violations.size();
+          return out;
+        },
+        [](size_t, std::vector<TaskOutput>&& pieces) {
+          return MergeTaskPieces(std::move(pieces));
+        });
+  } else {
+    // CoBlock (Figure 6): key both sides on their half of the equality
+    // predicates and co-group, so Iterate only pairs units within
+    // co-blocks.
+    if (traced) op_span.emplace("coblock|iterate|detect|genfix", "operator");
+    auto key_rows = [](const PartitionView<Row>& view,
+                       const std::vector<size_t>& cols) {
+      const auto& parts = view.partitions();
+      return KeyRows(view, "block", [&](size_t p, size_t i, Row*,
+                                        uint64_t* key) {
+        return FoldKey(parts[p][i], cols, [](size_t c) { return c; }, key);
+      });
+    };
+    auto coblocks =
+        CoGroup(key_rows(left, left_cols), key_rows(right, right_cols));
+    const auto& parts = coblocks.partitions();
+    tasks = coblocks.RunStageMorsels<TaskOutput>(
+        "iterate|detect|genfix:coblock",
+        [&](size_t p) { return parts[p].size(); },
+        [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
+          TaskOutput out;
+          for (size_t i = begin; i < end; ++i) {
+            const auto& [lbag, rbag] = parts[p][i].second;
+            for (const RowRef& a : lbag) {
+              for (const RowRef& b : rbag) {
+                Probe(rule, lparts[a.part][a.idx], rparts[b.part][b.idx],
+                      &out);
+              }
+            }
+          }
+          ctx->metrics().AddPairsEnumerated(out.detect_calls);
+          tc.records_in = end - begin;
+          tc.records_out = out.violations.size();
+          return out;
+        },
+        [](size_t, std::vector<TaskOutput>&& pieces) {
+          return MergeTaskPieces(std::move(pieces));
+        });
+  }
   MergeOutputs(&tasks, violations, result);
 }
 

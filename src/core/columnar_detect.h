@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -26,13 +27,17 @@ struct RowRef {
   uint32_t idx;
 };
 
-/// The per-row projection PScope applies (values + source-column mapping,
-/// id preserved). No stage projects a whole table: a unit's detect-schema
-/// row is built on demand (DetectRow) where Rule::Detect, Rule::GenFix or
-/// a UDF block key reads it, while kernels read codes encoded straight from
-/// base rows and compiled GenFix maps detect-schema columns to base columns.
-inline Row ScopeProject(const Row& row,
-                        const std::vector<size_t>& scope_columns) {
+/// `row` in a plan's detect schema: `row` itself when the plan has no
+/// scope (no copy), else the projection PScope applies (values and
+/// source-column mapping, id preserved), written to `*storage`. No stage
+/// projects a whole table: a unit's detect-schema row is built on demand
+/// where Rule::Detect, Rule::GenFix or a UDF block key reads it, while
+/// kernels read codes encoded straight from base rows and compiled GenFix
+/// maps detect-schema columns to base columns.
+inline const Row& DetectRow(const Row& row,
+                            const std::vector<size_t>& scope_columns,
+                            Row* storage) {
+  if (scope_columns.empty()) return row;
   std::vector<Value> values;
   values.reserve(scope_columns.size());
   std::vector<size_t> sources;
@@ -41,18 +46,8 @@ inline Row ScopeProject(const Row& row,
     values.push_back(row.value(row.source_column(c)));
     sources.push_back(row.source_column(c));
   }
-  Row out(row.id(), std::move(values));
-  out.set_source_columns(std::move(sources));
-  return out;
-}
-
-/// `row` in a plan's detect schema: `row` itself when the plan has no
-/// scope (no copy), else its projection, written to `*storage`.
-inline const Row& DetectRow(const Row& row,
-                            const std::vector<size_t>& scope_columns,
-                            Row* storage) {
-  if (scope_columns.empty()) return row;
-  *storage = ScopeProject(row, scope_columns);
+  *storage = Row(row.id(), std::move(values));
+  storage->set_source_columns(std::move(sources));
   return *storage;
 }
 
@@ -93,6 +88,15 @@ bool ComputeBlockKey(const PhysicalRulePlan& plan, const Row& row,
 /// (PartitionView::Split), since the cells compiled GenFix writes carry
 /// table positions.
 ///
+/// A `changed` row set (null: the whole table) restricts detection to the
+/// violations that hold a changed row, in the same routines: the single
+/// stage decides only the changed units; a blocked plan keys the changed
+/// rows' blocks (`block:dirty-keys`), then only those blocks' rows
+/// (`block:dirty`), and runs the blocked stage over them; an unblocked
+/// plan, the global join's included, pairs each changed row with every
+/// row, under the unblocked stage's orientation rule. Such a request binds
+/// no kernel: a kernel's codes cover the whole table.
+///
 /// With kernels enabled and a registered compiler for the rule (and no UDF
 /// block key), exactly three things change, each under a `kernel:` stage
 /// name: block keys come from the pools' per-code hashes instead of
@@ -104,6 +108,7 @@ bool ComputeBlockKey(const PhysicalRulePlan& plan, const Row& row,
 /// deciding and writing its pairs when there is one.
 void DetectRule(ExecutionContext* ctx, const PhysicalRulePlan& plan,
                 bool use_iejoin, const PartitionView<Row>& base,
+                const std::unordered_set<RowId>* changed,
                 ColumnarCaches* caches, ViolationBuffer* violations,
                 DetectionResult* result);
 
@@ -116,6 +121,20 @@ void IterateBlocks(ExecutionContext* ctx, const PhysicalRulePlan& plan,
                    const PartitionView<Row>& base, const Blocks& blocks,
                    ViolationBuffer* violations, DetectionResult* result,
                    const BoundKernel* kernel = nullptr);
+
+/// Two-table detection of `rule`, bound across the schemas of the tables
+/// `left` (t1) and `right` (t2) view, reading both in place. With equality
+/// links t1.X = t2.Y (`left_cols[i]` with `right_cols[i]`), the CoBlock
+/// enhancer: each side's rows are keyed as RowRefs by ComputeBlockKey's
+/// hash fold, co-grouped, and each co-block probes its left x right pairs.
+/// Without one, morsels of left rows each probe every right row in table
+/// order; no pair is materialized.
+void DetectAcross(ExecutionContext* ctx, const Rule& rule,
+                  const PartitionView<Row>& left,
+                  const PartitionView<Row>& right,
+                  const std::vector<size_t>& left_cols,
+                  const std::vector<size_t>& right_cols,
+                  ViolationBuffer* violations, DetectionResult* result);
 
 }  // namespace columnar
 }  // namespace bigdansing

@@ -89,7 +89,8 @@ struct DetectRequest {
   /// When set, restricts detection to violations involving at least one of
   /// these rows (incremental re-detection, an extension beyond the paper):
   /// blocked rules iterate only the blocks holding changed rows; unblocked
-  /// rules pair the changed rows against the whole dataset.
+  /// rules pair the changed rows with every row of the table, in the
+  /// orientations a whole-table Detect probes.
   const std::unordered_set<RowId>* changed_rows = nullptr;
   /// Fault-tolerance knobs (retry budgets, speculation) scoped to this
   /// request; unset inherits the ExecutionContext policy.
@@ -133,14 +134,14 @@ class RuleEngine {
   /// Dispatch bodies behind the DetectImpl boundary, appending to `out`.
   /// These may throw StageError (stage retry budget exhausted); DetectImpl
   /// catches it.
+  /// Whole-table detection of `rules`, or, with a `changed` row set, only
+  /// of the violations that hold a changed row.
   Status DetectAllImpl(const Table& table, const std::vector<RulePtr>& rules,
+                       const std::unordered_set<RowId>* changed,
                        BufferedDetection* out) const;
   Status DetectAcrossImpl(const Table& left, const Table& right,
                           const std::shared_ptr<DcRule>& rule,
                           BufferedDetection* out) const;
-  Status DetectIncrementalImpl(const Table& table, const RulePtr& rule,
-                               const std::unordered_set<RowId>& changed_rows,
-                               BufferedDetection* out) const;
   Status DetectWithStorageImpl(const StorageManager& storage,
                                const std::string& name, const RulePtr& rule,
                                BufferedDetection* out) const;

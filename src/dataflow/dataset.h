@@ -32,8 +32,8 @@ class PartitionView;
 /// The pipeline executes — fused into a single pass per partition with no
 /// intermediate partition vectors — when the dataset is *forced* by an
 /// action (Collect, Count, partitions()) or by a shuffle boundary
-/// (GroupByKey, ReduceByKey, Join, CoGroup, Repartition, Cartesian — free
-/// functions and methods below). A forced dataset caches its partitions, so
+/// (GroupByKey, ReduceByKey, Join, CoGroup, Repartition — free functions
+/// and methods below). A forced dataset caches its partitions, so
 /// repeated actions do not re-execute the pipeline and results are identical
 /// per partition to the former eager engine.
 ///
@@ -405,35 +405,6 @@ class Dataset {
         std::move(range), std::move(split_rows));
   }
 
-  /// Full cross product with `other`. Quadratic: use only on inputs known to
-  /// be small (the paper's baselines pay exactly this cost). Forces both
-  /// sides (a shuffle boundary).
-  template <typename U>
-  Dataset<std::pair<T, U>> Cartesian(const Dataset<U>& other) const {
-    ExecutionContext* ctx = context();
-    std::vector<U> right = other.Collect();
-    const auto& parts = partitions();
-    ctx->metrics().AddShuffledRecords(right.size() * parts.size());
-    auto out = StageExecutor(ctx).RunProducing<std::vector<std::pair<T, U>>>(
-        "cartesian", parts.size(), [&](size_t p, TaskContext& tc) {
-          std::vector<std::pair<T, U>> slot;
-          slot.reserve(parts[p].size() * right.size());
-          uint64_t pairs = 0;
-          for (const auto& a : parts[p]) {
-            for (const auto& b : right) {
-              slot.emplace_back(a, b);
-              ++pairs;
-            }
-          }
-          tc.records_in = parts[p].size();
-          tc.records_out = pairs;
-          ctx->metrics().AddPairsEnumerated(pairs);
-          return slot;
-        });
-    if (!out.ok()) throw StageError(out.status());
-    return Dataset<std::pair<T, U>>(ctx, std::move(*out));
-  }
-
   /// Runs `body(p, tc)` for every partition index as one named stage on
   /// the StageExecutor and returns the per-partition results, indexed by
   /// partition. Forces the pipeline first. Exposed for operators built on
@@ -673,18 +644,6 @@ class PartitionView {
     size_t n = 0;
     for (const auto& part : parts_) n += part.size();
     return n;
-  }
-
-  /// Copies the viewed records into a materialized dataset with the same
-  /// partitions. No stage runs, and the records are not counted as read
-  /// again.
-  Dataset<T> Materialize() const {
-    std::vector<std::vector<T>> parts;
-    parts.reserve(parts_.size());
-    for (const auto& part : parts_) {
-      parts.emplace_back(part.begin(), part.end());
-    }
-    return Dataset<T>(ctx_, std::move(parts));
   }
 
   /// Runs `body(p, tc)` for every partition index as one named stage on

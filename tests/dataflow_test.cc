@@ -96,17 +96,6 @@ TEST(Dataset, UnionConcatenates) {
   EXPECT_EQ(u.num_partitions(), 2u);
 }
 
-TEST(Dataset, CartesianProducesAllPairs) {
-  ExecutionContext ctx(2);
-  auto a = Dataset<int>::FromVector(&ctx, {1, 2, 3}, 2);
-  auto b = Dataset<int>::FromVector(&ctx, {10, 20}, 1);
-  auto pairs = a.Cartesian(b).Collect();
-  EXPECT_EQ(pairs.size(), 6u);
-  std::set<std::pair<int, int>> got(pairs.begin(), pairs.end());
-  EXPECT_EQ(got.size(), 6u);
-  EXPECT_TRUE(got.count({3, 20}));
-}
-
 TEST(Dataset, GroupByKeyGroupsEverything) {
   ExecutionContext ctx(4);
   std::vector<std::pair<int, int>> records;

@@ -788,6 +788,29 @@ TEST(KernelStages, ReportedWithKernelPrefixOnlyWhenEnabled) {
           << scoped->name() << " ran " << report.name;
     }
   }
+
+  // A changed-rows request reads the table in place too, through the
+  // single, blocked and unblocked stages, and binds no kernel whatever the
+  // switch says: a kernel's codes would cover the whole table.
+  const std::unordered_set<RowId> changed = {1, 3};
+  for (const RulePtr& scoped :
+       {rule, RulePtr(udf), *ParseRule("chk: CHECK: t1.salary < 30000"),
+        *ParseRule("phiD: DC: t1.rate > t2.rate & t1.salary < t2.salary")}) {
+    ExecutionContext ctx(4);
+    ctx.set_kernels_enabled(true);
+    RuleEngine engine(&ctx);
+    DetectRequest request;
+    request.table = &table;
+    request.rules = {scoped};
+    request.changed_rows = &changed;
+    auto result = engine.Detect(request);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_FALSE(has_kernel_stage(ctx.metrics())) << scoped->name();
+    for (const auto& report : ctx.metrics().StageReports()) {
+      EXPECT_EQ(report.name.find("scope"), std::string::npos)
+          << scoped->name() << " ran " << report.name;
+    }
+  }
 }
 
 }  // namespace

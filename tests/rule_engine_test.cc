@@ -226,6 +226,37 @@ TEST(RuleEngine, CrossTableCoBlock) {
   EXPECT_EQ(result.detect_calls, 2u);
 }
 
+TEST(RuleEngine, CrossTableWithoutLinkPairsInPlace) {
+  // A two-table DC with no equality link pairs every left row with every
+  // right row where the rows live: no stage materializes the pairs or
+  // broadcasts the right table, so the stages allocate little beyond the
+  // violations.
+  const Table left = GenerateTaxB(2000, 0.1, /*seed=*/21).dirty;
+  const Table right = GenerateTaxB(2000, 0.1, /*seed=*/22).dirty;
+  auto dc = std::dynamic_pointer_cast<DcRule>(
+      *ParseRule("x: DC: t1.salary > t2.salary & t1.rate < t2.rate"));
+  ASSERT_NE(dc, nullptr);
+  ExecutionContext ctx(4);
+  RuleEngine engine(&ctx);
+  DetectRequest request;
+  request.table = &left;
+  request.right = &right;
+  request.rules = {dc};
+  auto results = engine.Detect(request);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  EXPECT_GT(results->front().violations.size(), 0u);
+  EXPECT_EQ(results->front().detect_calls, 2000u * 2000u);
+  EXPECT_EQ(ctx.metrics().pairs_enumerated(), 2000u * 2000u);
+  EXPECT_EQ(ctx.metrics().shuffled_records(), 0u);
+  uint64_t alloc_bytes = 0;
+  for (const auto& report : ctx.metrics().StageReports()) {
+    EXPECT_EQ(report.name.find("cartesian"), std::string::npos)
+        << report.name;
+    alloc_bytes += report.alloc_bytes;
+  }
+  EXPECT_LT(alloc_bytes, uint64_t{64} << 20);
+}
+
 TEST(RuleEngine, StrategiesAgreeOnViolationSet) {
   Table table = PaperTable();
   ExecutionContext ctx(3);
@@ -313,10 +344,13 @@ TEST(RuleEngine, DetectInPlaceKeepsViolationOrder) {
   }
 
   // Rules and requests that never take a kernel, kernels on or off: a UDF
-  // rule with a scope and a procedural block key, a similarity DC, and the
-  // changed-rows and storage-pushdown requests of a blocked FD. Their
-  // expected fingerprints were recorded from the engine that copied the
-  // table, projected it and shuffled whole rows for them.
+  // rule with a scope and a procedural block key, a similarity DC, the
+  // changed-rows requests of a blocked FD, a scoped CHECK and an unblocked
+  // ordering DC, the storage-pushdown request of a blocked FD, and
+  // two-table DCs with and without an equality link. Their expected
+  // fingerprints were recorded from the engine that copied the table (both
+  // tables of a two-table request) into a dataset, projected it and
+  // shuffled whole rows for them.
   auto udf = std::make_shared<UdfRule>("udf");
   udf->set_symmetric(false)
       .set_relevant_attributes({"zipcode", "city"})
@@ -344,11 +378,13 @@ TEST(RuleEngine, DetectInPlaceKeepsViolationOrder) {
         out->push_back(std::move(fix));
       });
   const RulePtr fd = *ParseRule("fd: FD: zipcode -> city");
-  enum class Shape { kTable, kChangedRows, kStorage };
+  enum class Shape { kTable, kChangedRows, kStorage, kAcross };
   struct RequestCase {
     const char* label;
     RulePtr rule;
     Shape shape;
+    // Reads TaxB, whose rates break the salary order, instead of TaxA.
+    bool tax_b = false;
   };
   const std::vector<RequestCase> requests = {
       {"udf", udf, Shape::kTable},
@@ -358,15 +394,31 @@ TEST(RuleEngine, DetectInPlaceKeepsViolationOrder) {
        Shape::kTable},
       {"changed-rows fd", fd, Shape::kChangedRows},
       {"storage-pushdown fd", fd, Shape::kStorage},
+      {"changed-rows check", *ParseRule(cases[2].rule), Shape::kChangedRows},
+      {"changed-rows ordering dc", *ParseRule(cases[3].rule),
+       Shape::kChangedRows, true},
+      {"two-table coblock dc",
+       *ParseRule("xco: DC: t1.zipcode = t2.zipcode & t1.city != t2.city"),
+       Shape::kAcross},
+      {"two-table dc without a link", *ParseRule(cases[3].rule),
+       Shape::kAcross, true},
   };
-  const uint64_t expected_requests[4][4] = {
+  const uint64_t expected_requests[8][4] = {
       {kEmpty, kEmpty, 0xb15b1bb01216508cULL, 0x917c13f6d50d11b0ULL},
       {kEmpty, kEmpty, 0xdf83a752897191ccULL, 0x2f7ff3fd81570ff6ULL},
       {kEmpty, kEmpty, 0x81caeeb131b4a57bULL, 0x0fb4ccddd4f10121ULL},
       {kEmpty, kEmpty, 0x81caeeb131b4a57bULL, 0xa751178e21b461e6ULL},
+      {kEmpty, kEmpty, kEmpty, kEmpty},
+      {kEmpty, kEmpty, kEmpty, 0xf54e91a291edce4dULL},
+      {kEmpty, kEmpty, 0x71c5d39b60a9ed69ULL, 0x5ea833e7d8ac1593ULL},
+      {kEmpty, kEmpty, 0x528129773863cf2aULL, 0xb2a7e3a0a705fc07ULL},
   };
 
   for (size_t s = 0; s < sizes.size(); ++s) {
+    const Table tax_b = GenerateTaxB(sizes[s], 0.2, /*seed=*/5).dirty;
+    // The right-hand tables of the two-table requests.
+    const Table right_a = GenerateTaxA(sizes[s], 0.5, /*seed=*/6).dirty;
+    const Table right_b = GenerateTaxB(sizes[s], 0.2, /*seed=*/6).dirty;
     Table tax_a = GenerateTaxA(sizes[s], 0.5, /*seed=*/5).dirty;
     // Names a few edits apart, so the similarity predicate holds on some
     // pairs and not on others.
@@ -393,14 +445,19 @@ TEST(RuleEngine, DetectInPlaceKeepsViolationOrder) {
           request.storage = &storage;
           request.dataset = "taxa";
         } else {
-          request.table = &tax_a;
+          request.table = requests[c].tax_b ? &tax_b : &tax_a;
         }
         if (shape == Shape::kChangedRows) request.changed_rows = &changed;
+        if (shape == Shape::kAcross) {
+          request.right = requests[c].tax_b ? &right_b : &right_a;
+        }
         auto result = engine.Detect(request);
         ASSERT_TRUE(result.ok()) << result.status().ToString();
-        // An empty changed-row set returns before reading the table.
+        // Each table counts as read once; an empty changed-row set returns
+        // before reading the table.
         EXPECT_EQ(ctx.metrics().records_read(),
                   shape == Shape::kChangedRows && changed.empty() ? 0
+                  : shape == Shape::kAcross                       ? 2 * sizes[s]
                                                                   : sizes[s]);
         EXPECT_EQ(
             StableHashBytes(join_test::DetectFingerprint((*result)[0])),

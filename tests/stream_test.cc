@@ -705,6 +705,42 @@ TEST(Stream, WindowsMatchCleanPerDisjointBatch) {
   }
 }
 
+TEST(Stream, UnblockedSymmetricWindowCountsEachViolationOnce) {
+  // A window detects its unblocked rules through the engine's changed-rows
+  // request, which probes a symmetric rule's unordered pairs once each, as
+  // Clean()'s full pass does: one window over four fresh rows reports the
+  // violations of Clean()'s first iteration over the same rows.
+  const RulePtr sym =
+      *ParseRule("sym: DC: t1.city != t2.city & t1.state != t2.state");
+  Table rows(Schema({"city", "state"}));
+  for (const auto& [city, state] :
+       std::vector<std::pair<const char*, const char*>>{
+           {"NY", "NY"}, {"LA", "CA"}, {"SF", "CA"}, {"CH", "IL"}}) {
+    rows.AppendRow({Value(std::string(city)), Value(std::string(state))});
+  }
+  CleanOptions clean;
+  clean.max_iterations = 1;
+
+  ExecutionContext ref_ctx(4);
+  Table alone = rows;
+  auto report = BigDansing(&ref_ctx, clean).Clean(&alone, {sym});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->num_iterations(), 1u);
+  EXPECT_EQ(report->iterations[0].violations, 5u);
+
+  ExecutionContext ctx(4);
+  StreamOptions options;
+  options.clean = clean;
+  Table streamed(rows.schema());
+  auto session = BigDansing(&ctx).OpenStream(&streamed, {sym}, options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE((*session)->Append(rows.rows()).ok());
+  auto window = (*session)->Poll();
+  ASSERT_TRUE(window.ok()) << window.status().ToString();
+  EXPECT_EQ(window->iterations, 1u);
+  EXPECT_EQ(window->violations, report->iterations[0].violations);
+}
+
 TEST(Stream, WindowDetectsInPlaceWithoutEngineStages) {
   // A window detects its blocked rules in the session's own stage: no
   // engine encode, block or shuffle stage runs for it. Flush's
