@@ -7,51 +7,177 @@
 #include <unordered_set>
 
 #include "common/hash.h"
+#include "common/metrics_registry.h"
 #include "common/trace.h"
-#include "core/detect_output.h"
 #include "dataflow/stage_executor.h"
+#include "obs/profiler.h"
 #include "rules/detect_kernel.h"
 
 namespace bigdansing {
 namespace columnar {
 
-/// The candidate decision and the compiled GenFix of one rule, bound to
-/// its columns encoded over one view, with the code pointers both read.
-struct BoundKernel {
-  std::unique_ptr<DetectKernel> kernel;
-  std::unique_ptr<ViolationWriter> writer;
-  /// Per-partition arrays of per-slot code pointers, the gather structure
-  /// every kernel evaluation reads through.
-  std::vector<std::vector<const uint32_t*>> slot_ptrs;
-  /// Each slot's encoded column.
-  std::vector<const EncodedColumn*> slot_cols;
-  /// The blocking columns' pools and codes, in blocking order.
-  struct KeyCol {
-    const ValuePool* pool;
-    const EncodedColumn* col;
-  };
-  std::vector<KeyCol> key_cols;
-  /// Partition p's first table position.
-  std::vector<uint32_t> part_begin;
-
-  /// Row i of partition p as the compiled GenFix writes it.
-  ViolationWriter::Unit UnitAt(const PartitionView<Row>& base, size_t p,
-                               size_t i) const {
-    return {&base.partitions()[p][i],
-            part_begin[p] + static_cast<uint32_t>(i)};
-  }
-};
-
 namespace {
 
-using detect::BlockScratch;
-using detect::IterateBlock;
-using detect::KernelUnit;
-using detect::MergeOutputs;
-using detect::MergeTaskPieces;
-using detect::Probe;
-using detect::ProbeSingle;
-using detect::TaskOutput;
+/// Per-task accumulation of detection output. `detect_calls` counts
+/// candidate-pair (or unit) evaluations — with a kernel that is kernel
+/// evaluations, so the counter stays identical to the Rule::Detect call
+/// count without one.
+struct TaskOutput {
+  ViolationBuffer violations;
+  uint64_t detect_calls = 0;
+};
+
+/// Runs Detect (and GenFix) on the ordered pair (a, b), appending the
+/// objects to `out`: the decision and the write of a rule without a kernel.
+void Probe(const Rule& rule, const Row& a, const Row& b, TaskOutput* out) {
+  ++out->detect_calls;
+  std::vector<Violation> found;
+  rule.Detect(a, b, &found);
+  for (auto& v : found) {
+    std::vector<Fix> fixes;
+    rule.GenFix(v, &fixes);
+    out->violations.Append(std::move(v), std::move(fixes));
+  }
+}
+
+/// Arity-1 analogue of Probe.
+void ProbeSingle(const Rule& rule, const Row& row, TaskOutput* out) {
+  ++out->detect_calls;
+  std::vector<Violation> found;
+  rule.DetectSingle(row, &found);
+  for (auto& v : found) {
+    std::vector<Fix> fixes;
+    rule.GenFix(v, &fixes);
+    out->violations.Append(std::move(v), std::move(fixes));
+  }
+}
+
+/// Reused per-task buffers of IterateBlock.
+struct BlockScratch {
+  std::vector<CodeTuple> tuples;
+  std::vector<ViolationWriter::Unit> units;
+  std::vector<std::pair<uint32_t, uint32_t>> matches;
+  std::vector<const Row*> rows;
+  std::vector<Row> projected;
+};
+
+/// The Iterate -> Detect -> GenFix pass over one block, the table
+/// positions `members` of `rows`, so pair order and detect_calls counting
+/// live here only, with a kernel or without.
+///
+///  - UCrossProduct: pairs i < j in i-outer j-inner order; symmetric rules
+///    probe (i, j), asymmetric ones (i, j) then (j, i).
+///  - CrossProduct, and the within-block fallback of blocked OCJoin plans
+///    (blocks are small, so the quadratic pass stays local): every ordered
+///    pair i != j, row-major.
+///
+/// With a `bound` kernel, the kernel decides each pair in the same order
+/// (a symmetric block in one batched MatchUpper call); only matches reach
+/// the compiled GenFix, so the violations are byte-equal to
+/// Rule::Detect/GenFix's and detect_calls counts every evaluated pair
+/// either way. Without one, each member's detect-schema row is resolved
+/// once and Probe runs on every pair.
+void IterateBlock(const PhysicalRulePlan& plan,
+                  const std::vector<uint32_t>& members, const RowsAt& rows,
+                  const BoundKernel& bound, BlockScratch* scratch,
+                  TaskOutput* out) {
+  const Rule& rule = *plan.rule;
+  const size_t n = members.size();
+  const bool unordered = plan.strategy == IterateStrategy::kUCrossProduct;
+  const bool symmetric = rule.IsSymmetric();
+  auto each_pair = [&](auto&& eval) {
+    for (size_t i = 0; i < n; ++i) {
+      if (unordered) {
+        for (size_t j = i + 1; j < n; ++j) {
+          eval(i, j);
+          if (!symmetric) eval(j, i);
+        }
+      } else {
+        for (size_t j = 0; j < n; ++j) {
+          if (i != j) eval(i, j);
+        }
+      }
+    }
+  };
+  if (bound.kernel == nullptr) {
+    auto& detect_rows = scratch->rows;
+    if (scratch->projected.size() < n) scratch->projected.resize(n);
+    detect_rows.clear();
+    for (size_t i = 0; i < n; ++i) {
+      detect_rows.push_back(&DetectRow(rows[members[i]], plan.scope_columns,
+                                       &scratch->projected[i]));
+    }
+    each_pair([&](size_t i, size_t j) {
+      Probe(rule, *detect_rows[i], *detect_rows[j], out);
+    });
+    return;
+  }
+
+  auto& tuples = scratch->tuples;
+  auto& units = scratch->units;
+  tuples.clear();
+  units.clear();
+  for (uint32_t pos : members) {
+    tuples.push_back({bound.slot_ptrs.data(), pos});
+    units.push_back({&rows[pos], pos});
+  }
+  auto materialize = [&](size_t i, size_t j) {
+    bound.writer->WritePair(units[i], units[j], &out->violations);
+  };
+  if (unordered && symmetric) {
+    // The hot shape (FDs, symmetric DCs): one branch-light batched call
+    // over contiguous codes, reporting matches in (i, j) loop order.
+    scratch->matches.clear();
+    out->detect_calls += n * (n - 1) / 2;
+    bound.kernel->MatchUpper(tuples.data(), n, &scratch->matches);
+    for (const auto& [i, j] : scratch->matches) materialize(i, j);
+    return;
+  }
+  each_pair([&](size_t i, size_t j) {
+    ++out->detect_calls;
+    if (bound.kernel->Matches(tuples[i], tuples[j])) materialize(i, j);
+  });
+}
+
+/// Appends every task's violations to `out` in task order, reserving once.
+void AppendViolations(std::vector<TaskOutput>* tasks, ViolationBuffer* out) {
+  std::vector<ViolationBuffer*> parts;
+  parts.reserve(tasks->size());
+  for (TaskOutput& t : *tasks) parts.push_back(&t.violations);
+  out->AppendAll(parts);
+}
+
+/// Folds one partition's morsel partials into its TaskOutput, in morsel
+/// (unit-range) order — violation order stays identical to one sequential
+/// pass over the partition's units.
+TaskOutput MergeTaskPieces(std::vector<TaskOutput>&& pieces) {
+  TaskOutput merged;
+  for (const auto& piece : pieces) merged.detect_calls += piece.detect_calls;
+  AppendViolations(&pieces, &merged.violations);
+  return merged;
+}
+
+/// Appends per-task outputs to `violations` and counts their Detect calls
+/// into `result`. Driver-side (one call per detection stage), so the
+/// registry bookkeeping here is off the worker-timed hot path.
+void MergeOutputs(std::vector<TaskOutput>* tasks, ViolationBuffer* violations,
+                  DetectionResult* result) {
+  ScopedActivity activity(
+      Profiler::Instance().Intern("detect:merge", "driver"));
+  size_t total = 0;
+  uint64_t fixes = 0;
+  for (const auto& t : *tasks) {
+    result->detect_calls += t.detect_calls;
+    total += t.violations.size();
+    fixes += t.violations.num_fixes();
+  }
+  AppendViolations(tasks, violations);
+  if (total > 0) {
+    MetricsRegistry& registry = MetricsRegistry::Instance();
+    registry.GetCounter("rules.violations_detected").Add(total);
+    registry.GetCounter("rules.fixes_proposed").Add(fixes);
+  }
+}
 
 /// Column `c` of the detect schema as a base column.
 size_t ToBase(const PhysicalRulePlan& plan, size_t c) {
@@ -115,7 +241,9 @@ BoundKernel BindKernel(const PhysicalRulePlan& plan,
     for (const auto& g : missing) {
       EncodedColumnSet set;
       set.rows = fresh.rows;
-      for (size_t c : g) set.columns.emplace(c, fresh.columns.at(c));
+      for (size_t c : g) {
+        set.columns.emplace(c, std::move(fresh.columns.at(c)));
+      }
       caches->encoded.emplace(ColumnSig(g), std::move(set));
     }
   }
@@ -130,31 +258,19 @@ BoundKernel BindKernel(const PhysicalRulePlan& plan,
   std::vector<const ValuePool*> pools;
   pools.reserve(tmpl.columns().size());
   for (size_t c : tmpl.columns()) {
-    bound.slot_cols.push_back(enc.at(to_base(c)));
-    pools.push_back(bound.slot_cols.back()->pool.get());
+    const EncodedColumn* col = enc.at(to_base(c));
+    bound.slot_ptrs.push_back(col->codes.data());
+    pools.push_back(col->pool.get());
   }
   bound.kernel = tmpl.Bind(pools);
   for (size_t c : plan.blocking_columns) {
     const EncodedColumn* col = enc.at(to_base(c));
-    bound.key_cols.push_back({col->pool.get(), col});
-  }
-  const auto& parts = base.partitions();
-  bound.slot_ptrs.resize(parts.size());
-  for (size_t p = 0; p < parts.size(); ++p) {
-    bound.slot_ptrs[p].reserve(bound.slot_cols.size());
-    for (const EncodedColumn* col : bound.slot_cols) {
-      bound.slot_ptrs[p].push_back(col->codes[p].data());
-    }
+    bound.key_cols.push_back({col->pool.get(), &col->codes});
   }
   // Matched candidates are written by the rule's compiled GenFix, which
   // reads the base rows through the plan's scope; a cell's value stays at
   // its row's table position.
   bound.writer = tmpl.BindWriter(plan.rule->name(), plan.scope_columns);
-  bound.part_begin.assign(parts.size() + 1, 0);
-  for (size_t p = 0; p < parts.size(); ++p) {
-    bound.part_begin[p + 1] =
-        bound.part_begin[p] + static_cast<uint32_t>(parts[p].size());
-  }
   return bound;
 }
 
@@ -171,11 +287,13 @@ void DetectSingle(const PhysicalRulePlan& plan, const PartitionView<Row>& base,
       [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
         TaskOutput out;
         if (k != nullptr) {
-          const uint32_t* const* cols = k->slot_ptrs[p].data();
+          const uint32_t* const* cols = k->slot_ptrs.data();
+          const size_t first = base.Begin(p);
           for (size_t i = begin; i < end; ++i) {
+            const auto pos = static_cast<uint32_t>(first + i);
             ++out.detect_calls;
-            if (k->kernel->MatchesSingle(CodeTuple{cols, i})) {
-              k->writer->WriteSingle(k->UnitAt(base, p, i), &out.violations);
+            if (k->kernel->MatchesSingle(CodeTuple{cols, pos})) {
+              k->writer->WriteSingle({&parts[p][i], pos}, &out.violations);
             }
           }
         } else {
@@ -197,13 +315,16 @@ void DetectSingle(const PhysicalRulePlan& plan, const PartitionView<Row>& base,
   MergeOutputs(&tasks, violations, result);
 }
 
+/// The seed every block key folds its components' value hashes into.
+constexpr uint64_t kKeySeed = 0x42D;
+
 /// The block-key hash fold over `row`'s values in `columns`, each read at
 /// base column `to_base(c)`; false when one of them is null (the row joins
 /// no block).
 template <typename ToBaseFn>
 bool FoldKey(const Row& row, const std::vector<size_t>& columns,
              const ToBaseFn& to_base, uint64_t* key) {
-  uint64_t h = 0x42D;
+  uint64_t h = kKeySeed;
   for (size_t c : columns) {
     const Value& v = row.value(to_base(c));
     if (v.is_null()) return false;
@@ -213,15 +334,15 @@ bool FoldKey(const Row& row, const std::vector<size_t>& columns,
   return true;
 }
 
-using KeyedRows = Dataset<std::pair<uint64_t, RowRef>>;
+using KeyedRows = Dataset<std::pair<uint64_t, uint32_t>>;
 
-/// Every row of `view` that `key_of(p, i, &projected, &key)` keys, as a
-/// (key, RowRef) record in view order: one morsel stage named `stage`.
+/// Every row of `view` that `key_of(row, pos, &projected, &key)` keys, as a
+/// (key, position) record in view order: one morsel stage named `stage`.
 template <typename KeyOf>
 KeyedRows KeyRows(const PartitionView<Row>& view, const std::string& stage,
                   const KeyOf& key_of) {
   const auto& parts = view.partitions();
-  using KeyedPiece = std::vector<std::pair<uint64_t, RowRef>>;
+  using KeyedPiece = std::vector<std::pair<uint64_t, uint32_t>>;
   std::vector<KeyedPiece> keyed_parts = view.RunStageMorsels<KeyedPiece>(
       stage, [&](size_t p) { return parts[p].size(); },
       [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
@@ -229,10 +350,11 @@ KeyedRows KeyRows(const PartitionView<Row>& view, const std::string& stage,
         out.reserve(end - begin);
         Row projected;
         uint64_t key = 0;
+        const size_t first = view.Begin(p);
         for (size_t i = begin; i < end; ++i) {
-          if (key_of(p, i, &projected, &key)) {
-            out.emplace_back(key, RowRef{static_cast<uint32_t>(p),
-                                         static_cast<uint32_t>(i)});
+          const auto pos = static_cast<uint32_t>(first + i);
+          if (key_of(parts[p][i], pos, &projected, &key)) {
+            out.emplace_back(key, pos);
           }
         }
         tc.records_in = end - begin;
@@ -253,19 +375,20 @@ KeyedRows KeyRows(const PartitionView<Row>& view, const std::string& stage,
 }
 
 /// The plan's blocks over `base`, built once per blocking signature: one
-/// block-key stage keying every row that joins a block as a RowRef, then
-/// GroupByKey. With a kernel the keys hash the blocking columns' per-code
-/// hashes in one tight loop; without one ComputeBlockKey hashes each row's
-/// Values. The keys are equal either way, so kernel and interpreted rules
-/// share blocks.
+/// block-key stage keying every row that joins a block by its position,
+/// then GroupByKey. With a kernel the keys fold the blocking columns'
+/// per-code hashes (CodeBlockKey); without one ComputeBlockKey hashes each
+/// row's Values. The keys are equal either way, so kernel and interpreted
+/// rules share blocks.
 const Blocks& BlockRows(const PhysicalRulePlan& plan,
                         const PartitionView<Row>& base, const BoundKernel* k,
                         ColumnarCaches* caches) {
   std::string sig;
   if (plan.block_key_fn) {
-    // The UDF key reads the scoped row.
-    sig = "udf:" + plan.rule->name() + "|";
-    for (size_t c : plan.scope_columns) sig += std::to_string(c) + ",";
+    // A UDF key is its rule's own function: only that rule object shares
+    // its blocks, whatever its name.
+    sig = "udf:" +
+          std::to_string(reinterpret_cast<uintptr_t>(plan.rule.get()));
   } else {
     for (size_t c : plan.blocking_columns) {
       sig += std::to_string(ToBase(plan, c)) + ",";
@@ -274,27 +397,17 @@ const Blocks& BlockRows(const PhysicalRulePlan& plan,
   auto cached = caches->blocks.find(sig);
   if (cached != caches->blocks.end()) return cached->second;
 
-  KeyedRows keyed;
-  if (k != nullptr) {
-    keyed = KeyRows(base, "kernel:block",
-                    [&](size_t p, size_t i, Row*, uint64_t* key) {
-                      uint64_t h = 0x42D;
-                      for (const BoundKernel::KeyCol& kc : k->key_cols) {
-                        const uint32_t code = kc.col->codes[p][i];
-                        // A null key component: the row joins no block.
-                        if (code == ValuePool::kNullCode) return false;
-                        h = StableHashUint64(h ^ kc.pool->hash(code));
-                      }
-                      *key = h;
-                      return true;
+  KeyedRows keyed =
+      k != nullptr
+          ? KeyRows(base, "kernel:block",
+                    [&](const Row&, uint32_t pos, Row*, uint64_t* key) {
+                      return CodeBlockKey(k->key_cols, pos, key);
+                    })
+          : KeyRows(base, "block",
+                    [&](const Row& row, uint32_t, Row* projected,
+                        uint64_t* key) {
+                      return ComputeBlockKey(plan, row, projected, key);
                     });
-  } else {
-    const auto& parts = base.partitions();
-    keyed = KeyRows(base, "block",
-                    [&](size_t p, size_t i, Row* projected, uint64_t* key) {
-                      return ComputeBlockKey(plan, parts[p][i], projected, key);
-                    });
-  }
   return caches->blocks.emplace(sig, GroupByKey(keyed)).first->second;
 }
 
@@ -328,8 +441,8 @@ Blocks DirtyBlocks(const PhysicalRulePlan& plan,
   }
   return GroupByKey(KeyRows(
       base, "block:dirty",
-      [&](size_t p, size_t i, Row* projected, uint64_t* key) {
-        return ComputeBlockKey(plan, parts[p][i], projected, key) &&
+      [&](const Row& row, uint32_t, Row* projected, uint64_t* key) {
+        return ComputeBlockKey(plan, row, projected, key) &&
                dirty_keys.count(*key) > 0;
       }));
 }
@@ -344,36 +457,17 @@ bool ProbesBothOrders(const PhysicalRulePlan& plan) {
 
 /// No blocking key: whole-table chunk-pair enumeration. Rows are cut into
 /// 2 * workers chunks in table order, and each chunk pair (i <= j) is one
-/// task. A kernel reads flat contiguous code arrays (partition codes
-/// concatenated in table order); without one each task builds its two
+/// task. A kernel reads the encoded columns by table position; without one
+/// each task reads the rows in place, or under a scope builds its two
 /// chunks' detect-schema rows once.
 void IterateUnblocked(ExecutionContext* ctx, const PhysicalRulePlan& plan,
                       const PartitionView<Row>& base, const BoundKernel* k,
                       ViolationBuffer* violations, DetectionResult* result) {
-  std::vector<const Row*> base_rows;
-  base_rows.reserve(base.Count());
-  for (const auto& part : base.partitions()) {
-    for (const Row& row : part) base_rows.push_back(&row);
-  }
-  std::vector<std::vector<uint32_t>> flat;
-  std::vector<const uint32_t*> flat_ptrs;
-  if (k != nullptr) {
-    flat.resize(k->slot_cols.size());
-    for (size_t s = 0; s < flat.size(); ++s) {
-      flat[s].reserve(base_rows.size());
-      for (const auto& part : k->slot_cols[s]->codes) {
-        flat[s].insert(flat[s].end(), part.begin(), part.end());
-      }
-      flat_ptrs.push_back(flat[s].data());
-    }
-  }
-
+  const size_t n = base.Count();
   const bool both = ProbesBothOrders(plan);
   size_t num_chunks = std::max<size_t>(1, ctx->num_workers() * 2);
-  if (num_chunks > base_rows.size()) {
-    num_chunks = std::max<size_t>(1, base_rows.size());
-  }
-  const size_t chunk = (base_rows.size() + num_chunks - 1) / num_chunks;
+  if (num_chunks > n) num_chunks = std::max<size_t>(1, n);
+  const size_t chunk = (n + num_chunks - 1) / num_chunks;
   struct ChunkPair {
     size_t i;
     size_t j;
@@ -388,9 +482,9 @@ void IterateUnblocked(ExecutionContext* ctx, const PhysicalRulePlan& plan,
       chunk_pairs.size(), [&](size_t t, TaskContext& tc) {
         auto [ci, cj] = chunk_pairs[t];
         const size_t ibegin = ci * chunk;
-        const size_t iend = std::min(base_rows.size(), ibegin + chunk);
+        const size_t iend = std::min(n, ibegin + chunk);
         const size_t jbegin = cj * chunk;
-        const size_t jend = std::min(base_rows.size(), jbegin + chunk);
+        const size_t jend = std::min(n, jbegin + chunk);
         TaskOutput out;
         auto each_pair = [&](auto&& eval) {
           for (size_t i = ibegin; i < iend; ++i) {
@@ -402,28 +496,30 @@ void IterateUnblocked(ExecutionContext* ctx, const PhysicalRulePlan& plan,
           }
         };
         if (k != nullptr) {
-          const uint32_t* const* cols = flat_ptrs.data();
+          const uint32_t* const* cols = k->slot_ptrs.data();
           each_pair([&](size_t i, size_t j) {
             ++out.detect_calls;
             if (k->kernel->Matches(CodeTuple{cols, i}, CodeTuple{cols, j})) {
-              k->writer->WritePair({base_rows[i], static_cast<uint32_t>(i)},
-                                   {base_rows[j], static_cast<uint32_t>(j)},
+              k->writer->WritePair({&base.at(i), static_cast<uint32_t>(i)},
+                                   {&base.at(j), static_cast<uint32_t>(j)},
                                    &out.violations);
             }
           });
         } else {
-          // The task's chunks' detect-schema rows, chunk i's first.
+          // Under a scope, the task's chunks' detect-schema rows, chunk
+          // i's first; else the base rows in place.
           const size_t ilen = iend - ibegin;
           const size_t jlen = ci == cj ? 0 : jend - jbegin;
-          std::vector<Row> projected(ilen + jlen);
-          std::vector<const Row*> rows(ilen + jlen);
-          for (size_t x = 0; x < rows.size(); ++x) {
+          std::vector<Row> projected;
+          if (!plan.scope_columns.empty()) projected.resize(ilen + jlen);
+          for (size_t x = 0; x < projected.size(); ++x) {
             const size_t pos = x < ilen ? ibegin + x : jbegin + (x - ilen);
-            rows[x] =
-                &DetectRow(*base_rows[pos], plan.scope_columns, &projected[x]);
+            DetectRow(base.at(pos), plan.scope_columns, &projected[x]);
           }
           auto row = [&](size_t pos) -> const Row& {
-            return *rows[pos < iend ? pos - ibegin : ilen + (pos - jbegin)];
+            if (projected.empty()) return base.at(pos);
+            return projected[pos < iend ? pos - ibegin
+                                        : ilen + (pos - jbegin)];
           };
           each_pair([&](size_t i, size_t j) {
             Probe(*plan.rule, row(i), row(j), &out);
@@ -442,30 +538,29 @@ void IterateUnblocked(ExecutionContext* ctx, const PhysicalRulePlan& plan,
 /// morsels of the changed rows, in table order, each probing every other
 /// row in table order under IterateUnblocked's orientation rule
 /// (ProbesBothOrders), both orders as (c, r) then (r, c). A pair of two
-/// changed rows is probed by its lower position's changed row only. Each
-/// row's detect-schema row is resolved once, up front.
+/// changed rows is probed by its lower position's changed row only. Under
+/// a scope, each row's detect-schema row is resolved once, up front.
 void PairChangedRows(ExecutionContext* ctx, const PhysicalRulePlan& plan,
                      const PartitionView<Row>& base,
                      const std::unordered_set<RowId>& changed,
                      ViolationBuffer* violations, DetectionResult* result) {
   const size_t n = base.Count();
   std::vector<Row> projected(plan.scope_columns.empty() ? 0 : n);
-  std::vector<const Row*> rows;
-  rows.reserve(n);
   std::vector<char> is_changed(n, 0);
   std::vector<size_t> changed_pos;
-  for (const auto& part : base.partitions()) {
-    for (const Row& row : part) {
-      const size_t pos = rows.size();
-      if (changed.count(row.id()) > 0) {
-        is_changed[pos] = 1;
-        changed_pos.push_back(pos);
-      }
-      rows.push_back(projected.empty()
-                         ? &row
-                         : &DetectRow(row, plan.scope_columns, &projected[pos]));
+  for (size_t pos = 0; pos < n; ++pos) {
+    const Row& row = base.at(pos);
+    if (changed.count(row.id()) > 0) {
+      is_changed[pos] = 1;
+      changed_pos.push_back(pos);
+    }
+    if (!projected.empty()) {
+      DetectRow(row, plan.scope_columns, &projected[pos]);
     }
   }
+  auto row = [&](size_t pos) -> const Row& {
+    return projected.empty() ? base.at(pos) : projected[pos];
+  };
 
   const bool both = ProbesBothOrders(plan);
   const size_t num_tasks = std::max<size_t>(1, ctx->default_partitions());
@@ -482,10 +577,10 @@ void PairChangedRows(ExecutionContext* ctx, const PhysicalRulePlan& plan,
           for (size_t r = 0; r < n; ++r) {
             if (r == c || (r < c && is_changed[r])) continue;
             if (both) {
-              Probe(*plan.rule, *rows[c], *rows[r], &out);
-              Probe(*plan.rule, *rows[r], *rows[c], &out);
+              Probe(*plan.rule, row(c), row(r), &out);
+              Probe(*plan.rule, row(r), row(c), &out);
             } else {
-              Probe(*plan.rule, *rows[std::min(c, r)], *rows[std::max(c, r)],
+              Probe(*plan.rule, row(std::min(c, r)), row(std::max(c, r)),
                     &out);
             }
           }
@@ -511,11 +606,6 @@ void JoinGlobal(ExecutionContext* ctx, const PhysicalRulePlan& plan,
                 bool use_iejoin, const PartitionView<Row>& base,
                 const ViolationWriter* writer, ViolationBuffer* violations,
                 DetectionResult* result) {
-  std::vector<const Row*> rows;
-  rows.reserve(base.Count());
-  for (const auto& part : base.partitions()) {
-    for (const Row& row : part) rows.push_back(&row);
-  }
   std::vector<OrderingCondition> conditions = plan.ocjoin_conditions;
   for (auto& c : conditions) {
     c.left_column = ToBase(plan, c.left_column);
@@ -550,8 +640,8 @@ void JoinGlobal(ExecutionContext* ctx, const PhysicalRulePlan& plan,
         if (writer != nullptr) {
           for (size_t i = first; i < last; ++i) {
             const RowIndexPair& pr = pairs[i];
-            const Row& a = *rows[pr.left];
-            const Row& b = *rows[pr.right];
+            const Row& a = base.at(pr.left);
+            const Row& b = base.at(pr.right);
             ++out.detect_calls;
             if (writer->MatchesPair(a, b)) {
               writer->WritePair({&a, static_cast<uint32_t>(pr.left)},
@@ -565,8 +655,8 @@ void JoinGlobal(ExecutionContext* ctx, const PhysicalRulePlan& plan,
           for (size_t i = first; i < last; ++i) {
             const RowIndexPair& pr = pairs[i];
             Probe(*plan.rule,
-                  DetectRow(*rows[pr.left], plan.scope_columns, &left),
-                  DetectRow(*rows[pr.right], plan.scope_columns, &right),
+                  DetectRow(base.at(pr.left), plan.scope_columns, &left),
+                  DetectRow(base.at(pr.right), plan.scope_columns, &right),
                   &out);
           }
         }
@@ -596,6 +686,19 @@ bool ComputeBlockKey(const PhysicalRulePlan& plan, const Row& row,
                  [&](size_t c) { return ToBase(plan, c); }, key);
 }
 
+bool CodeBlockKey(const std::vector<KeyCodes>& columns, size_t pos,
+                  uint64_t* key) {
+  // ValuePool::hash is Value::Hash, so this folds FoldKey's hashes.
+  uint64_t h = kKeySeed;
+  for (const KeyCodes& kc : columns) {
+    const uint32_t code = (*kc.codes)[pos];
+    if (code == ValuePool::kNullCode) return false;
+    h = StableHashUint64(h ^ kc.pool->hash(code));
+  }
+  *key = h;
+  return true;
+}
+
 void DetectRule(ExecutionContext* ctx, const PhysicalRulePlan& plan,
                 bool use_iejoin, const PartitionView<Row>& base,
                 const std::unordered_set<RowId>* changed,
@@ -619,12 +722,12 @@ void DetectRule(ExecutionContext* ctx, const PhysicalRulePlan& plan,
     return;
   }
 
-  std::optional<BoundKernel> bound;
+  BoundKernel bound;
   if (tmpl != nullptr) {
     result->plan_description += " [kernel]";
     bound = BindKernel(plan, *tmpl, base, caches);
   }
-  const BoundKernel* k = bound ? &*bound : nullptr;
+  const BoundKernel* k = bound.kernel != nullptr ? &bound : nullptr;
   const std::string prefix = k != nullptr ? "kernel:" : "";
   std::optional<ScopedSpan> op_span;
   const bool traced = TraceRecorder::Instance().enabled();
@@ -636,10 +739,14 @@ void DetectRule(ExecutionContext* ctx, const PhysicalRulePlan& plan,
     if (traced) {
       op_span.emplace(prefix + "block|iterate|detect|genfix", "operator");
     }
-    IterateBlocks(ctx, plan, base,
-                  changed != nullptr ? DirtyBlocks(plan, base, *changed)
-                                     : BlockRows(plan, base, k, caches),
-                  violations, result, k);
+    // Both arms are lvalues, so the cached blocks are read, not copied.
+    std::optional<Blocks> dirty;
+    if (changed != nullptr) dirty.emplace(DirtyBlocks(plan, base, *changed));
+    const Blocks& blocks =
+        dirty.has_value() ? *dirty : BlockRows(plan, base, k, caches);
+    IterateBlocks(ctx, prefix + "iterate|detect|genfix", plan,
+                  RowsAt{base.data()}, PartitionTasks(blocks),
+                  bound, violations, result);
   } else {
     if (traced) op_span.emplace(prefix + "iterate|detect|genfix", "operator");
     if (changed != nullptr) {
@@ -650,40 +757,30 @@ void DetectRule(ExecutionContext* ctx, const PhysicalRulePlan& plan,
   }
 }
 
-void IterateBlocks(ExecutionContext* ctx, const PhysicalRulePlan& plan,
-                   const PartitionView<Row>& base, const Blocks& blocks,
-                   ViolationBuffer* violations, DetectionResult* result,
-                   const BoundKernel* kernel) {
+BlockTasks PartitionTasks(const Blocks& blocks) {
+  const auto& parts = blocks.partitions();
+  return {parts.size(), [&parts](size_t t) { return parts[t].size(); },
+          [&parts](size_t t, size_t b) -> const std::vector<uint32_t>& {
+            return parts[t][b].second;
+          }};
+}
+
+void IterateBlocks(ExecutionContext* ctx, const std::string& stage,
+                   const PhysicalRulePlan& plan, const RowsAt& rows,
+                   const BlockTasks& blocks, const BoundKernel& bound,
+                   ViolationBuffer* violations, DetectionResult* result) {
   // Morsel units are whole blocks: a skewed partition (one giant dedup
   // block plus many tiny ones) no longer pins a single worker — idle
   // workers steal its block ranges. The quadratic interior of one block is
   // the floor of splittability here; OCJoin handles that case upstream by
   // never building giant blocks.
-  const auto& bparts = base.partitions();
-  const auto& gparts = blocks.partitions();
-  std::vector<TaskOutput> tasks = blocks.RunStageMorsels<TaskOutput>(
-      kernel != nullptr ? "kernel:iterate|detect|genfix"
-                        : "iterate|detect|genfix",
-      [&](size_t p) { return gparts[p].size(); },
-      [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
+  auto tasks = StageExecutor(ctx).RunMorsels<TaskOutput>(
+      stage, blocks.num_tasks, blocks.size,
+      [&](size_t t, size_t begin, size_t end, TaskContext& tc) {
         TaskOutput out;
         BlockScratch scratch;
         for (size_t b = begin; b < end; ++b) {
-          const std::vector<RowRef>& block = gparts[p][b].second;
-          IterateBlock(
-              plan, block.size(),
-              [&](size_t i, Row* storage) -> const Row& {
-                const RowRef& r = block[i];
-                return DetectRow(bparts[r.part][r.idx], plan.scope_columns,
-                                 storage);
-              },
-              &scratch, &out, kernel ? kernel->kernel.get() : nullptr,
-              kernel ? kernel->writer.get() : nullptr, [&](size_t i) {
-                const RowRef& r = block[i];
-                return KernelUnit{
-                    CodeTuple{kernel->slot_ptrs[r.part].data(), r.idx},
-                    kernel->UnitAt(base, r.part, r.idx)};
-              });
+          IterateBlock(plan, blocks.members(t, b), rows, bound, &scratch, &out);
         }
         ctx->metrics().AddPairsEnumerated(out.detect_calls);
         tc.records_in = end - begin;
@@ -693,7 +790,8 @@ void IterateBlocks(ExecutionContext* ctx, const PhysicalRulePlan& plan,
       [](size_t, std::vector<TaskOutput>&& pieces) {
         return MergeTaskPieces(std::move(pieces));
       });
-  MergeOutputs(&tasks, violations, result);
+  if (!tasks.ok()) throw StageError(tasks.status());
+  MergeOutputs(&*tasks, violations, result);
 }
 
 void DetectAcross(ExecutionContext* ctx, const Rule& rule,
@@ -735,10 +833,9 @@ void DetectAcross(ExecutionContext* ctx, const Rule& rule,
     if (traced) op_span.emplace("coblock|iterate|detect|genfix", "operator");
     auto key_rows = [](const PartitionView<Row>& view,
                        const std::vector<size_t>& cols) {
-      const auto& parts = view.partitions();
-      return KeyRows(view, "block", [&](size_t p, size_t i, Row*,
+      return KeyRows(view, "block", [&](const Row& row, uint32_t, Row*,
                                         uint64_t* key) {
-        return FoldKey(parts[p][i], cols, [](size_t c) { return c; }, key);
+        return FoldKey(row, cols, [](size_t c) { return c; }, key);
       });
     };
     auto coblocks =
@@ -751,10 +848,9 @@ void DetectAcross(ExecutionContext* ctx, const Rule& rule,
           TaskOutput out;
           for (size_t i = begin; i < end; ++i) {
             const auto& [lbag, rbag] = parts[p][i].second;
-            for (const RowRef& a : lbag) {
-              for (const RowRef& b : rbag) {
-                Probe(rule, lparts[a.part][a.idx], rparts[b.part][b.idx],
-                      &out);
+            for (uint32_t a : lbag) {
+              for (uint32_t b : rbag) {
+                Probe(rule, left.at(a), right.at(b), &out);
               }
             }
           }

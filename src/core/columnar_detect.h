@@ -2,6 +2,8 @@
 #define BIGDANSING_CORE_COLUMNAR_DETECT_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -14,18 +16,10 @@
 #include "data/row.h"
 #include "dataflow/context.h"
 #include "dataflow/dataset.h"
+#include "rules/detect_kernel.h"
 
 namespace bigdansing {
 namespace columnar {
-
-/// Compact handle to a viewed row: partition + index within the partition.
-/// The blocked stages shuffle these 8-byte refs instead of whole Rows; the
-/// grouped block layout depends only on the key sequence, never on the
-/// value type.
-struct RowRef {
-  uint32_t part;
-  uint32_t idx;
-};
 
 /// `row` in a plan's detect schema: `row` itself when the plan has no
 /// scope (no copy), else the projection PScope applies (values and
@@ -51,22 +45,36 @@ inline const Row& DetectRow(const Row& row,
   return *storage;
 }
 
-/// A blocked plan's blocks: per block key, RowRefs into the view the keys
-/// were computed over, each block in view order.
-using Blocks = Dataset<std::pair<uint64_t, std::vector<RowRef>>>;
+/// A blocked plan's blocks: per block key, its members' table positions,
+/// ascending.
+using Blocks = Dataset<std::pair<uint64_t, std::vector<uint32_t>>>;
 
 /// Per-DetectAll caches, keyed in base-column space so rules with
 /// different scopes still share work: encoded column sets keyed by
 /// pool-sharing group, and blocks keyed by the blocking columns (or by the
-/// rule and scope a UDF block key reads).
+/// rule object whose UDF block key they hold).
 struct ColumnarCaches {
   std::unordered_map<std::string, EncodedColumnSet> encoded;
   std::unordered_map<std::string, Blocks> blocks;
 };
 
-/// A rule's compiled kernel bound to its columns encoded over one view
-/// (defined in columnar_detect.cc).
-struct BoundKernel;
+/// Rows by table position: offsets from `first` when the rows live in one
+/// vector (a table, or a view PartitionView::Split cut from one), else
+/// resolved through `ptrs`, the row-pointer array a view of separate
+/// partition vectors (a storage replica) builds once per request.
+struct RowsAt {
+  const Row* first = nullptr;
+  const Row* const* ptrs = nullptr;
+  const Row& operator[](size_t pos) const {
+    return ptrs != nullptr ? *ptrs[pos] : first[pos];
+  }
+};
+
+/// A blocking column's codes by table position, and the pool they index.
+struct KeyCodes {
+  const ValuePool* pool;
+  const std::vector<uint32_t>* codes;
+};
 
 /// The block key of the table row `row` under `plan`, computed from its
 /// Values: a stable hash of its blocking values, or the hash of the UDF
@@ -74,15 +82,21 @@ struct BoundKernel;
 /// `*projected` when the plan has a scope). Returns false when the row
 /// belongs to no block (a null key component or a null UDF key).
 /// Collisions only merge blocks (Detect re-checks the actual predicates),
-/// never lose pairs that belong together. A kernel hashes the same values
-/// from per-code hashes (ValuePool::hash is Value::Hash), so both yield the
-/// same keys.
+/// never lose pairs that belong together. CodeBlockKey hashes the same
+/// values from per-code hashes (ValuePool::hash is Value::Hash), so both
+/// yield the same keys.
 bool ComputeBlockKey(const PhysicalRulePlan& plan, const Row& row,
                      Row* projected, uint64_t* key);
 
+/// The block key of table position `pos` from its blocking columns' codes,
+/// for the engine's `kernel:block` stage and the stream session's index;
+/// false when a code is null (the row joins no block).
+bool CodeBlockKey(const std::vector<KeyCodes>& columns, size_t pos,
+                  uint64_t* key);
+
 /// Runs one rule's Detect over the table `base` views, through the one
 /// stage routine of its Iterate strategy: single units, blocks (block keys,
-/// RowRef blocks, detect::IterateBlock), unblocked chunk pairs, or the
+/// position blocks, IterateBlocks), unblocked chunk pairs, or the
 /// global inequality join. Appends its violations to `violations` and its
 /// counters to `result`. `base` must view a table's rows in order
 /// (PartitionView::Split), since the cells compiled GenFix writes carry
@@ -112,21 +126,46 @@ void DetectRule(ExecutionContext* ctx, const PhysicalRulePlan& plan,
                 ColumnarCaches* caches, ViolationBuffer* violations,
                 DetectionResult* result);
 
-/// The blocked Iterate -> Detect -> GenFix stage over `blocks` of `base`'s
-/// rows, with morsels of whole blocks. Without a `kernel` (the changed-rows
-/// and storage-pushdown requests' blocked passes, and rules that have none)
-/// each unit's detect-schema row is built on demand and Rule::Detect and
-/// Rule::GenFix run on every candidate pair.
-void IterateBlocks(ExecutionContext* ctx, const PhysicalRulePlan& plan,
-                   const PartitionView<Row>& base, const Blocks& blocks,
-                   ViolationBuffer* violations, DetectionResult* result,
-                   const BoundKernel* kernel = nullptr);
+/// The blocked stage's blocks, cut into tasks: task t enumerates its
+/// `size(t)` blocks in order, block b holding the table positions
+/// `members(t, b)`, ascending.
+struct BlockTasks {
+  size_t num_tasks = 0;
+  std::function<size_t(size_t)> size;
+  std::function<const std::vector<uint32_t>&(size_t, size_t)> members;
+};
+
+/// `blocks` as blocked-stage tasks, one per partition.
+BlockTasks PartitionTasks(const Blocks& blocks);
+
+/// A rule bound to codes by table position: its blocking columns' codes
+/// and, when it has a kernel (null: none), the kernel, the compiled GenFix
+/// that writes its matches and one code pointer per kernel slot, the
+/// gather structure every kernel evaluation reads through.
+struct BoundKernel {
+  std::vector<KeyCodes> key_cols;
+  std::unique_ptr<DetectKernel> kernel;
+  std::unique_ptr<ViolationWriter> writer;
+  std::vector<const uint32_t*> slot_ptrs;
+};
+
+/// The blocked Iterate -> Detect -> GenFix stage `stage` over `rows`, with
+/// morsels of whole blocks of each task of `blocks`; the tasks' outputs
+/// merge in task order. The engine runs one task per GroupByKey partition,
+/// a stream window contiguous runs of its dirty blocks. Without a kernel
+/// in `bound` each unit's detect-schema row is built on demand and
+/// Rule::Detect and Rule::GenFix run on every candidate pair. Throws
+/// StageError when the stage fails.
+void IterateBlocks(ExecutionContext* ctx, const std::string& stage,
+                   const PhysicalRulePlan& plan, const RowsAt& rows,
+                   const BlockTasks& blocks, const BoundKernel& bound,
+                   ViolationBuffer* violations, DetectionResult* result);
 
 /// Two-table detection of `rule`, bound across the schemas of the tables
 /// `left` (t1) and `right` (t2) view, reading both in place. With equality
 /// links t1.X = t2.Y (`left_cols[i]` with `right_cols[i]`), the CoBlock
-/// enhancer: each side's rows are keyed as RowRefs by ComputeBlockKey's
-/// hash fold, co-grouped, and each co-block probes its left x right pairs.
+/// enhancer: each side's positions are keyed by ComputeBlockKey's hash
+/// fold, co-grouped, and each co-block probes its left x right pairs.
 /// Without one, morsels of left rows each probe every right row in table
 /// order; no pair is materialized.
 void DetectAcross(ExecutionContext* ctx, const Rule& rule,

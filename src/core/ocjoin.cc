@@ -130,12 +130,8 @@ ConditionCodes EncodeConditionColumns(
   }
   EncodedColumnSet encoded = EncodeColumns(rows, {columns});
   ConditionCodes out;
-  for (size_t col : columns) {
-    std::vector<uint32_t>& flat = out[col];
-    flat.reserve(encoded.rows);
-    for (const auto& part : encoded.columns.at(col).codes) {
-      flat.insert(flat.end(), part.begin(), part.end());
-    }
+  for (auto& [col, enc] : encoded.columns) {
+    out.emplace(col, std::move(enc.codes));
   }
   return out;
 }

@@ -50,7 +50,7 @@ struct OCJoinStats {
 using ConditionCodes = std::unordered_map<size_t, std::vector<uint32_t>>;
 
 /// Encodes every column the conditions read, through EncodeColumns' two
-/// stages with all of them in one pool group.
+/// stages with all of them in one pool group, and keeps its code vectors.
 ConditionCodes EncodeConditionColumns(
     const PartitionView<Row>& rows,
     const std::vector<OrderingCondition>& conditions);

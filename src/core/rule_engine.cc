@@ -13,8 +13,6 @@ namespace bigdansing {
 
 namespace {
 
-using columnar::RowRef;
-
 /// A public Detect builds its objects in up to four tasks per worker of at
 /// least kObjectsPerTask each, so every logical worker gets a share; an
 /// output that would make a single task is built on the calling thread.
@@ -282,21 +280,28 @@ Status RuleEngine::DetectWithStorageImpl(const StorageManager& storage,
       replica->attribute + "']";
   // Rows sharing a blocking key are co-located in one storage partition,
   // so grouping is local to each partition — no shuffle. Then the blocked
-  // stage of a whole-table Detect, without a kernel.
+  // stage of a whole-table Detect, without a kernel. The replica's
+  // partitions are separate vectors, so positions resolve through one
+  // row-pointer array.
   const PartitionView<Row> view(ctx_, replica->partitions);
   ctx_->metrics().AddRecordsRead(view.Count());
   const auto& parts = view.partitions();
-  using LocalBlocks = std::vector<std::pair<uint64_t, std::vector<RowRef>>>;
+  std::vector<const Row*> rows;
+  rows.reserve(view.Count());
+  for (const auto& part : parts) {
+    for (const Row& row : part) rows.push_back(&row);
+  }
+  using LocalBlocks = std::vector<std::pair<uint64_t, std::vector<uint32_t>>>;
   std::vector<LocalBlocks> blocks = view.RunStageProducing<LocalBlocks>(
       "block:local", [&](size_t p, TaskContext& tc) {
-        std::unordered_map<uint64_t, std::vector<RowRef>> groups;
+        std::unordered_map<uint64_t, std::vector<uint32_t>> groups;
         Row projected;
         uint64_t key = 0;
+        const size_t first = view.Begin(p);
         for (size_t i = 0; i < parts[p].size(); ++i) {
           if (columnar::ComputeBlockKey(*plan, parts[p][i], &projected,
                                         &key)) {
-            groups[key].push_back(RowRef{static_cast<uint32_t>(p),
-                                         static_cast<uint32_t>(i)});
+            groups[key].push_back(static_cast<uint32_t>(first + i));
           }
         }
         LocalBlocks out;
@@ -305,9 +310,11 @@ Status RuleEngine::DetectWithStorageImpl(const StorageManager& storage,
         tc.records_out = out.size();
         return out;
       });
-  columnar::IterateBlocks(ctx_, *plan, view,
-                          columnar::Blocks(ctx_, std::move(blocks)),
-                          &out->violations, &result);
+  const columnar::Blocks local(ctx_, std::move(blocks));
+  columnar::IterateBlocks(ctx_, "iterate|detect|genfix", *plan,
+                          columnar::RowsAt{nullptr, rows.data()},
+                          columnar::PartitionTasks(local),
+                          columnar::BoundKernel{}, &out->violations, &result);
   out->rule_end.assign(1, out->violations.size());
   return Status::OK();
 }

@@ -4,13 +4,11 @@
 #include <atomic>
 #include <optional>
 
+#include "common/fault.h"
 #include "common/hash.h"
 #include "common/metrics_registry.h"
 #include "common/stopwatch.h"
-#include "core/columnar_detect.h"
-#include "core/detect_output.h"
 #include "core/rule_engine.h"
-#include "dataflow/stage_executor.h"
 #include "repair/connected_components.h"
 
 namespace bigdansing {
@@ -74,6 +72,7 @@ Status StreamSession::Init() {
     return it->second;
   };
   indexes_.reserve(rules_.size());
+  std::vector<std::vector<size_t>> key_slots;  // rule -> its key's slots
   for (const auto& rule : rules_) {
     auto plan = BuildPhysicalPlan(rule, table_->schema(), opts_.clean.planner);
     if (!plan.ok()) return plan.status();
@@ -85,9 +84,10 @@ Status StreamSession::Init() {
     // blocking — both take the engine's changed-rows path instead.
     ri.blocked = has_key && rule->arity() == 2 &&
                  ri.plan.strategy != IterateStrategy::kSingle;
+    key_slots.emplace_back();
     if (ri.blocked && !ri.plan.block_key_fn) {
       for (size_t c : ri.plan.blocking_columns) {
-        ri.key_slots.push_back(slot_of(c, ri.plan));
+        key_slots.back().push_back(slot_of(c, ri.plan));
       }
     }
     if (ri.blocked && !ri.plan.block_key_fn &&
@@ -97,7 +97,8 @@ Status StreamSession::Init() {
         for (size_t c : ri.tmpl->columns()) {
           ri.kernel_slots.push_back(slot_of(c, ri.plan));
         }
-        ri.writer = ri.tmpl->BindWriter(rule->name(), ri.plan.scope_columns);
+        ri.bound.writer =
+            ri.tmpl->BindWriter(rule->name(), ri.plan.scope_columns);
       }
     }
     indexes_.push_back(std::move(ri));
@@ -135,6 +136,14 @@ Status StreamSession::Init() {
     if (!ri.tmpl) continue;
     for (uint16_t slot : ri.tmpl->ordered_slots()) {
       groups_[col_group_[ri.kernel_slots[slot]]].sorted = true;
+    }
+  }
+  // groups_ and code_cols_ keep their lengths from here on, so each key
+  // column's pool and code vector keep their addresses.
+  for (size_t r = 0; r < indexes_.size(); ++r) {
+    for (size_t slot : key_slots[r]) {
+      indexes_[r].bound.key_cols.push_back(
+          {&groups_[col_group_[slot]].pool, &code_cols_[slot]});
     }
   }
 
@@ -212,27 +221,11 @@ void StreamSession::EncodeRows(const std::vector<size_t>& positions) {
 
 bool StreamSession::KeyOf(const RuleIndex& ri, size_t pos,
                           uint64_t* key) const {
-  if (ri.plan.block_key_fn) {
-    // UDF keys see the scoped row, exactly as the engine's blocking stage.
-    Row storage;
-    const Value v = ri.plan.block_key_fn(
-        ri.plan.detect_schema,
-        columnar::DetectRow(table_->row(pos), ri.plan.scope_columns,
-                            &storage));
-    if (v.is_null()) return false;
-    *key = v.Hash();
-    return true;
+  if (!ri.plan.block_key_fn) {
+    return columnar::CodeBlockKey(ri.bound.key_cols, pos, key);
   }
-  // Pool-hash path: hash(code) is the precomputed Value::Hash, so the key
-  // is the engine's ComputeBlockKey rebuilt from dictionary codes.
-  uint64_t h = 0x42D;
-  for (size_t slot : ri.key_slots) {
-    const uint32_t code = code_cols_[slot][pos];
-    if (code == ValuePool::kNullCode) return false;
-    h = StableHashUint64(h ^ groups_[col_group_[slot]].pool.hash(code));
-  }
-  *key = h;
-  return true;
+  Row projected;
+  return columnar::ComputeBlockKey(ri.plan, table_->row(pos), &projected, key);
 }
 
 void StreamSession::JoinBlock(RuleIndex* ri, size_t pos, uint64_t key) {
@@ -280,19 +273,22 @@ Status StreamSession::Append(std::vector<Row> rows) {
   if (closed_) return Status::InvalidArgument("stream session is closed");
   const size_t width = table_->schema().num_attributes();
   std::unordered_set<RowId> batch_ids;
+  // Ids are committed only once the call is accepted: a rejected call
+  // uses none up.
+  RowId next_id = next_row_id_;
   for (auto& row : rows) {
     if (row.size() != width) {
       return Status::InvalidArgument(
           "Append: row width " + std::to_string(row.size()) +
           " does not match schema width " + std::to_string(width));
     }
-    if (row.id() < 0) row.set_id(next_row_id_++);
+    if (row.id() < 0) row.set_id(next_id++);
     if (row_pos_.count(row.id()) > 0 || pending_ids_.count(row.id()) > 0 ||
         !batch_ids.insert(row.id()).second) {
       return Status::InvalidArgument("Append: duplicate row id " +
                                      std::to_string(row.id()));
     }
-    next_row_id_ = std::max(next_row_id_, row.id() + 1);
+    next_id = std::max(next_id, row.id() + 1);
   }
 
   const size_t new_batches =
@@ -309,6 +305,7 @@ Status StreamSession::Append(std::vector<Row> rows) {
         std::to_string(pending_.size()) + " batches queued, bound " +
         std::to_string(opts_.max_inflight_batches) + "); Poll() and retry");
   }
+  next_row_id_ = next_id;
 
   for (size_t begin = 0; begin < rows.size(); begin += opts_.batch_rows) {
     const size_t end = std::min(begin + opts_.batch_rows, rows.size());
@@ -441,14 +438,14 @@ bool StreamSession::KernelStale(const RuleIndex& ri) const {
 
 void StreamSession::EnsureKernelBound(RuleIndex* ri) {
   if (!ri->tmpl) return;
-  if (ri->kernel && !KernelStale(*ri)) return;
+  if (ri->bound.kernel && !KernelStale(*ri)) return;
   std::vector<const ValuePool*> pools;
   pools.reserve(ri->kernel_slots.size());
   for (size_t slot : ri->kernel_slots) {
     pools.push_back(&groups_[col_group_[slot]].pool);
   }
-  const bool rebind = ri->kernel != nullptr;
-  ri->kernel = ri->tmpl->Bind(pools);
+  const bool rebind = ri->bound.kernel != nullptr;
+  ri->bound.kernel = ri->tmpl->Bind(pools);
   ri->bound_remaps = KernelRemaps(*ri);
   ri->absent_constants.clear();
   const auto& constants = ri->tmpl->constants();
@@ -465,18 +462,20 @@ void StreamSession::EnsureKernelBound(RuleIndex* ri) {
 }
 
 bool StreamSession::BlockMayViolate(const RuleIndex& ri,
-                                    const std::vector<const uint32_t*>& cols,
                                     const std::vector<uint32_t>& members,
                                     std::vector<CodeTuple>* tuples) const {
-  if (!ri.kernel) return true;
+  const DetectKernel* kernel = ri.bound.kernel.get();
+  if (kernel == nullptr) return true;
   tuples->clear();
-  for (uint32_t pos : members) tuples->push_back({cols.data(), pos});
+  for (uint32_t pos : members) {
+    tuples->push_back({ri.bound.slot_ptrs.data(), pos});
+  }
   const CodeTuple* t = tuples->data();
   const size_t n = tuples->size();
-  if (ri.plan.rule->IsSymmetric()) return ri.kernel->AnyMatchUpper(t, n);
+  if (ri.plan.rule->IsSymmetric()) return kernel->AnyMatchUpper(t, n);
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
-      if (ri.kernel->Matches(t[i], t[j]) || ri.kernel->Matches(t[j], t[i])) {
+      if (kernel->Matches(t[i], t[j]) || kernel->Matches(t[j], t[i])) {
         return true;
       }
     }
@@ -488,11 +487,10 @@ Status StreamSession::DetectDirtyBlocks(RuleIndex* ri, size_t* candidates,
                                         ViolationBuffer* out) {
   EnsureKernelBound(ri);
   // The kernel reads the kernel slots' codes in place (tuple row = table
-  // position).
-  std::vector<const uint32_t*> kernel_cols;
-  kernel_cols.reserve(ri->kernel_slots.size());
+  // position); IndexRows may have moved them since the last window.
+  ri->bound.slot_ptrs.clear();
   for (size_t slot : ri->kernel_slots) {
-    kernel_cols.push_back(code_cols_[slot].data());
+    ri->bound.slot_ptrs.push_back(code_cols_[slot].data());
   }
   std::vector<CodeTuple> tuples;
   std::vector<const std::vector<uint32_t>*> blocks;
@@ -500,7 +498,7 @@ Status StreamSession::DetectDirtyBlocks(RuleIndex* ri, size_t* candidates,
     auto block = ri->blocks.find(key);
     if (block == ri->blocks.end() || block->second.size() < 2) continue;
     const std::vector<uint32_t>& members = block->second;
-    if (!BlockMayViolate(*ri, kernel_cols, members, &tuples)) continue;
+    if (!BlockMayViolate(*ri, members, &tuples)) continue;
     *candidates += members.size();
     blocks.push_back(&members);
   }
@@ -513,47 +511,25 @@ Status StreamSession::DetectDirtyBlocks(RuleIndex* ri, size_t* candidates,
               return a->front() < b->front();
             });
 
-  // Spread like the engine's blocked stage: whole blocks are the morsel
-  // units of default_partitions() tasks (here contiguous runs of the
-  // ordered blocks), and the tasks' outputs merge in task order.
-  const PhysicalRulePlan& plan = ri->plan;
-  const DetectKernel* kernel = ri->kernel.get();
-  const ViolationWriter* writer = ri->writer.get();
+  // Whole blocks are the morsel units of default_partitions() tasks, here
+  // contiguous runs of the ordered blocks, run by the engine's blocked
+  // stage over the session's code columns and table rows.
   const size_t num_tasks =
       std::min(blocks.size(), session_ctx_->default_partitions());
   auto first_block = [&](size_t t) { return t * blocks.size() / num_tasks; };
-  auto tasks = StageExecutor(ctx()).RunMorsels<detect::TaskOutput>(
-      "stream:iterate|detect|genfix", num_tasks,
-      [&](size_t t) { return first_block(t + 1) - first_block(t); },
-      [&](size_t t, size_t begin, size_t end, TaskContext& tc) {
-        detect::TaskOutput out;
-        detect::BlockScratch scratch;
-        for (size_t b = first_block(t) + begin; b < first_block(t) + end;
-             ++b) {
-          const std::vector<uint32_t>& members = *blocks[b];
-          detect::IterateBlock(
-              plan, members.size(),
-              [&](size_t i, Row* storage) -> const Row& {
-                return columnar::DetectRow(table_->row(members[i]),
-                                           plan.scope_columns, storage);
-              },
-              &scratch, &out, kernel, writer, [&](size_t i) {
-                return detect::KernelUnit{
-                    CodeTuple{kernel_cols.data(), members[i]},
-                    {&table_->row(members[i]), members[i]}};
-              });
-        }
-        ctx()->metrics().AddPairsEnumerated(out.detect_calls);
-        tc.records_in = end - begin;
-        tc.records_out = out.violations.size();
-        return out;
-      },
-      [](size_t, std::vector<detect::TaskOutput>&& pieces) {
-        return detect::MergeTaskPieces(std::move(pieces));
-      });
-  if (!tasks.ok()) return tasks.status();
+  const columnar::BlockTasks runs{
+      num_tasks, [&](size_t t) { return first_block(t + 1) - first_block(t); },
+      [&](size_t t, size_t b) -> const std::vector<uint32_t>& {
+        return *blocks[first_block(t) + b];
+      }};
   DetectionResult counts;
-  detect::MergeOutputs(&*tasks, out, &counts);
+  try {
+    columnar::IterateBlocks(ctx(), "stream:iterate|detect|genfix", ri->plan,
+                            columnar::RowsAt{table_->rows().data()}, runs,
+                            ri->bound, out, &counts);
+  } catch (const StageError& e) {
+    return e.status();
+  }
   return Status::OK();
 }
 

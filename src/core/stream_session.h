@@ -12,6 +12,7 @@
 
 #include "common/status.h"
 #include "core/bigdansing.h"
+#include "core/columnar_detect.h"
 #include "core/fixpoint.h"
 #include "core/physical_plan.h"
 #include "data/dictionary.h"
@@ -83,10 +84,10 @@ struct StreamFlushReport {
 /// ValuePools, update the per-rule incremental violation index
 /// (blocking-key -> member table positions), detect only inside the
 /// blocks the window touched, and run repair as a windowed fix-point.
-/// Blocked rules are detected by the session's own stage, which enumerates
-/// each dirty block in place over the session's code columns and table
-/// rows; unblocked rules take the engine's changed-rows path, and Flush()'s
-/// verification the engine's full-table pass. Created by
+/// Blocked rules are detected by the engine's blocked stage, which
+/// enumerates each dirty block in place over the session's code columns
+/// and table rows; unblocked rules take the engine's changed-rows path, and
+/// Flush()'s verification the engine's full-table pass. Created by
 /// BigDansing::OpenStream.
 ///
 /// Thread-compatible like RuleEngine: one caller thread at a time; the
@@ -163,22 +164,21 @@ class StreamSession {
     /// has no index and windows fall back to the engine's incremental
     /// (changed-rows) detection path.
     bool blocked = false;
-    /// Code columns (indexed slots) forming the key (empty for UDF keys).
-    std::vector<size_t> key_slots;
     Blocks blocks;
     /// Block handle per table position (null: the row joins no block),
     /// aligned with table_->rows() like code_cols_; empty for unblocked
     /// rules.
     std::vector<Block*> block_of;
-    /// Detect kernel (null when the rule is not kernelizable or kernels are
-    /// off): bound against the session pools, rebound only when a sorted
-    /// group it reads was remapped or a constant it bound as absent has
-    /// since arrived (KernelStale). It prescreens dirty blocks and decides
-    /// their pairs.
+    /// The rule bound to code_cols_: its key's code columns (empty for UDF
+    /// keys) and, with `tmpl`, its compiled GenFix, its kernel slots' code
+    /// pointers (set each window) and its detect kernel. The kernel (null
+    /// when the rule is not kernelizable or kernels are off) is bound
+    /// against the session pools, rebound only when a sorted group it
+    /// reads was remapped or a constant it bound as absent has since
+    /// arrived (KernelStale). It prescreens dirty blocks and decides their
+    /// pairs.
     std::shared_ptr<const KernelTemplate> tmpl;
-    std::unique_ptr<DetectKernel> kernel;
-    /// The rule's compiled GenFix (null exactly when `tmpl` is).
-    std::unique_ptr<ViolationWriter> writer;
+    columnar::BoundKernel bound;
     /// KernelRemaps at the last bind.
     uint64_t bound_remaps = 0;
     /// Indices into tmpl->constants() of the constants absent from their
@@ -206,9 +206,10 @@ class StreamSession {
   /// code columns in one sweep and encodes those cells; other groups'
   /// columns are not touched.
   void EncodeRows(const std::vector<size_t>& positions);
-  /// Key of the row at table position `pos` under rule index `ri`, folded
-  /// from the pooled hashes of its key_slots codes; false when the row has
-  /// a null key component (the row joins no block).
+  /// Key of the row at table position `pos` under rule index `ri`: the
+  /// engine's keys, columnar::CodeBlockKey over its key_cols codes or
+  /// columnar::ComputeBlockKey for a UDF key; false when the row joins no
+  /// block.
   bool KeyOf(const RuleIndex& ri, size_t pos, uint64_t* key) const;
 
   /// Adds table position `pos` to rule index `ri`'s block `key` (created
@@ -235,14 +236,13 @@ class StreamSession {
   void EnsureKernelBound(RuleIndex* ri);
   /// Kernel prescreen of one block (its member table positions): false
   /// only when the compiled kernel proves no ordered pair in the block can
-  /// violate — exact, so skipping the block drops nothing. `cols` holds
-  /// the code_cols_ data of the rule's kernel slots, so each tuple points
-  /// straight into them (tuple row = table position); `tuples` is a buffer
-  /// the caller reuses across blocks. A symmetric rule is decided by one
-  /// AnyMatchUpper call; an asymmetric one by a pair loop that tries both
-  /// orders and stops at the first match.
+  /// violate — exact, so skipping the block drops nothing. Each tuple
+  /// points straight into code_cols_ through `ri.bound.slot_ptrs` (tuple
+  /// row = table position); `tuples` is a buffer the caller reuses across
+  /// blocks. A symmetric rule is decided by one AnyMatchUpper call; an
+  /// asymmetric one by a pair loop that tries both orders and stops at the
+  /// first match.
   bool BlockMayViolate(const RuleIndex& ri,
-                       const std::vector<const uint32_t*>& cols,
                        const std::vector<uint32_t>& members,
                        std::vector<CodeTuple>* tuples) const;
 
@@ -270,12 +270,12 @@ class StreamSession {
 
   /// Detects rule `ri` inside its dirty blocks and clears its dirt: the
   /// prescreen-positive blocks, in ascending order of their first member
-  /// position, run through one `stream:iterate|detect|genfix` stage that
-  /// enumerates each block in place (detect::IterateBlock, the engine's
-  /// blocked-stage routine) — codes from code_cols_, matches written by the
-  /// compiled GenFix at their table positions. That order is the order of
-  /// the violations appended to `out`, and with it the repair's node ids.
-  /// Adds the blocks' member count to `*candidates`.
+  /// position, run through the engine's blocked stage
+  /// (columnar::IterateBlocks) as `stream:iterate|detect|genfix`, reading
+  /// their member vectors in place — codes from code_cols_, matches written
+  /// by the compiled GenFix at their table positions. That order is the
+  /// order of the violations appended to `out`, and with it the repair's
+  /// node ids. Adds the blocks' member count to `*candidates`.
   Status DetectDirtyBlocks(RuleIndex* ri, size_t* candidates,
                            ViolationBuffer* out);
 

@@ -1,5 +1,7 @@
 #include "data/csv.h"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -9,26 +11,34 @@ namespace bigdansing {
 
 namespace {
 
-/// Splits one CSV record honoring double-quote quoting. Returns false on a
-/// malformed record (unterminated quote).
-bool SplitCsvRecord(const std::string& line, char delim,
-                    std::vector<std::string>* fields) {
+/// Reads the record at `*pos` of `text` into `fields`, honoring
+/// double-quote quoting with "" escapes: a quoted field runs across line
+/// breaks and keeps them. Moves `*pos` past the record's "\n" or "\r\n"
+/// (or past the end) and counts the line breaks it reads into `*lines`.
+/// Returns false when a quote is still open at the end of the input.
+bool ReadCsvRecord(const std::string& text, char delim, size_t* pos,
+                   std::vector<std::string>* fields, size_t* lines) {
   fields->clear();
   std::string current;
   bool in_quotes = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    char c = line[i];
+  size_t i = *pos;
+  for (; i < text.size(); ++i) {
+    const char c = text[i];
     if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
+      if (c == '"' && i + 1 < text.size() && text[i + 1] == '"') {
+        current.push_back('"');
+        ++i;
+      } else if (c == '"') {
+        in_quotes = false;
       } else {
+        *lines += c == '\n';
         current.push_back(c);
       }
+    } else if (c == '\n') {
+      ++*lines;
+      break;
+    } else if (c == '\r' && (i + 1 == text.size() || text[i + 1] == '\n')) {
+      // The line break's '\r'.
     } else if (c == '"' && current.empty()) {
       in_quotes = true;
     } else if (c == delim) {
@@ -40,7 +50,20 @@ bool SplitCsvRecord(const std::string& line, char delim,
   }
   if (in_quotes) return false;
   fields->push_back(std::move(current));
+  *pos = i + 1;
   return true;
+}
+
+/// `v` as a field: a finite double in the shortest form that reads back as
+/// the same double (Value::ToString's %g keeps six digits), plus ".0" when
+/// that form is all digits, which would read back as an int or, past
+/// int64, as a string; any other value as Value::ToString.
+std::string FieldText(const Value& v) {
+  if (!v.is_double() || !std::isfinite(v.as_double())) return v.ToString();
+  char buf[32];
+  std::string text(buf,
+                   std::to_chars(buf, buf + sizeof(buf), v.as_double()).ptr);
+  return LooksLikeInt(text) ? text + ".0" : text;
 }
 
 bool NeedsQuoting(const std::string& field, char delim) {
@@ -64,19 +87,17 @@ std::string QuoteField(const std::string& field) {
 
 Result<Table> ReadCsvString(const std::string& text,
                             const CsvOptions& options) {
-  std::istringstream in(text);
-  std::string line;
   std::vector<std::string> fields;
   bool first = true;
   Schema schema;
   Table table;
-  size_t line_no = 0;
   size_t width = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() && in.eof()) break;
-    if (!SplitCsvRecord(line, options.delimiter, &fields)) {
+  size_t lines = 0;  // line breaks read so far
+  for (size_t pos = 0; pos < text.size();) {
+    // A stray '\r' after the last line break is no record.
+    if (text.compare(pos, std::string::npos, "\r") == 0) break;
+    const size_t line_no = lines + 1;  // the record's first line
+    if (!ReadCsvRecord(text, options.delimiter, &pos, &fields, &lines)) {
       return Status::ParseError("unterminated quote at line " +
                                 std::to_string(line_no));
     }
@@ -135,7 +156,7 @@ std::string WriteCsvString(const Table& table, const CsvOptions& options) {
   for (const Row& row : table.rows()) {
     for (size_t i = 0; i < row.size(); ++i) {
       if (i > 0) out.push_back(options.delimiter);
-      std::string field = row.value(i).ToString();
+      std::string field = FieldText(row.value(i));
       out += NeedsQuoting(field, options.delimiter) ? QuoteField(field) : field;
     }
     out.push_back('\n');

@@ -242,49 +242,36 @@ EncodedColumnSet EncodeColumns(
   }
 
   // Stage 2: encode every requested column morsel-wise against its group's
-  // pool (O(1) probes against the pool's flat index); morsel pieces
-  // concatenate in row order, giving partition-aligned code vectors.
-  using CodesPiece = std::vector<std::vector<uint32_t>>;  // flat slot-major
-  std::vector<CodesPiece> encoded = data.RunStageMorsels<CodesPiece>(
+  // pool (O(1) probes against the pool's flat index) into one code vector
+  // per column, sized once: each morsel writes its own rows' codes at
+  // their positions, in place. Morsel stages never speculate, and a
+  // retried attempt rewrites only its own range.
+  out.rows = data.Count();
+  std::vector<uint32_t*> codes(flat_cols.size());
+  for (size_t s = 0; s < flat_cols.size(); ++s) {
+    EncodedColumn& col = out.columns[flat_cols[s]];
+    col.pool = pools[flat_group[s]];
+    col.codes.resize(out.rows);
+    codes[s] = col.codes.data();
+  }
+  data.RunStageMorsels<int>(
       "kernel:encode:codes",
       [&](size_t p) { return parts[p].size(); },
       [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
-        CodesPiece piece(flat_cols.size());
         for (size_t s = 0; s < flat_cols.size(); ++s) {
           const ValuePool& pool = *pools[flat_group[s]];
           const size_t c = flat_cols[s];
-          std::vector<uint32_t>& codes = piece[s];
-          codes.reserve(end - begin);
+          uint32_t* out_codes = codes[s] + data.Begin(p);
           for (size_t i = begin; i < end; ++i) {
             const Row& row = parts[p][i];
-            codes.push_back(pool.CodeOf(row.value(row.source_column(c))));
+            out_codes[i] = pool.CodeOf(row.value(row.source_column(c)));
           }
         }
         tc.records_in = end - begin;
         tc.records_out = end - begin;
-        return piece;
+        return 0;  // the codes are in place: nothing to merge
       },
-      [&](size_t, std::vector<CodesPiece>&& pieces) {
-        CodesPiece merged(flat_cols.size());
-        for (auto& piece : pieces) {
-          for (size_t s = 0; s < flat_cols.size(); ++s) {
-            merged[s].insert(merged[s].end(), piece[s].begin(),
-                             piece[s].end());
-          }
-        }
-        return merged;
-      });
-
-  for (size_t s = 0; s < flat_cols.size(); ++s) {
-    EncodedColumn col;
-    col.pool = pools[flat_group[s]];
-    col.codes.resize(num_parts);
-    for (size_t p = 0; p < num_parts; ++p) {
-      col.codes[p] = std::move(encoded[p][s]);
-    }
-    out.columns.emplace(flat_cols[s], std::move(col));
-  }
-  for (const auto& part : parts) out.rows += part.size();
+      [](size_t, std::vector<int>&&) { return 0; });
   return out;
 }
 

@@ -82,11 +82,11 @@ class ValuePool {
   uint64_t index_mask_ = 0;
 };
 
-/// One dictionary-encoded column: a shared pool plus per-partition dense
-/// code vectors aligned with the source dataset's partitions.
+/// One dictionary-encoded column: a shared pool plus the dense code of
+/// every record of the encoded view, indexed by its position.
 struct EncodedColumn {
   std::shared_ptr<const ValuePool> pool;
-  std::vector<std::vector<uint32_t>> codes;
+  std::vector<uint32_t> codes;
 };
 
 /// The encoded columns of one scoped dataset, keyed by detect-schema column
@@ -99,11 +99,12 @@ struct EncodedColumnSet {
 /// Dictionary-encodes the given columns of `data` in two stages
 /// ("kernel:encode:pool" collects and sorts each partition's distinct
 /// values per group, which the driver merges into one pool per group;
-/// "kernel:encode:codes" encodes rows morsel-wise). Each inner vector of
-/// `groups` is a set of detect-schema column indices that share one pool
-/// (required whenever a kernel compares codes *across* two columns); every
-/// requested column appears in exactly one group. Of values that compare
-/// equal, a pool keeps the one seen first in the lowest partition.
+/// "kernel:encode:codes" morsels write their rows' codes in place). Each
+/// inner vector of `groups` is a set of detect-schema column indices that
+/// share one pool (required whenever a kernel compares codes *across* two
+/// columns); every requested column appears in exactly one group. Of
+/// values that compare equal, a pool keeps the one seen first in the
+/// lowest partition.
 EncodedColumnSet EncodeColumns(const PartitionView<Row>& data,
                                const std::vector<std::vector<size_t>>& groups);
 

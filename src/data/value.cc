@@ -36,7 +36,8 @@ std::string Value::ToString() const {
       return std::to_string(as_int());
     case ValueType::kDouble: {
       char buf[64];
-      // %.17g round-trips doubles; trim to shortest with %g first.
+      // %g keeps six significant digits, so this need not read back as
+      // the same double; WriteCsvString writes doubles that do.
       std::snprintf(buf, sizeof(buf), "%g", as_double());
       return buf;
     }

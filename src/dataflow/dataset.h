@@ -601,6 +601,10 @@ class Dataset {
 /// a view, so detection reads a table where it lives instead of copying
 /// it into a Dataset first. Whoever owns the records must outlive the
 /// view.
+///
+/// A record's position is its index counted across the partitions in
+/// order: the one row address of detection (codes, blocks, join pairs and
+/// violation cells all carry it).
 template <typename T>
 class PartitionView {
  public:
@@ -633,6 +637,7 @@ class PartitionView {
       const size_t end = std::min(items.size(), begin + per);
       view.parts_.push_back(items.subspan(begin, end - begin));
     }
+    view.first_ = items.data();
     ctx->metrics().AddRecordsRead(items.size());
     return view;
   }
@@ -645,6 +650,19 @@ class PartitionView {
     for (const auto& part : parts_) n += part.size();
     return n;
   }
+
+  /// Position of partition p's first record.
+  size_t Begin(size_t p) const {
+    size_t pos = 0;
+    for (size_t q = 0; q < p; ++q) pos += parts_[q].size();
+    return pos;
+  }
+
+  /// A view Split cut from one vector turns position `pos` into an offset
+  /// from its first record, data(); data() is null for a view of separate
+  /// partition vectors, which resolves positions itself.
+  const T& at(size_t pos) const { return first_[pos]; }
+  const T* data() const { return first_; }
 
   /// Runs `body(p, tc)` for every partition index as one named stage on
   /// the StageExecutor and returns the per-partition results, indexed by
@@ -688,6 +706,7 @@ class PartitionView {
  private:
   ExecutionContext* ctx_ = nullptr;
   std::vector<std::span<const T>> parts_;
+  const T* first_ = nullptr;
 };
 
 namespace dataflow_internal {

@@ -125,10 +125,23 @@ TEST(Csv, EmptyFieldIsNull) {
 TEST(Csv, WriteRoundTrip) {
   auto t = ReadCsvString("a,b\n1,hello\n2,\"x,y\"\n", CsvOptions{});
   ASSERT_TRUE(t.ok());
+  // Line breaks inside a value, and doubles %g would round or turn into
+  // ints (or, past int64, strings).
+  t->AppendRow({Value(int64_t{3}), Value("two\nlines")});
+  t->AppendRow({Value(int64_t{4}), Value("crlf\r\nvalue")});
+  for (double d : {123456.789, 0.1, 1e-300, 1.2345678901234567e19}) {
+    t->AppendRow({Value(d), Value("double")});
+  }
   std::string text = WriteCsvString(*t, CsvOptions{});
   auto t2 = ReadCsvString(text, CsvOptions{});
-  ASSERT_TRUE(t2.ok());
+  ASSERT_TRUE(t2.ok()) << t2.status().ToString();
   EXPECT_EQ(*t, *t2);
+  for (size_t r = 4; r < t->num_rows(); ++r) {
+    EXPECT_TRUE(t2->row(r).value(0).is_double()) << text;
+  }
+  // A quote still open at the end of the input is malformed.
+  EXPECT_EQ(ReadCsvString(text + "5,\"open\n", CsvOptions{}).status().code(),
+            StatusCode::kParseError);
 }
 
 TEST(Csv, FileRoundTrip) {

@@ -156,12 +156,11 @@ TEST(ValuePoolTest, EncodeColumnsSharesOnePoolAcrossAGroup) {
   for (uint32_t c = 1; c < pool.size(); ++c) {
     EXPECT_LT(pool.value(c - 1), pool.value(c));
   }
-  EXPECT_EQ(set.columns.at(0).codes[0],
-            (std::vector<uint32_t>{5, 2}));
-  EXPECT_EQ(set.columns.at(1).codes[0],
-            (std::vector<uint32_t>{1, ValuePool::kNullCode}));
-  EXPECT_EQ(set.columns.at(0).codes[2],
-            (std::vector<uint32_t>{2, ValuePool::kNullCode}));
+  // Codes by position, partition after partition.
+  EXPECT_EQ(set.columns.at(0).codes,
+            (std::vector<uint32_t>{5, 2, 1, 4, 2, ValuePool::kNullCode}));
+  EXPECT_EQ(set.columns.at(1).codes,
+            (std::vector<uint32_t>{1, ValuePool::kNullCode, 0, 5, 2, 3}));
 }
 
 TEST(ValuePoolTest, PoolFromTaskSortedRunsKeepsLowestPartitionValue) {
@@ -224,12 +223,13 @@ TEST(ValuePoolTest, PoolFromTaskSortedRunsKeepsLowestPartitionValue) {
   EXPECT_TRUE(pool.value(pool.CodeOf(Value(0.0))).is_double());
   EXPECT_TRUE(std::signbit(pool.value(pool.CodeOf(Value(0.0))).as_double()));
   EXPECT_TRUE(pool.value(pool.CodeOf(Value(1.0))).is_int());
-  for (size_t p = 0; p < parts.size(); ++p) {
-    for (size_t c : {0, 1}) {
-      ASSERT_EQ(set.columns.at(c).codes[p].size(), parts[p].size());
-      for (size_t i = 0; i < parts[p].size(); ++i) {
-        const Value& v = parts[p][i].value(c);
-        EXPECT_EQ(set.columns.at(c).codes[p][i],
+  for (size_t c : {0, 1}) {
+    ASSERT_EQ(set.columns.at(c).codes.size(), 10u);
+    size_t pos = 0;  // codes are indexed by position across partitions
+    for (const auto& part : parts) {
+      for (const Row& r : part) {
+        const Value& v = r.value(c);
+        EXPECT_EQ(set.columns.at(c).codes[pos++],
                   v.is_null() ? ValuePool::kNullCode : pool.CodeOf(v));
       }
     }
@@ -323,10 +323,10 @@ TEST(ValuePoolTest, EncodeColumnsPoolStaysInValueOrder) {
     EXPECT_EQ(pool.LowerBound(pool.value(code)), code);
     EXPECT_EQ(pool.UpperBound(pool.value(code)), code + 1);
   }
-  for (size_t p = 0; p < parts.size(); ++p) {
-    for (size_t i = 0; i < parts[p].size(); ++i) {
-      EXPECT_EQ(pool.value(set.columns.at(0).codes[p][i]),
-                parts[p][i].value(0));
+  size_t pos = 0;  // codes are indexed by position across partitions
+  for (const auto& part : parts) {
+    for (const Row& r : part) {
+      EXPECT_EQ(pool.value(set.columns.at(0).codes[pos++]), r.value(0));
     }
   }
 }

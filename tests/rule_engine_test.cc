@@ -174,6 +174,50 @@ TEST(RuleEngine, UdfDedupWithBlocking) {
   EXPECT_EQ(result->detect_calls, 1u);
 }
 
+TEST(RuleEngine, SameNamedUdfRulesKeepTheirOwnBlocks) {
+  // Two UDF rules named alike, one keyed on a and one on b, each reporting
+  // every candidate pair: each is detected inside its own blocks, alone or
+  // after the other in one request.
+  auto table = ReadCsvString("a,b\n1,x\n1,y\n2,x\n", CsvOptions{});
+  ASSERT_TRUE(table.ok());
+  auto keyed_on = [](size_t column) {
+    auto rule = std::make_shared<UdfRule>("u");
+    rule->set_symmetric(true)
+        .set_block_key([column](const Schema&, const Row& row) {
+          return row.value(column);
+        })
+        .set_detect([](const Schema& schema, const Row& a, const Row& b,
+                       std::vector<Violation>* out) {
+          Violation v;
+          v.rule_name = "u";
+          v.cells.push_back(UdfRule::MakeUdfCell(a, 0, schema));
+          v.cells.push_back(UdfRule::MakeUdfCell(b, 0, schema));
+          out->push_back(std::move(v));
+        });
+    return rule;
+  };
+  const RulePtr by_a = keyed_on(0);
+  const RulePtr by_b = keyed_on(1);
+  const std::set<std::pair<RowId, RowId>> a_pairs = {{0, 1}};
+  const std::set<std::pair<RowId, RowId>> b_pairs = {{0, 2}};
+  for (bool kernels : {true, false}) {
+    ExecutionContext ctx(2);
+    ctx.set_kernels_enabled(kernels);
+    RuleEngine engine(&ctx);
+    auto alone = engine.Detect(*table, by_b);
+    ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+    EXPECT_EQ(PairSet(*alone), b_pairs);
+    DetectRequest request;
+    request.table = &*table;
+    request.rules = {by_a, by_b};
+    auto both = engine.Detect(request);
+    ASSERT_TRUE(both.ok()) << both.status().ToString();
+    EXPECT_EQ(PairSet((*both)[0]), a_pairs);
+    EXPECT_EQ(PairSet((*both)[1]), b_pairs)
+        << "kernels " << (kernels ? "on" : "off");
+  }
+}
+
 TEST(RuleEngine, CheckRuleSingleUnit) {
   const char* csv = "salary,rate\n100,5\n-50,3\n200,0\n";
   auto table = ReadCsvString(csv, CsvOptions{});

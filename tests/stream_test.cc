@@ -825,6 +825,30 @@ TEST(Stream, NonBlockingBackpressureRejectsWholeAppend) {
                          data.clean.rows().begin() + 30);
   EXPECT_TRUE((*session)->Append(std::move(retry)).ok());
 
+  // A rejected call uses up no row ids: id-less rows rejected for
+  // backpressure or beside a short row leave the next fresh id right after
+  // the accepted explicit ids 0..29.
+  auto id_less = [&](size_t n) {
+    std::vector<Row> rows(data.clean.rows().begin() + 30,
+                          data.clean.rows().begin() + 30 + n);
+    for (Row& row : rows) row.set_id(-1);
+    return rows;
+  };
+  EXPECT_EQ((*session)->Append(id_less(2)).code(),
+            StatusCode::kResourceExhausted);
+  std::vector<Row> with_short = id_less(1);
+  with_short.emplace_back(-1, std::vector<Value>{Value(int64_t{1})});
+  EXPECT_EQ((*session)->Append(std::move(with_short)).code(),
+            StatusCode::kInvalidArgument);
+  while ((*session)->pending_batches() > 0) {
+    ASSERT_TRUE((*session)->Poll().ok());
+  }
+  ASSERT_TRUE((*session)->Append(id_less(2)).ok());
+  ASSERT_TRUE((*session)->Poll().ok());
+  ASSERT_EQ(streamed.num_rows(), 32u);
+  EXPECT_EQ(streamed.row(30).id(), 30);
+  EXPECT_EQ(streamed.row(31).id(), 31);
+
   // Blocking mode instead drains inline: the same overload never fails.
   Table blocking_table(data.clean.schema());
   options.block_on_backpressure = true;
